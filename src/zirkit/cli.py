@@ -13,7 +13,7 @@ import json
 import sys
 import time
 
-from .errors import ZirkitError
+from .errors import GraphFormatError, ZirkitError
 from .families import generate, parse_family_expr
 from .forcing import enumerate_forts, enumerate_minimal_forts
 from .graphs import Graph, bit_list, parse_graph6, to_graph6
@@ -67,18 +67,25 @@ def _parse_edge_file(path: str) -> Graph:
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
+            where = f"{path}:{lineno}"
             parts = line.split()
             if n is None:
-                if parts[0] != "n" or len(parts) != 2:
-                    raise ZirkitError(
-                        f"{path}:{lineno}: first line must be 'n <order>'")
+                if parts[0] != "n" or len(parts) != 2 or not parts[1].isdecimal() \
+                        or int(parts[1]) < 1:
+                    raise GraphFormatError(
+                        f"{where}: first line must be 'n <order>' with order >= 1")
                 n = int(parts[1])
                 continue
-            if len(parts) != 2:
-                raise ZirkitError(f"{path}:{lineno}: expected 'u v'")
-            edges.append((int(parts[0]), int(parts[1])))
+            try:
+                u, v = map(int, parts)
+            except ValueError:
+                raise GraphFormatError(f"{where}: expected 'u v'") from None
+            if u == v or not (0 <= u < n and 0 <= v < n):
+                raise GraphFormatError(
+                    f"{where}: edge ({u},{v}) is a loop or out of range for order {n}")
+            edges.append((u, v))
     if n is None:
-        raise ZirkitError(f"{path}: empty edge-list file")
+        raise GraphFormatError(f"{path}: empty edge-list file")
     return Graph(n, edges)
 
 
@@ -162,6 +169,9 @@ def _cmd_survey(args) -> int:
     checks = None
     if args.checks and args.checks != "all":
         checks = tuple(c.strip() for c in args.checks.split(",") if c.strip())
+        for c in checks:
+            if c not in ALL_CHECKS:
+                raise ZirkitError(f"unknown check {c!r}; known: {', '.join(ALL_CHECKS)}")
     report = survey(args.order, checks=checks, connected_only=args.connected_only,
                     dedup=args.dedup, threads=args.threads,
                     override_budget=args.override_budget,
@@ -261,10 +271,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ZirkitError as exc:
-        print(f"zirkit {args.command}: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ZirkitError, OSError, UnicodeDecodeError) as exc:
         print(f"zirkit {args.command}: {exc}", file=sys.stderr)
         return 2
 

@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import PreconditionError
-from .forcing import ClosureCache, _masks_of_size
-from .graphs import Graph, bits
+from .forcing import ClosureCache
+from .graphs import Graph, _first_subset, bits
 
 
 @dataclass(frozen=True)
@@ -36,11 +36,8 @@ def k_domination_number(g: Graph, k: int) -> DominationResult:
     """Minimum set whose outside vertices all have >= k neighbors inside."""
     if k not in (1, 2):
         raise PreconditionError(f"k-domination implemented for k in {{1, 2}}, got {k}")
-    for size in range(g.n + 1):
-        for m in _masks_of_size(g.n, size):
-            if _is_k_dominating(g.adj, g.full, m, k):
-                return DominationResult(size, m, k)
-    raise AssertionError("the full vertex set is k-dominating")
+    m = _first_subset(g.n, lambda m: _is_k_dominating(g.adj, g.full, m, k))
+    return DominationResult(m.bit_count(), m, k)
 
 
 def independence_number(g: Graph) -> tuple[int, int]:
@@ -79,11 +76,12 @@ def power_domination_number(g: Graph) -> tuple[int, int]:
     """Minimum seed set whose closed neighborhood forces the whole graph."""
     cache = ClosureCache(g)
     adj = g.adj
-    for size in range(1, g.n + 1):
-        for m in _masks_of_size(g.n, size):
-            seed = m
-            for v in bits(m):
-                seed |= adj[v]
-            if cache.closure(seed) == g.full:
-                return size, m
-    raise AssertionError("the full vertex set power dominates")
+
+    def power_dominates(m: int) -> bool:
+        seed = m
+        for v in bits(m):
+            seed |= adj[v]
+        return cache.closure(seed) == g.full
+
+    m = _first_subset(g.n, power_dominates)
+    return m.bit_count(), m

@@ -12,11 +12,9 @@ sides.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterator
 
 from .errors import BudgetError, PreconditionError
-from .graphs import Graph, bits
+from .graphs import Graph, _first_subset, _masks_of_size, bits
 
 FORT_ENUM_MAX_ORDER = 20
 
@@ -122,23 +120,11 @@ def max_fort_avoiding(g: Graph, a: int, cache: ClosureCache | None = None) -> in
     return rest if rest else None
 
 
-def _masks_of_size(n: int, k: int) -> Iterator[int]:
-    """All k-subsets of 0..n-1 as masks, lexicographic by vertex tuple."""
-    for combo in combinations(range(n), k):
-        m = 0
-        for v in combo:
-            m |= 1 << v
-        yield m
-
-
 def zero_forcing_number(g: Graph, cache: ClosureCache | None = None) -> tuple[int, int]:
     """Minimum size of a zero forcing set and the lexicographically least witness."""
     cache = cache or ClosureCache(g)
-    for k in range(g.n + 1):
-        for m in _masks_of_size(g.n, k):
-            if cache.closure(m) == g.full:
-                return k, m
-    raise AssertionError("the full vertex set always forces")
+    m = _first_subset(g.n, lambda m: cache.closure(m) == g.full)
+    return m.bit_count(), m
 
 
 def is_minimal_zfs(g: Graph, b: int, cache: ClosureCache | None = None) -> bool:

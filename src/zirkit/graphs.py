@@ -12,8 +12,8 @@ attached to g-vertex i occupies the block ``g.n + i*h.n .. g.n + (i+1)*h.n - 1``
 
 from __future__ import annotations
 
-from itertools import permutations
-from typing import Iterable, Iterator
+from itertools import combinations, permutations
+from typing import Callable, Iterable, Iterator
 
 from .errors import BudgetError, GraphFormatError, SizeCapError
 
@@ -39,6 +39,24 @@ def mask_of(vertices: Iterable[int]) -> int:
     for v in vertices:
         m |= 1 << v
     return m
+
+
+def _masks_of_size(n: int, k: int) -> Iterator[int]:
+    """All k-subsets of 0..n-1 as masks, lexicographic by vertex tuple."""
+    for combo in combinations(range(n), k):
+        m = 0
+        for v in combo:
+            m |= 1 << v
+        yield m
+
+
+def _first_subset(n: int, pred: Callable[[int], bool]) -> int:
+    """The first mask satisfying ``pred``, ascending by (size, lexicographic)."""
+    for k in range(n + 1):
+        for m in _masks_of_size(n, k):
+            if pred(m):
+                return m
+    raise AssertionError("no subset qualifies, not even the full vertex set")
 
 
 class Graph:

@@ -16,6 +16,7 @@ assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .domination import k_domination_number
 from .errors import PreconditionError
@@ -175,30 +176,36 @@ def upper_zir_number(g: Graph, cache: ClosureCache | None = None) -> tuple[int, 
     return best_size, _certify(g, best_mask, cache, maximal=True)
 
 
+def _first_zir_set(g: Graph, k: int, cache: ClosureCache, accept: Callable[[int], bool],
+                   verts: list[int], s: int = 0, start: int = 0) -> int | None:
+    """The lexicographically first ZIr-set that adds k of ``verts[start:]``
+    to the ZIr-set s and that ``accept`` takes, or None.
+
+    Only ZIr prefixes are extended, which is valid pruning by heredity.
+    Plain recursion, not a nested closure, so no reference cycle keeps
+    ``cache`` alive after the search.
+    """
+    if k == 0:
+        return s if accept(s) else None
+    for i in range(start, len(verts) - k + 1):
+        t = s | (1 << verts[i])
+        if is_zir_set(g, t, cache):
+            got = _first_zir_set(g, k - 1, cache, accept, verts, t, i + 1)
+            if got is not None:
+                return got
+    return None
+
+
 def lower_zir_number(g: Graph, cache: ClosureCache | None = None) -> tuple[int, ZirWitness]:
     """zir(G): minimum size of a maximal ZIr-set, with certificates.
 
     Enumerates candidate sets ascending by (cardinality, lexicographic
-    order), extending only ZIr prefixes (valid pruning by heredity), and
-    returns the first candidate that is maximal.
+    order) and returns the first candidate that is maximal.
     """
     cache = cache or ClosureCache(g)
-    n = g.n
-
-    def find(s: int, size: int, start: int, k: int) -> int | None:
-        if size == k:
-            return s if is_maximal_zir_set(g, s, cache) else None
-        for v in range(start, n - (k - size) + 1):
-            t = s | (1 << v)
-            if not is_zir_set(g, t, cache):
-                continue
-            got = find(t, size + 1, v + 1, k)
-            if got is not None:
-                return got
-        return None
-
-    for k in range(1, n + 1):
-        got = find(0, 0, 0, k)
+    for k in range(1, g.n + 1):
+        got = _first_zir_set(g, k, cache, lambda s: is_maximal_zir_set(g, s, cache),
+                             bit_list(g.full))
         if got is not None:
             return k, _certify(g, got, cache, maximal=True)
     raise AssertionError("every graph has a maximal ZIr-set")
@@ -225,23 +232,8 @@ def graph_abandons_fort(g: Graph, cache: ClosureCache | None = None
     """
     cache = cache or ClosureCache(g)
     target, _ = upper_zir_number(g, cache)
-    n = g.n
-
-    def scan(s: int, size: int, start: int) -> int | None:
-        if size == target:
-            if not is_zero_forcing_set(g, s, cache):
-                return s
-            return None
-        for v in range(start, n - (target - size) + 1):
-            t = s | (1 << v)
-            if not is_zir_set(g, t, cache):
-                continue
-            got = scan(t, size + 1, v + 1)
-            if got is not None:
-                return got
-        return None
-
-    found = scan(0, 0, 0)
+    found = _first_zir_set(g, target, cache, lambda s: not is_zero_forcing_set(g, s, cache),
+                           bit_list(g.full))
     if found is None:
         return False, None
     fort = max_fort_avoiding(g, found, cache)

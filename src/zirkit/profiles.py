@@ -1,16 +1,22 @@
-"""Parameter profiles, bound checks, and structural recognizers.
+"""Parameter profiles, the check registry, and structural recognizers.
 
 A profile gathers every exact parameter of one graph together with
-witnesses; the check layer evaluates each bound or characterization whose
-hypotheses hold and reports pass/fail/skip per check.  Structural
+witnesses.  ``CHECKS`` is the one ordered registry of bounds and
+characterizations: each entry tests its hypothesis and its claim on a facts
+record.  ``check_bounds`` and ``check_characterizations`` run it on a
+profile, whose facts the solvers supply; the survey runs the entries it
+shares with them on facts from its closure tables, so the two value routes
+stay independent while each theorem is written once.  Structural
 recognizers (path, star, clique-plus-isolated-vertices, and the complement
 decomposition behind the near-extreme zero forcing characterization) are
-pure graph predicates used by both the checks and the survey.
+pure graph predicates that those checks call on both routes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Any, Callable
 
 from .domination import k_domination_number, independence_number, power_domination_number
 from .families import FamilySpec, generate
@@ -18,7 +24,7 @@ from .forcing import (ClosureCache, is_minimal_zfs, is_zero_forcing_set,
                       upper_zero_forcing_number, zero_forcing_number)
 from .graphs import (Graph, bit_list, bits, complement, join as join_graph,
                      mask_of, to_graph6)
-from .irredundance import (graph_abandons_fort, is_maximal_zir_set, is_zir_set,
+from .irredundance import (_first_zir_set, graph_abandons_fort, is_maximal_zir_set,
                            lower_zir_number, upper_zir_number)
 
 PARAM_NAMES = ("zir", "Z", "Zbar", "ZIR", "gamma", "gamma2", "alpha", "gammaP")
@@ -144,21 +150,19 @@ def parameter_profile(g: Graph, params: tuple[str, ...] | None = None,
 
 def is_path_graph(g: Graph) -> bool:
     """True iff g is a path (any order >= 1)."""
-    if not g.is_connected():
-        return False
     if g.n == 1:
-        return g.size() == 0
+        return True
     degs = g.degrees()
-    return g.size() == g.n - 1 and degs.count(1) == 2 and max(degs) <= 2
+    return (sum(degs) == 2 * (g.n - 1) and degs.count(1) == 2 and max(degs) <= 2
+            and g.is_connected())
 
 
 def is_star_graph(g: Graph) -> bool:
     """True iff g is a star K_{1,n-1} (order >= 2), or K_1."""
     if g.n == 1:
-        return g.size() == 0
-    if not g.is_connected():
-        return False
-    return g.size() == g.n - 1 and g.max_degree() == g.n - 1
+        return True
+    degs = g.degrees()
+    return sum(degs) == 2 * (g.n - 1) and max(degs) == g.n - 1 and g.is_connected()
 
 
 def is_clique_plus_isolated(g: Graph) -> bool:
@@ -191,25 +195,6 @@ class ComplementDecomposition:
             "bipartite_parts": [list(qp) for qp in self.bipartite_parts],
             "universal_count": self.universal_count,
         }
-
-
-def _bipartition(adj_in_comp: dict[int, int], comp: int) -> tuple[int, int] | None:
-    """2-color a connected component given its internal adjacency; None if odd cycle."""
-    start = (comp & -comp).bit_length() - 1
-    color = {start: 0}
-    queue = [start]
-    sides = [1 << start, 0]
-    while queue:
-        v = queue.pop()
-        for u in bits(adj_in_comp[v]):
-            if u in color:
-                if color[u] == color[v]:
-                    return None
-            else:
-                color[u] = 1 - color[v]
-                sides[color[u]] |= 1 << u
-                queue.append(u)
-    return sides[0], sides[1]
 
 
 def recognize_zn2_complement_form(g: Graph
@@ -257,14 +242,13 @@ def recognize_zn2_complement_form(g: Graph
                 else:
                     complete_sizes.append(size)
                 continue
-            sides = _bipartition(inner, comp)
-            if sides is None:
+            # complete bipartite iff v's neighbours are one side and every
+            # vertex sees exactly the other side
+            side = inner[v]
+            other = comp & ~side
+            if any(inner[u] != (other if (side >> u) & 1 else side) for u in bits(comp)):
                 return False, None, False
-            a, b = sides
-            edges = sum((inner[u] & b).bit_count() for u in bits(a))
-            if edges != a.bit_count() * b.bit_count():
-                return False, None, False
-            q, p = sorted((a.bit_count(), b.bit_count()))
+            q, p = sorted((side.bit_count(), other.bit_count()))
             bipartite.append((q, p))
 
     bipartite.sort(key=lambda qp: (-qp[0], -qp[1]))
@@ -281,7 +265,216 @@ def recognize_zn2_complement_form(g: Graph
     return True, decomp, lower_form
 
 
-# -- bound checks ---------------------------------------------------------
+# -- the check registry ---------------------------------------------------
+
+
+class _ProfileFacts:
+    """The facts record of one profiled graph, answered by the solvers.
+
+    A check reads ``n``, ``min_degree``, ``max_degree``, ``has_edge``,
+    ``connected``, ``isolated_free``, ``values`` and ``graph``, and the
+    set-level facts ``forces(s)``, ``minimal_zfs`` and ``maximal_zir_sets``
+    (ascending masks) and ``abandons``.  The survey's ``_GraphData`` answers
+    the same from closure tables.  Only checks the survey does not run read
+    ``spec`` and ``cache``.
+    """
+
+    def __init__(self, profile: ParamProfile, g: Graph, spec: FamilySpec | None):
+        self.profile, self.graph, self.spec = profile, g, spec
+        self.cache = ClosureCache(g)
+
+    def __getattr__(self, name: str):
+        return getattr(self.profile, name)  # n, the degrees, the flags, values
+
+    def forces(self, s: int) -> bool:
+        return is_zero_forcing_set(self.graph, s, self.cache)
+
+    @cached_property
+    def minimal_zfs(self) -> list[int]:
+        g = self.graph
+        return [s for s in range(g.full + 1) if is_minimal_zfs(g, s, self.cache)]
+
+    @cached_property
+    def maximal_zir_sets(self) -> list[int]:
+        g = self.graph
+        return [s for s in range(g.full + 1) if is_maximal_zir_set(g, s, self.cache)]
+
+    @cached_property
+    def abandons(self) -> bool:
+        return graph_abandons_fort(self.graph, self.cache)[0]
+
+
+@dataclass(frozen=True)
+class Check:
+    """One bound or characterization, evaluated on a facts record.
+
+    ``evaluate(facts)`` first tests the hypothesis and returns the reason
+    it fails ("" to report nothing); when it holds, it returns
+    ``(ok, detail)``, or ``(ok, detail, counterexample)``.  Checks whose
+    ``needs`` are missing from the values are left out silently.
+    ``survey_name`` is the name the survey runs the check under, or None
+    when only ``check_bounds``/``check_characterizations`` run it.
+    """
+
+    name: str
+    needs: tuple[str, ...]
+    evaluate: Callable[[Any], str | tuple]
+    survey_name: str | None = None
+
+
+def _chain(f):
+    v = f.values
+    return (v["zir"] <= v["Z"] <= v["Zbar"] <= v["ZIR"],
+            f"zir={v['zir']} Z={v['Z']} Zbar={v['Zbar']} ZIR={v['ZIR']}")
+
+
+def _min_degree(f):
+    return f.min_degree <= f.values["zir"], f"delta={f.min_degree} zir={f.values['zir']}"
+
+
+def _edge_upper(f):
+    if not f.has_edge:
+        return "graph has no edge"
+    return f.values["ZIR"] <= f.n - 1, f"ZIR={f.values['ZIR']} n={f.n}"
+
+
+def _domination_sandwich(f):
+    if f.n < 2 or not f.isolated_free:
+        return "needs n >= 2 and no isolated vertices"
+    v, n = f.values, f.n
+    return (n - v["gamma2"] <= v["ZIR"] <= n - v["gamma"],
+            f"n-gamma2={n - v['gamma2']} ZIR={v['ZIR']} n-gamma={n - v['gamma']}")
+
+
+def _min_degree_3_half(f):
+    if f.min_degree < 3 or f.n < 2:
+        return "needs delta >= 3"
+    return 2 * f.values["ZIR"] >= f.n, f"ZIR={f.values['ZIR']} n={f.n}"
+
+
+def _min_degree_2_third(f):
+    if f.min_degree != 2 or f.n < 3:
+        return "needs delta = 2"
+    return 3 * f.values["ZIR"] > f.n, f"ZIR={f.values['ZIR']} n={f.n}"
+
+
+def _max_degree_ratio(f):
+    if not f.connected or f.n < 2:
+        return "needs a connected graph"
+    zir_upper, dmax = f.values["ZIR"], f.max_degree
+    return (zir_upper * (dmax + 1) <= dmax * f.n,
+            f"ZIR={zir_upper} Delta={dmax} n={f.n}")
+
+
+def _cubic_range(f):
+    if not (f.connected and f.min_degree == 3 == f.max_degree and f.n >= 4):
+        return "needs a connected cubic graph"
+    zir_upper = f.values["ZIR"]
+    return (f.n <= 2 * zir_upper and 4 * zir_upper <= 3 * f.n,
+            f"ZIR={zir_upper} n={f.n}")
+
+
+def _extreme_n(f):
+    v, edgeless = f.values, not f.has_edge
+    return ((v["zir"] == f.n) == edgeless == (v["ZIR"] == f.n),
+            f"zir={v['zir']} ZIR={v['ZIR']} edgeless={edgeless}")
+
+
+def _extreme_n_minus_1(f):
+    if f.n < 2:
+        return ""
+    shape = is_clique_plus_isolated(f.graph)
+    flags = [f.values[p] == f.n - 1 for p in ("zir", "Z", "Zbar", "ZIR")]
+    return (all(flag == shape for flag in flags),
+            f"values-at-n-1={flags} clique-plus-isolated={shape}")
+
+
+def _zir_n_minus_2_form(f):
+    if f.n < 3:
+        return ""
+    _, decomp, lower_form = recognize_zn2_complement_form(f.graph)
+    zir_lower = f.values["zir"]
+    return ((zir_lower == f.n - 2) == lower_form,
+            f"zir={zir_lower} n-2={f.n - 2} recognizer={lower_form}",
+            {"decomposition": decomp.to_dict() if decomp else None})
+
+
+def _z_n_minus_2_form(f):
+    if f.n < 3:
+        return ""
+    matches, _, _ = recognize_zn2_complement_form(f.graph)
+    z = f.values["Z"]
+    return (z >= f.n - 2) == matches, f"Z={z} n-2={f.n - 2} recognizer={matches}"
+
+
+def _zir1(f):
+    shape = is_path_graph(f.graph) or is_star_graph(f.graph)
+    zir_lower = f.values["zir"]
+    return (zir_lower == 1) == shape, f"zir={zir_lower} path-or-star={shape}"
+
+
+def _minimal_zfs_equivalence(f):
+    """Minimal zero forcing sets are exactly the maximal ZIr-sets that force."""
+    if f.n > SUBSET_CHECK_MAX_ORDER:
+        return f"subset sweep limited to n <= {SUBSET_CHECK_MAX_ORDER}"
+    minimal = set(f.minimal_zfs)
+    forcing_maximal = {s for s in f.maximal_zir_sets if f.forces(s)}
+    if minimal == forcing_maximal:
+        return True, "all subsets agree"
+    s = min(minimal ^ forcing_maximal)
+    return (False, f"set {bit_list(s)} minimal-zfs={s in minimal} "
+            f"maximal-zir-and-zfs={s in forcing_maximal}", {"set": bit_list(s)})
+
+
+def _leaf_zir_set(f):
+    """For coronas H∘tK_1 (H connected, order >= 3, t >= 2): some maximum
+    ZIr-set uses only leaves."""
+    spec = f.spec
+    applies = (spec is not None and spec.kind == "corona"
+               and spec.parts[1].kind == "empty" and spec.parts[1].params[0] >= 2)
+    if applies:
+        h = generate(spec.parts[0])
+        applies = h.is_connected() and h.n >= 3
+    if not applies or "ZIR" not in f.values:
+        return "needs corona(H, empty:t) with connected H of order >= 3 and t >= 2"
+    g, target = f.graph, f.values["ZIR"]
+    leaves = [v for v in range(g.n) if g.degree(v) == 1]
+    ok = _first_zir_set(g, target, f.cache, lambda s: True, leaves) is not None
+    return ok, f"all-leaf ZIr-set of size ZIR={target} exists={ok}"
+
+
+def _abandonment_identity(f):
+    if f.n > SUBSET_CHECK_MAX_ORDER:
+        return ""
+    if f.abandons:
+        return "graph abandons a fort"
+    v = f.values
+    return v["ZIR"] == v["Zbar"], f"ZIR={v['ZIR']} Zbar={v['Zbar']} (no abandoned fort)"
+
+
+BOUND_CHECKS = (
+    Check("chain", PARAM_NAMES[:4], _chain, "chain"),
+    Check("min-degree", ("zir",), _min_degree, "min-degree"),
+    Check("edge-upper", ("ZIR",), _edge_upper),
+    Check("domination-sandwich", ("ZIR", "gamma", "gamma2"), _domination_sandwich,
+          "domination-sandwich"),
+    Check("min-degree-3-half", ("ZIR",), _min_degree_3_half),
+    Check("min-degree-2-third", ("ZIR",), _min_degree_2_third),
+    Check("max-degree-ratio", ("ZIR",), _max_degree_ratio, "max-degree-ratio"),
+    Check("cubic-range", ("ZIR",), _cubic_range),
+)
+CHARACTERIZATION_CHECKS = (
+    Check("extreme-n", ("zir", "ZIR"), _extreme_n, "extreme-n"),
+    Check("extreme-n-minus-1", PARAM_NAMES[:4], _extreme_n_minus_1, "extreme-n-minus-1"),
+    Check("zir-n-minus-2-form", ("zir",), _zir_n_minus_2_form, "zir-n-minus-2-form"),
+    Check("z-n-minus-2-form", ("Z",), _z_n_minus_2_form),
+    Check("zir1-characterization", ("zir",), _zir1, "zir1-characterization"),
+    Check("minimal-zfs-equivalence", (), _minimal_zfs_equivalence,
+          "minimal-zfs-equivalence"),
+    Check("leaf-zir-set", (), _leaf_zir_set),
+    Check("abandonment-identity", ("Zbar", "ZIR"), _abandonment_identity, "abandonment"),
+)
+CHECKS = BOUND_CHECKS + CHARACTERIZATION_CHECKS
 
 
 def _report(check: str, scope: str, ok: bool, detail: str,
@@ -294,6 +487,19 @@ def _skip(check: str, scope: str, why: str) -> CheckReport:
     return CheckReport(check, scope, "skip", why)
 
 
+def _run_checks(checks: tuple[Check, ...], f: _ProfileFacts, scope: str) -> list[CheckReport]:
+    reports = []
+    for c in checks:
+        if not all(p in f.values for p in c.needs):
+            continue
+        outcome = c.evaluate(f)
+        if isinstance(outcome, tuple):
+            reports.append(_report(c.name, scope, *outcome))
+        elif outcome:
+            reports.append(_skip(c.name, scope, outcome))
+    return reports
+
+
 def check_bounds(profile: ParamProfile, g: Graph,
                  spec: FamilySpec | None = None,
                  factor_max_order: int = 13) -> list[CheckReport]:
@@ -302,63 +508,8 @@ def check_bounds(profile: ParamProfile, g: Graph,
     Join and corona bounds only apply when ``spec`` describes the graph as a
     product, since they compare against parameters of the factors.
     """
-    scope = profile.graph_id
-    v = profile.values
-    n = profile.n
-    reports: list[CheckReport] = []
-
-    def need(*names: str) -> bool:
-        return all(name in v for name in names)
-
-    if need("zir", "Z", "Zbar", "ZIR"):
-        ok = v["zir"] <= v["Z"] <= v["Zbar"] <= v["ZIR"]
-        reports.append(_report(
-            "chain", scope, ok,
-            f"zir={v['zir']} Z={v['Z']} Zbar={v['Zbar']} ZIR={v['ZIR']}"))
-    if need("zir"):
-        reports.append(_report(
-            "min-degree", scope, profile.min_degree <= v["zir"],
-            f"delta={profile.min_degree} zir={v['zir']}"))
-    if need("ZIR"):
-        if profile.has_edge:
-            reports.append(_report("edge-upper", scope, v["ZIR"] <= n - 1,
-                                   f"ZIR={v['ZIR']} n={n}"))
-        else:
-            reports.append(_skip("edge-upper", scope, "graph has no edge"))
-    if need("ZIR", "gamma", "gamma2"):
-        if n >= 2 and profile.isolated_free:
-            ok = n - v["gamma2"] <= v["ZIR"] <= n - v["gamma"]
-            reports.append(_report(
-                "domination-sandwich", scope, ok,
-                f"n-gamma2={n - v['gamma2']} ZIR={v['ZIR']} n-gamma={n - v['gamma']}"))
-        else:
-            reports.append(_skip("domination-sandwich", scope,
-                                 "needs n >= 2 and no isolated vertices"))
-    if need("ZIR"):
-        if profile.min_degree >= 3 and n >= 2:
-            reports.append(_report("min-degree-3-half", scope, 2 * v["ZIR"] >= n,
-                                   f"ZIR={v['ZIR']} n={n}"))
-        else:
-            reports.append(_skip("min-degree-3-half", scope, "needs delta >= 3"))
-        if profile.min_degree == 2 and n >= 3:
-            reports.append(_report("min-degree-2-third", scope, 3 * v["ZIR"] > n,
-                                   f"ZIR={v['ZIR']} n={n}"))
-        else:
-            reports.append(_skip("min-degree-2-third", scope, "needs delta = 2"))
-        if profile.connected and n >= 2:
-            dmax = profile.max_degree
-            reports.append(_report(
-                "max-degree-ratio", scope, v["ZIR"] * (dmax + 1) <= dmax * n,
-                f"ZIR={v['ZIR']} Delta={dmax} n={n}"))
-        else:
-            reports.append(_skip("max-degree-ratio", scope, "needs a connected graph"))
-        cubic = profile.connected and profile.min_degree == 3 == profile.max_degree
-        if cubic and n >= 4:
-            ok = n <= 2 * v["ZIR"] and 4 * v["ZIR"] <= 3 * n
-            reports.append(_report("cubic-range", scope, ok,
-                                   f"ZIR={v['ZIR']} n={n}"))
-        else:
-            reports.append(_skip("cubic-range", scope, "needs a connected cubic graph"))
+    reports = _run_checks(BOUND_CHECKS, _ProfileFacts(profile, g, spec), profile.graph_id)
+    if "ZIR" in profile.values:
         reports.append(_cut_vertex_bound(profile, g))
     reports.extend(_product_bounds(profile, g, spec, factor_max_order))
     return reports
@@ -447,102 +598,8 @@ def _product_bounds(profile: ParamProfile, g: Graph, spec: FamilySpec | None,
     return reports
 
 
-# -- characterization checks ----------------------------------------------
-
-
 def check_characterizations(g: Graph, profile: ParamProfile,
                             spec: FamilySpec | None = None) -> list[CheckReport]:
     """Check each structural characterization whose hypothesis applies."""
-    scope = profile.graph_id
-    v = profile.values
-    n = profile.n
-    reports: list[CheckReport] = []
-
-    if all(p in v for p in ("zir", "ZIR")):
-        edgeless = not profile.has_edge
-        ok = (v["zir"] == n) == edgeless == (v["ZIR"] == n)
-        reports.append(_report("extreme-n", scope, ok,
-                               f"zir={v['zir']} ZIR={v['ZIR']} edgeless={edgeless}"))
-    if n >= 2 and all(p in v for p in PARAM_NAMES[:4]):
-        shape = is_clique_plus_isolated(g)
-        flags = [v[p] == n - 1 for p in ("zir", "Z", "Zbar", "ZIR")]
-        ok = all(f == shape for f in flags)
-        reports.append(_report("extreme-n-minus-1", scope, ok,
-                               f"values-at-n-1={flags} clique-plus-isolated={shape}"))
-    if n >= 3 and "zir" in v:
-        _, decomp, lower_form = recognize_zn2_complement_form(g)
-        ok = (v["zir"] == n - 2) == lower_form
-        reports.append(_report(
-            "zir-n-minus-2-form", scope, ok,
-            f"zir={v['zir']} n-2={n - 2} recognizer={lower_form}",
-            {"decomposition": decomp.to_dict() if decomp else None}))
-    if n >= 3 and "Z" in v:
-        matches, _, _ = recognize_zn2_complement_form(g)
-        ok = (v["Z"] >= n - 2) == matches
-        reports.append(_report("z-n-minus-2-form", scope, ok,
-                               f"Z={v['Z']} n-2={n - 2} recognizer={matches}"))
-    if "zir" in v:
-        shape = is_path_graph(g) or is_star_graph(g)
-        reports.append(_report("zir1-characterization", scope,
-                               (v["zir"] == 1) == shape,
-                               f"zir={v['zir']} path-or-star={shape}"))
-    if n <= SUBSET_CHECK_MAX_ORDER:
-        reports.append(_minimal_zfs_equivalence(g, scope))
-    else:
-        reports.append(_skip("minimal-zfs-equivalence", scope,
-                             f"subset sweep limited to n <= {SUBSET_CHECK_MAX_ORDER}"))
-    reports.append(_leaf_zir_check(g, profile, spec))
-    if n <= SUBSET_CHECK_MAX_ORDER and all(p in v for p in ("Zbar", "ZIR")):
-        abandons, _ = graph_abandons_fort(g)
-        if abandons:
-            reports.append(_skip("abandonment-identity", scope, "graph abandons a fort"))
-        else:
-            reports.append(_report("abandonment-identity", scope,
-                                   v["ZIR"] == v["Zbar"],
-                                   f"ZIR={v['ZIR']} Zbar={v['Zbar']} (no abandoned fort)"))
-    return reports
-
-
-def _minimal_zfs_equivalence(g: Graph, scope: str) -> CheckReport:
-    """Minimal zero forcing sets are exactly the maximal ZIr-sets that force."""
-    cache = ClosureCache(g)
-    for s in range(g.full + 1):
-        lhs = is_minimal_zfs(g, s, cache)
-        rhs = is_maximal_zir_set(g, s, cache) and is_zero_forcing_set(g, s, cache)
-        if lhs != rhs:
-            return _report("minimal-zfs-equivalence", scope, False,
-                           f"set {bit_list(s)} minimal-zfs={lhs} maximal-zir-and-zfs={rhs}",
-                           {"set": bit_list(s)})
-    return _report("minimal-zfs-equivalence", scope, True, "all subsets agree")
-
-
-def _leaf_zir_check(g: Graph, profile: ParamProfile,
-                    spec: FamilySpec | None) -> CheckReport:
-    """For coronas H∘tK_1 (H connected, order >= 3, t >= 2): some maximum
-    ZIr-set uses only leaves."""
-    scope = profile.graph_id
-    applies = (spec is not None and spec.kind == "corona"
-               and spec.parts[1].kind == "empty" and spec.parts[1].params[0] >= 2)
-    if applies:
-        h = generate(spec.parts[0])
-        applies = h.is_connected() and h.n >= 3
-    if not applies or "ZIR" not in profile.values:
-        return _skip("leaf-zir-set", scope,
-                     "needs corona(H, empty:t) with connected H of order >= 3 and t >= 2")
-    leaves = mask_of(v for v in range(g.n) if g.degree(v) == 1)
-    target = profile.values["ZIR"]
-    cache = ClosureCache(g)
-    leaf_bits = bit_list(leaves)
-
-    def grow(s: int, size: int, idx: int) -> bool:
-        if size == target:
-            return True
-        for i in range(idx, len(leaf_bits) - (target - size) + 1):
-            t = s | (1 << leaf_bits[i])
-            if is_zir_set(g, t, cache) and grow(t, size + 1, i + 1):
-                return True
-        return False
-
-    ok = grow(0, 0, 0)
-    return _report("leaf-zir-set", scope, ok,
-                   f"all-leaf ZIr-set of size ZIR={target} exists={ok}")
+    return _run_checks(CHARACTERIZATION_CHECKS, _ProfileFacts(profile, g, spec),
+                       profile.graph_id)

@@ -11,6 +11,9 @@ Every parameter here is recomputed from per-graph closure tables by its
 definition (for example ZIR is the literal maximum over maximal ZIr-sets),
 with no solver-level bound pruning, so the survey is an independent route
 from the branch-and-bound solvers; the test suite cross-checks the two.
+``_GraphData`` is the survey's facts record: the theorems shared with
+``compute --check-bounds`` are evaluated by the predicates of
+``profiles.CHECKS``, and only the survey's own checks and scans live here.
 
 Work is sharded over edge-mask ranges; shards are merged in index order, so
 the output is identical for any thread count.
@@ -21,11 +24,13 @@ from __future__ import annotations
 import concurrent.futures
 import time
 from dataclasses import dataclass, field
-from itertools import combinations, permutations
+from itertools import combinations
 
-from .errors import BudgetError
-from .graphs import Graph, adj_from_edge_mask, bit_list, bits, edge_slots, to_graph6
-from .profiles import CheckReport, recognize_zn2_complement_form
+from .errors import BudgetError, PreconditionError
+from .forcing import _close
+from .graphs import (Graph, _first_subset, adj_from_edge_mask, bit_list, bits,
+                     canonical_form, edge_slots, mask_of, to_graph6, twin_classes)
+from .profiles import CHECKS, Check, CheckReport
 
 SURVEY_DEFAULT_MAX_ORDER = 6
 SURVEY_HARD_MAX_ORDER = 7
@@ -73,62 +78,41 @@ class SurveyReport:
 # -- per-graph computation -------------------------------------------------
 
 
-def _close_seeded(adj: tuple[int, ...], blue: int) -> int:
-    while True:
-        prev = blue
-        m = blue
-        while m:
-            low = m & -m
-            m ^= low
-            w = adj[low.bit_length() - 1] & ~blue
-            if w and not (w & (w - 1)):
-                blue |= w
-        if blue == prev:
-            return blue
-
-
 def _closure_table(adj: tuple[int, ...], full: int) -> list[int]:
     # cl(m) = cl(cl(m minus lowest bit) ∪ m); masks ascend so the smaller
     # entry is always ready, and each seeded closure is near its fixpoint
     clo = [0] * (full + 1)
     for m in range(1, full + 1):
-        clo[m] = _close_seeded(adj, clo[m & (m - 1)] | m)
+        clo[m] = _close(adj, clo[m & (m - 1)] | m)
     return clo
 
 
 class _GraphData:
-    """Everything the checks need about one labeled graph."""
+    """The facts record of one labeled graph, answered by closure tables.
 
-    __slots__ = ("n", "adj", "full", "graph", "degs", "min_deg", "max_deg",
-                 "edge_count", "connected", "isolated_free", "clo", "zfs",
-                 "zirt", "maximal_masks", "values", "z_witness", "zbar_witness",
-                 "abandons", "_gamma_p")
+    It answers everything the shared checks of ``profiles.CHECKS`` read,
+    plus what the survey-only checks need.
+    """
 
-    def __init__(self, n: int, adj: tuple[int, ...]):
-        self.n = n
-        self.adj = adj
-        self.full = (1 << n) - 1
-        self.graph = Graph.from_adj(adj)
-        self.degs = [row.bit_count() for row in adj]
-        self.min_deg = min(self.degs)
-        self.max_deg = max(self.degs)
-        self.edge_count = sum(self.degs) // 2
-        self.isolated_free = all(adj)
-        self.connected = self._connected()
-        self.clo = _closure_table(adj, self.full)
+    __slots__ = ("n", "adj", "full", "graph", "min_degree", "max_degree",
+                 "has_edge", "connected", "isolated_free", "clo", "zfs",
+                 "zirt", "maximal_zir_sets", "minimal_zfs", "values",
+                 "z_witness", "zbar_witness", "abandons", "_gamma_p")
+
+    def __init__(self, g: Graph):
+        self.graph = g
+        self.n = g.n
+        self.adj = g.adj
+        self.full = g.full
+        degs = g.degrees()
+        self.min_degree = min(degs)
+        self.max_degree = max(degs)
+        self.has_edge = self.max_degree > 0
+        self.isolated_free = all(g.adj)
+        self.connected = g.is_connected()
+        self.clo = _closure_table(g.adj, g.full)
         self._tables()
         self._gamma_p: int | None = None
-
-    def _connected(self) -> bool:
-        comp = 1
-        while True:
-            grow = comp
-            for v in bits(comp):
-                grow |= self.adj[v]
-            if grow == comp:
-                break
-            comp = grow
-        return comp == self.full
 
     def _tables(self) -> None:
         n, full, adj, clo = self.n, self.full, self.adj, self.clo
@@ -163,30 +147,19 @@ class _GraphData:
                     break
             if is_max:
                 maximal.append(m)
-        self.maximal_masks = maximal
+        self.maximal_zir_sets = maximal
 
         values: dict[str, int] = {}
         values["zir"] = min(m.bit_count() for m in maximal)
         values["ZIR"] = max(m.bit_count() for m in maximal)
 
-        z_best = n + 1
-        zbar_best = -1
-        for m in range(full + 1):
-            if zfs[m]:
-                pc = m.bit_count()
-                if pc < z_best:
-                    z_best = pc
-                if pc > zbar_best and self._is_minimal_zfs(m):
-                    zbar_best = pc
-        values["Z"] = z_best
-        values["Zbar"] = zbar_best
-        self.z_witness = min((m for m in range(full + 1)
-                              if zfs[m] and m.bit_count() == z_best),
-                             key=bit_list)
-        self.zbar_witness = min((m for m in range(full + 1)
-                                 if m.bit_count() == zbar_best
-                                 and self._is_minimal_zfs(m)),
-                                key=bit_list)
+        self.z_witness = _first_subset(n, zfs.__getitem__)
+        values["Z"] = self.z_witness.bit_count()
+        self.minimal_zfs = [m for m in range(full + 1)
+                            if zfs[m] and self._no_smaller_zfs(m)]
+        values["Zbar"] = max(m.bit_count() for m in self.minimal_zfs)
+        self.zbar_witness = min((m for m in self.minimal_zfs
+                                 if m.bit_count() == values["Zbar"]), key=bit_list)
 
         values["gamma"] = self._domination(1)
         values["gamma2"] = self._domination(2)
@@ -196,9 +169,11 @@ class _GraphData:
         top = values["ZIR"]
         self.abandons = any(m.bit_count() == top and not zfs[m] for m in maximal)
 
-    def _is_minimal_zfs(self, m: int) -> bool:
-        if not self.zfs[m]:
-            return False
+    def forces(self, m: int) -> bool:
+        return self.zfs[m]
+
+    def _no_smaller_zfs(self, m: int) -> bool:
+        """True iff no one-vertex removal from m still forces."""
         mm = m
         while mm:
             low = mm & -mm
@@ -235,245 +210,98 @@ class _GraphData:
         return self._gamma_p
 
 
-def _is_path_shape(d: _GraphData) -> bool:
-    if not d.connected:
-        return False
-    if d.n == 1:
-        return d.edge_count == 0
-    return (d.edge_count == d.n - 1 and d.degs.count(1) == 2 and d.max_deg <= 2)
+# -- survey-only checks; the shared theorems live in profiles.CHECKS ---------
 
 
-def _is_star_shape(d: _GraphData) -> bool:
-    if d.n == 1:
-        return d.edge_count == 0
-    return d.connected and d.edge_count == d.n - 1 and d.max_deg == d.n - 1
-
-
-def _is_clique_plus_isolated_shape(d: _GraphData) -> bool:
-    core = [v for v in range(d.n) if d.adj[v]]
-    if len(core) < 2:
-        return False
-    core_mask = 0
-    for v in core:
-        core_mask |= 1 << v
-    return all(d.adj[v] == core_mask & ~(1 << v) for v in core)
-
-
-def _twin_classes(d: _GraphData) -> list[list[int]]:
-    open_groups: dict[int, list[int]] = {}
-    for v in range(d.n):
-        open_groups.setdefault(d.adj[v], []).append(v)
-    classes = [grp for grp in open_groups.values() if len(grp) >= 2]
-    closed_groups: dict[int, list[int]] = {}
-    for grp in open_groups.values():
-        if len(grp) == 1:
-            v = grp[0]
-            closed_groups.setdefault(d.adj[v] | (1 << v), []).append(v)
-    classes += [grp for grp in closed_groups.values() if len(grp) >= 2]
-    return classes
-
-
-# Each check maps _GraphData -> None (hypothesis fails, graph not counted),
-# True (pass), or a violation detail string.
-
-
-def _chk_chain(d):
-    v = d.values
-    if v["zir"] <= v["Z"] <= v["Zbar"] <= v["ZIR"]:
-        return True
-    return f"zir={v['zir']} Z={v['Z']} Zbar={v['Zbar']} ZIR={v['ZIR']}"
-
-
-def _chk_min_degree(d):
-    return True if d.min_deg <= d.values["zir"] else \
-        f"delta={d.min_deg} > zir={d.values['zir']}"
-
-
-def _chk_complement_dominating(d):
+def _complement_dominating(d):
     if not d.isolated_free:
-        return None
-    for m in d.maximal_masks:
+        return ""
+    for m in d.maximal_zir_sets:
         comp = d.full & ~m
         for v in range(d.n):
             if not (comp >> v) & 1 and not d.adj[v] & comp:
-                return f"complement of maximal ZIr-set {bit_list(m)} misses {v}"
-    return True
+                return False, f"complement of maximal ZIr-set {bit_list(m)} misses {v}"
+    return True, ""
 
 
-def _chk_minimal_zfs_equivalence(d):
-    zfs = d.zfs
-    maximal = set(d.maximal_masks)
-    for m in range(d.full + 1):
-        lhs = d._is_minimal_zfs(m)
-        rhs = zfs[m] and m in maximal
-        if lhs != rhs:
-            return f"set {bit_list(m)}: minimal-zfs={lhs}, maximal-zir-and-zfs={rhs}"
-    return True
-
-
-def _chk_domination_sandwich(d):
-    if d.n < 2 or not d.isolated_free:
-        return None
-    v = d.values
-    if d.n - v["gamma2"] <= v["ZIR"] <= d.n - v["gamma"]:
-        return True
-    return f"n-gamma2={d.n - v['gamma2']} ZIR={v['ZIR']} n-gamma={d.n - v['gamma']}"
-
-
-def _chk_max_degree_ratio(d):
-    if not d.connected or d.n < 2:
-        return None
-    if d.values["ZIR"] * (d.max_deg + 1) <= d.max_deg * d.n:
-        return True
-    return f"ZIR={d.values['ZIR']} > Delta*n/(Delta+1) with Delta={d.max_deg} n={d.n}"
-
-
-def _chk_twins(d):
-    classes = _twin_classes(d)
+def _twins(d):
+    classes = [c for c in twin_classes(d.graph) if len(c) >= 2]
     if not classes:
-        return None
+        return ""
     for cls in classes:
-        cls_mask = 0
-        for v in cls:
-            cls_mask |= 1 << v
+        cls_mask = mask_of(cls)
         need = len(cls) - 1
         for name, witness in (("Z", d.z_witness), ("Zbar", d.zbar_witness)):
             if (witness & cls_mask).bit_count() < need:
-                return (f"{name} witness {bit_list(witness)} has fewer than "
-                        f"{need} of twin class {cls}")
-    return True
+                return False, (f"{name} witness {bit_list(witness)} has fewer than "
+                               f"{need} of twin class {list(cls)}")
+    return True, ""
 
 
-def _chk_zir1(d):
-    shape = _is_path_shape(d) or _is_star_shape(d)
-    if (d.values["zir"] == 1) == shape:
-        return True
-    return f"zir={d.values['zir']} but path-or-star={shape}"
-
-
-def _chk_extreme_n(d):
-    edgeless = d.edge_count == 0
-    v = d.values
-    if (v["zir"] == d.n) == edgeless == (v["ZIR"] == d.n):
-        return True
-    return f"zir={v['zir']} ZIR={v['ZIR']} n={d.n} edgeless={edgeless}"
-
-
-def _chk_extreme_n_minus_1(d):
-    if d.n < 2:
-        return None
-    shape = _is_clique_plus_isolated_shape(d)
-    v = d.values
-    flags = [v[p] == d.n - 1 for p in ("zir", "Z", "Zbar", "ZIR")]
-    if all(f == shape for f in flags):
-        return True
-    return f"values-at-n-1={flags} clique-plus-isolated={shape}"
-
-
-def _chk_zir_n_minus_2(d):
-    if d.n < 3:
-        return None
-    _, _, lower_form = recognize_zn2_complement_form(d.graph)
-    if (d.values["zir"] == d.n - 2) == lower_form:
-        return True
-    return f"zir={d.values['zir']} n-2={d.n - 2} recognizer={lower_form}"
-
-
-def _chk_abandonment(d):
-    if d.abandons:
-        return None
-    v = d.values
-    if v["ZIR"] == v["Zbar"]:
-        return True
-    return f"no abandoned fort but ZIR={v['ZIR']} != Zbar={v['Zbar']}"
-
-
-def _chk_gamma_p_vs_zir(d):
+def _gamma_p_vs_zir(d):
     if not d.connected:
-        return None
-    if d.gamma_p() <= d.values["zir"]:
-        return True
-    return f"gammaP={d.gamma_p()} > zir={d.values['zir']}"
+        return ""
+    return (d.gamma_p() <= d.values["zir"],
+            f"gammaP={d.gamma_p()} > zir={d.values['zir']}")
 
 
-def _chk_gamma_vs_zir_upper(d):
+def _gamma_vs_zir_upper(d):
     if not d.connected:
-        return None
-    if d.values["gamma"] <= d.values["ZIR"]:
-        return True
-    return f"gamma={d.values['gamma']} > ZIR={d.values['ZIR']}"
+        return ""
+    return (d.values["gamma"] <= d.values["ZIR"],
+            f"gamma={d.values['gamma']} > ZIR={d.values['ZIR']}")
 
 
-_CHECK_FUNCS = {
-    "chain": _chk_chain,
-    "min-degree": _chk_min_degree,
-    "zir-complement-dominating": _chk_complement_dominating,
-    "minimal-zfs-equivalence": _chk_minimal_zfs_equivalence,
-    "domination-sandwich": _chk_domination_sandwich,
-    "max-degree-ratio": _chk_max_degree_ratio,
-    "twins": _chk_twins,
-    "zir1-characterization": _chk_zir1,
-    "extreme-n": _chk_extreme_n,
-    "extreme-n-minus-1": _chk_extreme_n_minus_1,
-    "zir-n-minus-2-form": _chk_zir_n_minus_2,
-    "abandonment": _chk_abandonment,
-    "gammaP-vs-zir": _chk_gamma_p_vs_zir,
-    "gamma-vs-ZIR": _chk_gamma_vs_zir_upper,
-}
+_SURVEY_ONLY_CHECKS = (
+    Check("zir-complement-dominating", (), _complement_dominating,
+          "zir-complement-dominating"),
+    Check("twins", (), _twins, "twins"),
+    Check("gammaP-vs-zir", (), _gamma_p_vs_zir, "gammaP-vs-zir"),
+    Check("gamma-vs-ZIR", (), _gamma_vs_zir_upper, "gamma-vs-ZIR"),
+)
+_CHECKS = {c.survey_name: c for c in CHECKS + _SURVEY_ONLY_CHECKS if c.survey_name}
 
 
-def _canonical_edge_mask(n: int, mask: int,
-                         slots: list[tuple[int, int]],
-                         slot_index: dict[tuple[int, int], int]) -> int:
-    base = [slots[e] for e in bits(mask)]
-    best = mask
-    for perm in permutations(range(n)):
-        out = 0
-        for u, v in base:
-            a, b = perm[u], perm[v]
-            if a > b:
-                a, b = b, a
-            out |= 1 << slot_index[(a, b)]
-        if out < best:
-            best = out
-    return best
+def _keep_least(leader: tuple, value: int | None, examples: list[str]) -> tuple:
+    """Fold ``(value, examples)`` into ``leader``, the least value so far
+    with its first examples."""
+    best, kept = leader
+    if value is None or (best is not None and value > best):
+        return leader
+    if best is None or value < best:
+        return value, examples[:_LEADER_EXAMPLE_CAP]
+    return best, (kept + examples)[:_LEADER_EXAMPLE_CAP]
 
 
 def _survey_shard(args: tuple) -> dict:
     """Process edge masks [lo, hi) for one order; returns mergeable aggregates."""
-    n, lo, hi, checks, connected_only, dedup, need_gamma_p = args
+    n, lo, hi, checks, connected_only, dedup = args
     slots = edge_slots(n)
-    slot_index = {p: e for e, p in enumerate(slots)}
+    run = [(name, _CHECKS[name]) for name in checks]
     accum = {c: {"checked": 0, "violations": 0, "examples": []} for c in checks}
-    leader_value: int | None = None
-    leader_examples: list[str] = []
+    leader: tuple[int | None, list[str]] = (None, [])
     for mask in range(lo, hi):
-        adj = adj_from_edge_mask(n, mask, slots)
-        if dedup and _canonical_edge_mask(n, mask, slots, slot_index) != mask:
+        g = Graph.from_adj(adj_from_edge_mask(n, mask, slots))
+        if dedup and canonical_form(g)[1] != mask:
             continue
-        d = _GraphData(n, adj)
+        d = _GraphData(g)
         if connected_only and not d.connected:
             continue
-        if need_gamma_p and d.connected:
-            d.gamma_p()
-        g6 = to_graph6(d.graph)
-        for check in checks:
-            result = _CHECK_FUNCS[check](d)
-            if result is None:
+        g6 = to_graph6(g)
+        for name, check in run:
+            outcome = check.evaluate(d)
+            if not isinstance(outcome, tuple):
                 continue
-            accum[check]["checked"] += 1
-            if result is not True:
-                accum[check]["violations"] += 1
-                if len(accum[check]["examples"]) < _COUNTEREXAMPLE_CAP:
-                    accum[check]["examples"].append({"graph6": g6, "detail": result})
+            ok, detail, *_ = outcome
+            acc = accum[name]
+            acc["checked"] += 1
+            if not ok:
+                acc["violations"] += 1
+                if len(acc["examples"]) < _COUNTEREXAMPLE_CAP:
+                    acc["examples"].append({"graph6": g6, "detail": detail})
         if d.connected:
-            zir_upper = d.values["ZIR"]
-            if leader_value is None or zir_upper < leader_value:
-                leader_value = zir_upper
-                leader_examples = [g6]
-            elif zir_upper == leader_value and len(leader_examples) < _LEADER_EXAMPLE_CAP:
-                leader_examples.append(g6)
-    return {"checks": accum, "leader": (leader_value, leader_examples)}
+            leader = _keep_least(leader, d.values["ZIR"], [g6])
+    return {"checks": accum, "leader": leader}
 
 
 def survey(max_order: int,
@@ -494,22 +322,23 @@ def survey(max_order: int,
         raise BudgetError(
             f"survey order {max_order} exceeds the budget of {limit}"
             + ("" if override_budget else " (pass the override to allow 7)"))
+    if threads < 1:
+        raise PreconditionError(f"survey threads must be at least 1, got {threads}")
     if checks is None:
         checks = ALL_CHECKS
     for c in checks:
-        if c not in _CHECK_FUNCS:
+        if c not in _CHECKS:
             raise ValueError(f"unknown check {c!r}; known: {', '.join(ALL_CHECKS)}")
     checks = tuple(dict.fromkeys(checks))  # keep order, drop duplicates
-    need_gamma_p = "gammaP-vs-zir" in checks
 
     shards: list[tuple] = []
     for n in range(1, max_order + 1):
         total = 1 << (n * (n - 1) // 2)
-        chunk = max(512, total // (max(1, threads) * 4))
+        chunk = max(512, total // (threads * 4))
         lo = 0
         while lo < total:
             hi = min(total, lo + chunk)
-            shards.append((n, lo, hi, checks, connected_only, dedup, need_gamma_p))
+            shards.append((n, lo, hi, checks, connected_only, dedup))
             lo = hi
 
     deadline = None if time_limit is None else time.monotonic() + time_limit
@@ -561,18 +390,10 @@ def survey(max_order: int,
                 detail=f"{violations} violation(s) in {checked} graph(s)",
                 counterexample={"examples": examples} if examples else None,
                 stats={"checked": checked, "violations": violations}))
-        leader_value = None
-        leader_examples: list[str] = []
+        leader = (None, [])
         for i in idxs:
-            value, examples6 = results[i]["leader"]
-            if value is None:
-                continue
-            if leader_value is None or value < leader_value:
-                leader_value, leader_examples = value, list(examples6)
-            elif value == leader_value:
-                for g6 in examples6:
-                    if len(leader_examples) < _LEADER_EXAMPLE_CAP:
-                        leader_examples.append(g6)
+            leader = _keep_least(leader, *results[i]["leader"])
+        leader_value, leader_examples = leader
         report.reports.append(CheckReport(
             check="min-ZIR-leaderboard", scope=scope, status="info",
             detail=f"minimum ZIR over connected graphs of order {n}: {leader_value}",
@@ -587,7 +408,7 @@ def exact_params(g: Graph) -> dict[str, int]:
     Exposed so tests can cross-check the branch-and-bound solvers against
     the survey's independent route.
     """
-    d = _GraphData(g.n, g.adj)
+    d = _GraphData(g)
     out = dict(d.values)
     out["gammaP"] = d.gamma_p()
     return out

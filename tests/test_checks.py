@@ -1,0 +1,63 @@
+"""The check registry: its output stream, and the two facts records it reads."""
+
+import random
+from pathlib import Path
+
+from zirkit.cli import main
+from zirkit.graphs import Graph, enumerate_labeled_graphs
+from zirkit.profiles import CHECKS, _ProfileFacts, parameter_profile
+from zirkit.survey import THEOREM_CHECKS, _GraphData
+
+from oracles import random_adj
+
+GOLDEN_FAMILIES = (
+    "necklace:2", "corona(cycle:4,empty:2)", "corona(complete:2,cycle:5)",
+    "corona(complete:1,empty:3)", "join(path:4,empty:2)", "join(cycle:5,complete:2)",
+    "fig5", "cycle:12",
+)
+SHARED = [c for c in CHECKS if c.survey_name]
+FLAGS = ("n", "min_degree", "max_degree", "has_edge", "connected", "isolated_free")
+
+
+def test_compute_check_stream_is_pinned(capsys):
+    # check order, skip reasons and detail text, byte for byte
+    out = []
+    for expr in GOLDEN_FAMILIES:
+        assert main(["compute", "--witness", "--check-bounds", "--family", expr]) == 0
+        out.append(capsys.readouterr().out)
+    golden = Path(__file__).parent / "data" / "compute_check_bounds.jsonl"
+    assert "".join(out).encode() == golden.read_bytes()
+
+
+def test_shared_checks_are_the_survey_theorems():
+    assert len(SHARED) == 10
+    assert {c.survey_name for c in SHARED} <= set(THEOREM_CHECKS)
+
+
+def _parity_graphs():
+    for n in range(1, 6):
+        yield from enumerate_labeled_graphs(n)
+    rng = random.Random(20261018)
+    for _ in range(50):
+        yield Graph.from_adj(random_adj(rng.randint(7, 8), rng))
+
+
+def test_facts_records_agree():
+    # the shared predicates make the two facts records the only place the
+    # survey and compute --check-bounds can diverge
+    for g in _parity_graphs():
+        table = _GraphData(g)
+        solved = _ProfileFacts(parameter_profile(g), g, None)
+        where = g.adj
+        for name in FLAGS:
+            assert getattr(table, name) == getattr(solved, name), (name, where)
+        for name, value in table.values.items():
+            assert solved.values[name] == value, (name, where)
+        assert table.abandons == solved.abandons, where
+        assert table.minimal_zfs == solved.minimal_zfs, where
+        assert table.maximal_zir_sets == solved.maximal_zir_sets, where
+        for s in range(g.full + 1):
+            assert table.forces(s) == solved.forces(s), (s, where)
+        for check in SHARED:
+            # the same skip reason, or the same outcome and detail
+            assert check.evaluate(table) == check.evaluate(solved), (check.name, where)

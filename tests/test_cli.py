@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from zirkit.cli import main
 
 
@@ -224,3 +226,25 @@ def test_time_limit_exceeded_exit_two(capsys):
     code, _, err = run_cli(capsys, "survey", "--order", "5",
                            "--time-limit", "0.0001")
     assert code == 2 and "time limit" in err
+
+
+@pytest.mark.parametrize("argv, edges", [
+    (["survey", "--order", "3", "--checks", "bogus"], None),
+    (["survey", "--order", "3", "--threads", "0"], None),
+    (["survey", "--order", "3", "--threads", "-1"], None),
+    (["convert", "--to", "graph6", "--edges", "{file}"], "n 3\n0 x\n"),
+    (["convert", "--to", "graph6", "--edges", "{file}"], "n 3\n0 5\n"),
+    (["convert", "--to", "graph6", "--edges", "{file}"], "n 3\n0 0\n"),
+    (["convert", "--to", "graph6", "--edges", "{file}"], "n 0\n"),
+    (["forts", "--file", "{dir}"], None),
+])
+def test_bad_input_exit_two_without_traceback(capsys, tmp_path, argv, edges):
+    path = tmp_path / "graph.edges"
+    if edges is not None:
+        path.write_text(edges, encoding="utf-8")
+    argv = [a.format(file=path, dir=tmp_path) for a in argv]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    if edges is not None:
+        assert f"{path}:" in err
