@@ -15,12 +15,11 @@ from .families import FamilySpec, generate, parse_family_expr
 from .forcing import (ClosureCache, ForceStep, closure, closure_with_chronicle,
                       enumerate_forts, enumerate_minimal_forts, is_fort,
                       is_minimal_zfs, is_z_irrelevant, is_zero_forcing_set,
-                      max_fort_avoiding, upper_zero_forcing_number,
-                      zero_forcing_number)
+                      max_fort_avoiding, zero_forcing_number)
 from .irredundance import (PrivateFortCertificate, ZirWitness, abandons_fort,
                            graph_abandons_fort, has_private_fort, is_maximal_zir_set,
                            is_zir_set, lower_zir_number, minimal_private_fort,
-                           upper_zir_number)
+                           upper_zero_forcing_number, upper_zir_number)
 from .domination import (DominationResult, independence_number,
                          k_domination_number, power_domination_number)
 from .profiles import (CheckReport, ParamProfile, check_bounds,
@@ -41,10 +40,11 @@ __all__ = [
     "ClosureCache", "ForceStep", "closure", "closure_with_chronicle",
     "enumerate_forts", "enumerate_minimal_forts", "is_fort", "is_minimal_zfs",
     "is_z_irrelevant", "is_zero_forcing_set", "max_fort_avoiding",
-    "upper_zero_forcing_number", "zero_forcing_number",
+    "zero_forcing_number",
     "PrivateFortCertificate", "ZirWitness", "abandons_fort",
     "graph_abandons_fort", "has_private_fort", "is_maximal_zir_set",
-    "is_zir_set", "lower_zir_number", "minimal_private_fort", "upper_zir_number",
+    "is_zir_set", "lower_zir_number", "minimal_private_fort",
+    "upper_zero_forcing_number", "upper_zir_number",
     "DominationResult", "independence_number", "k_domination_number",
     "power_domination_number",
     "CheckReport", "ParamProfile", "check_bounds", "check_characterizations",

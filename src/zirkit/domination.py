@@ -40,6 +40,27 @@ def k_domination_number(g: Graph, k: int) -> DominationResult:
     return DominationResult(m.bit_count(), m, k)
 
 
+def _grow_independent(adj: tuple[int, ...], cur: int, cand: int, best: int) -> int:
+    """The larger of ``best`` and the largest independent set extending
+    ``cur`` by vertices of ``cand``; a set replaces the incumbent only when
+    strictly larger, so the first found in branch order wins a tie.
+
+    Plain recursion, not a nested closure, so no reference cycle outlives
+    the search.
+    """
+    size = cur.bit_count()
+    while cand:
+        if size + cand.bit_count() <= best.bit_count():
+            return best
+        low = cand & -cand
+        cand ^= low
+        took = cur | low
+        if size + 1 > best.bit_count():
+            best = took
+        best = _grow_independent(adj, took, cand & ~adj[low.bit_length() - 1], best)
+    return best
+
+
 def independence_number(g: Graph) -> tuple[int, int]:
     """Maximum independent set size with a deterministic witness."""
     adj = g.adj
@@ -52,24 +73,9 @@ def independence_number(g: Graph) -> tuple[int, int]:
         v = low.bit_length() - 1
         best |= low
         cand &= ~(adj[v] | low)
-    best_size = best.bit_count()
 
-    def grow(cur: int, size: int, cand: int) -> None:
-        nonlocal best, best_size
-        while cand:
-            if size + cand.bit_count() <= best_size:
-                return
-            low = cand & -cand
-            v = low.bit_length() - 1
-            cand ^= low
-            took = cur | low
-            took_size = size + 1
-            if took_size > best_size:
-                best, best_size = took, took_size
-            grow(took, took_size, cand & ~adj[v])
-
-    grow(0, 0, g.full)
-    return best_size, best
+    best = _grow_independent(adj, 0, g.full, best)
+    return best.bit_count(), best
 
 
 def power_domination_number(g: Graph) -> tuple[int, int]:

@@ -1,4 +1,4 @@
-"""Zero-forcing closure, forts, and the exact forcing numbers.
+"""Zero-forcing closure, forts, and the zero forcing number Z.
 
 All vertex sets are int bitmasks.  The color change rule: a blue vertex with
 exactly one white neighbor colors that neighbor blue.  The closure of a set
@@ -6,7 +6,8 @@ is the unique fixed point of the rule; a set is zero forcing when its closure
 is the whole vertex set.  A fort is a nonempty set F such that no outside
 vertex has exactly one neighbor in F; a set is zero forcing exactly when it
 meets every fort, which is the duality the test suite exercises from both
-sides.
+sides.  The upper zero forcing number Zbar is a ZIr-set search and lives
+in ``irredundance``.
 """
 
 from __future__ import annotations
@@ -136,20 +137,6 @@ def is_minimal_zfs(g: Graph, b: int, cache: ClosureCache | None = None) -> bool:
         if cache.closure(b & ~(1 << x)) == g.full:
             return False
     return True
-
-
-def upper_zero_forcing_number(g: Graph, cache: ClosureCache | None = None) -> tuple[int, int]:
-    """Maximum size of a minimal zero forcing set, with its first witness.
-
-    Descends by cardinality; the first minimal zero forcing set found (in
-    lexicographic order within a cardinality) is returned.
-    """
-    cache = cache or ClosureCache(g)
-    for k in range(g.n, 0, -1):
-        for m in _masks_of_size(g.n, k):
-            if is_minimal_zfs(g, m, cache):
-                return k, m
-    raise AssertionError("every graph of order >= 1 has a minimal zero forcing set")
 
 
 def enumerate_forts(g: Graph) -> list[int]:

@@ -1,9 +1,10 @@
-"""Private forts and the exact lower/upper ZIr numbers.
+"""Private forts, and zir, ZIR and Zbar through one ZIr-set search.
 
 A fort F is a private fort of x relative to S when F meets S exactly in
 {x}.  S is a ZIr-set when every member owns a private fort; the property is
 hereditary under subsets.  zir(G) and ZIR(G) are the minimum and maximum
-sizes of a maximal ZIr-set.
+sizes of a maximal ZIr-set; Zbar(G), the maximum size of a minimal zero
+forcing set, is the maximum size of a ZIr-set that forces.
 
 The privacy test runs through the forcing closure: a private fort of x
 relative to S exists iff x survives outside the closure of S - {x}, in which
@@ -139,41 +140,41 @@ def _zir_upper_bound(g: Graph) -> int:
 def upper_zir_number(g: Graph, cache: ClosureCache | None = None) -> tuple[int, ZirWitness]:
     """ZIR(G): maximum size of a ZIr-set, with certificates.
 
-    Branch and bound over vertices in index order.  The initial incumbent is
-    the complement of a minimum 2-dominating set D, which is always a
-    ZIr-set (D plus any one outside vertex is one of its private forts).
-    Heredity makes the search tree downward closed: only ZIr prefixes are
-    extended.  Any ZIr-set of maximum size is automatically maximal.
+    The seed is the complement of a minimum 2-dominating set D, which is
+    always a ZIr-set (D plus any one outside vertex is one of its private
+    forts).  Below ``_zir_upper_bound`` the lexicographically first ZIr-set
+    one larger replaces it until there is none; by heredity there is then
+    none larger either.  Any ZIr-set of maximum size is automatically
+    maximal.
     """
     cache = cache or ClosureCache(g)
-    n, full = g.n, g.full
-
-    seed = full & ~k_domination_number(g, 2).witness
-    best_mask = seed
-    best_size = seed.bit_count()
+    best = g.full & ~k_domination_number(g, 2).witness
     ub = _zir_upper_bound(g)
+    verts = bit_list(g.full)
+    while best.bit_count() < ub:
+        got = _first_zir_set(g, best.bit_count() + 1, cache, lambda s: True, verts)
+        if got is None:
+            break
+        best = got
+    return best.bit_count(), _certify(g, best, cache, maximal=True)
 
-    def member_keeps_fort(t: int, x: int) -> bool:
-        return not cache.closure(t & ~(1 << x)) & (1 << x)
 
-    def grow(s: int, size: int, start: int) -> None:
-        nonlocal best_mask, best_size
-        for v in range(start, n):
-            if best_size >= ub:
-                return
-            if size + (n - v) <= best_size:
-                return
-            t = s | (1 << v)
-            if not member_keeps_fort(t, v):
-                continue
-            if any(not member_keeps_fort(t, x) for x in bits(s)):
-                continue
-            if size + 1 > best_size:
-                best_mask, best_size = t, size + 1
-            grow(t, size + 1, v + 1)
+def upper_zero_forcing_number(g: Graph, cache: ClosureCache | None = None) -> tuple[int, int]:
+    """Zbar(G): maximum size of a minimal zero forcing set, with its first witness.
 
-    grow(0, 0, 0)
-    return best_size, _certify(g, best_mask, cache, maximal=True)
+    The minimal zero forcing sets are exactly the ZIr-sets that force: when
+    s forces, a fort avoiding s - {x} contains x and is private to it.  So
+    the sizes descend from ``_zir_upper_bound`` (Zbar <= ZIR), and the first
+    forcing ZIr-set found, lexicographically first within its size, is
+    returned.
+    """
+    cache = cache or ClosureCache(g)
+    verts = bit_list(g.full)
+    for k in range(_zir_upper_bound(g), 0, -1):
+        got = _first_zir_set(g, k, cache, lambda s: is_zero_forcing_set(g, s, cache), verts)
+        if got is not None:
+            return k, got
+    raise AssertionError("every graph of order >= 1 has a minimal zero forcing set")
 
 
 def _first_zir_set(g: Graph, k: int, cache: ClosureCache, accept: Callable[[int], bool],

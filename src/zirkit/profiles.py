@@ -20,12 +20,11 @@ from typing import Any, Callable
 
 from .domination import k_domination_number, independence_number, power_domination_number
 from .families import FamilySpec, generate
-from .forcing import (ClosureCache, is_minimal_zfs, is_zero_forcing_set,
-                      upper_zero_forcing_number, zero_forcing_number)
+from .forcing import ClosureCache, is_minimal_zfs, is_zero_forcing_set, zero_forcing_number
 from .graphs import (Graph, bit_list, bits, complement, join as join_graph,
                      mask_of, to_graph6)
-from .irredundance import (_first_zir_set, graph_abandons_fort, is_maximal_zir_set,
-                           lower_zir_number, upper_zir_number)
+from .irredundance import (_first_zir_set, is_maximal_zir_set, lower_zir_number,
+                           upper_zero_forcing_number, upper_zir_number)
 
 PARAM_NAMES = ("zir", "Z", "Zbar", "ZIR", "gamma", "gamma2", "alpha", "gammaP")
 DEFAULT_PROFILE_MAX_ORDER = 15
@@ -301,7 +300,11 @@ class _ProfileFacts:
 
     @cached_property
     def abandons(self) -> bool:
-        return graph_abandons_fort(self.graph, self.cache)[0]
+        # graph_abandons_fort, from the profile's ZIR and the swept maximal
+        # sets: every ZIr-set of size ZIR is maximal
+        zir_upper = self.values["ZIR"]
+        return any(s.bit_count() == zir_upper and not self.forces(s)
+                   for s in self.maximal_zir_sets)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ than failures.
 Every parameter here is recomputed from per-graph closure tables by its
 definition (for example ZIR is the literal maximum over maximal ZIr-sets),
 with no solver-level bound pruning, so the survey is an independent route
-from the branch-and-bound solvers; the test suite cross-checks the two.
+from the pruned solver searches; the test suite cross-checks the two.
 ``_GraphData`` is the survey's facts record: the theorems shared with
 ``compute --check-bounds`` are evaluated by the predicates of
 ``profiles.CHECKS``, and only the survey's own checks and scans live here.
@@ -405,8 +405,8 @@ def survey(max_order: int,
 def exact_params(g: Graph) -> dict[str, int]:
     """Definition-level parameter computation via full closure tables.
 
-    Exposed so tests can cross-check the branch-and-bound solvers against
-    the survey's independent route.
+    Exposed so tests can cross-check the pruned solver searches against the
+    survey's independent route.
     """
     d = _GraphData(g)
     out = dict(d.values)

@@ -39,8 +39,9 @@ from math import ceil
 
 from .errors import BudgetError
 from .families import FamilySpec, generate, parse_family_expr
-from .forcing import upper_zero_forcing_number, zero_forcing_number
+from .forcing import zero_forcing_number
 from .graphs import Graph, to_graph6
+from .irredundance import upper_zero_forcing_number
 from .profiles import parameter_profile
 
 FACTOR_SOLVE_MAX_ORDER = 12

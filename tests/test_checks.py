@@ -1,10 +1,11 @@
 """The check registry: its output stream, and the two facts records it reads."""
 
+import hashlib
 import random
 from pathlib import Path
 
 from zirkit.cli import main
-from zirkit.graphs import Graph, enumerate_labeled_graphs
+from zirkit.graphs import Graph, enumerate_labeled_graphs, mask_of, to_graph6
 from zirkit.profiles import CHECKS, _ProfileFacts, parameter_profile
 from zirkit.survey import THEOREM_CHECKS, _GraphData
 
@@ -29,6 +30,17 @@ def test_compute_check_stream_is_pinned(capsys):
     assert "".join(out).encode() == golden.read_bytes()
 
 
+def test_small_order_witness_stream_is_pinned(tmp_path, capsys):
+    # every labeled graph of order <= 5: values, witnesses and check stream,
+    # byte for byte, so a refactor of the solvers cannot move a witness
+    path = tmp_path / "small.g6"
+    path.write_text("".join(to_graph6(g) + "\n"
+                            for n in range(1, 6) for g in enumerate_labeled_graphs(n)))
+    assert main(["compute", "--witness", "--check-bounds", "--file", str(path)]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "b332572b639c97470ea26412cb80d86d20d3eaddd0e70375f8960b0688afb61b"
+
+
 def test_shared_checks_are_the_survey_theorems():
     assert len(SHARED) == 10
     assert {c.survey_name for c in SHARED} <= set(THEOREM_CHECKS)
@@ -47,13 +59,15 @@ def test_facts_records_agree():
     # survey and compute --check-bounds can diverge
     for g in _parity_graphs():
         table = _GraphData(g)
-        solved = _ProfileFacts(parameter_profile(g), g, None)
+        profile = parameter_profile(g)
+        solved = _ProfileFacts(profile, g, None)
         where = g.adj
         for name in FLAGS:
             assert getattr(table, name) == getattr(solved, name), (name, where)
         for name, value in table.values.items():
             assert solved.values[name] == value, (name, where)
         assert table.abandons == solved.abandons, where
+        assert mask_of(profile.witnesses["Zbar"]) == table.zbar_witness, where
         assert table.minimal_zfs == solved.minimal_zfs, where
         assert table.maximal_zir_sets == solved.maximal_zir_sets, where
         for s in range(g.full + 1):

@@ -7,8 +7,9 @@ from zirkit.forcing import (ClosureCache, closure, closure_with_chronicle,
                             enumerate_forts, enumerate_minimal_forts, is_fort,
                             is_minimal_zfs, is_z_irrelevant,
                             is_zero_forcing_set, max_fort_avoiding,
-                            upper_zero_forcing_number, zero_forcing_number)
+                            zero_forcing_number)
 from zirkit.graphs import Graph, mask_of
+from zirkit.irredundance import upper_zero_forcing_number
 
 from oracles import brute_forcing_params, brute_forts, brute_minimal_forts
 

@@ -1,12 +1,18 @@
+import gc
+
 import pytest
 
+from zirkit.domination import (independence_number, k_domination_number,
+                               power_domination_number)
 from zirkit.families import generate, parse_family_expr
+from zirkit.forcing import zero_forcing_number
 from zirkit.graphs import disjoint_union, parse_graph6
+from zirkit.irredundance import (lower_zir_number, upper_zero_forcing_number,
+                                 upper_zir_number)
 from zirkit.profiles import (check_bounds, check_characterizations,
                              is_clique_plus_isolated, is_path_graph,
                              is_star_graph, parameter_profile,
                              recognize_zn2_complement_form)
-
 
 
 def _values(expr, params=("zir", "Z", "Zbar", "ZIR")):
@@ -20,6 +26,28 @@ def test_profile_values_for_small_families():
     assert _values("h_rs:3,5") == (2, 3, 4, 5)
     assert _values("empty:4") == (4, 4, 4, 4)
     assert _values("complete:5") == (4, 4, 4, 4)
+
+
+PROFILE_SOLVERS = {
+    "zir": lower_zir_number, "Z": zero_forcing_number, "Zbar": upper_zero_forcing_number,
+    "ZIR": upper_zir_number, "gamma": lambda g: k_domination_number(g, 1),
+    "gamma2": lambda g: k_domination_number(g, 2), "alpha": independence_number,
+    "gammaP": power_domination_number, "profile": parameter_profile,
+}
+
+
+@pytest.mark.parametrize("name", PROFILE_SOLVERS)
+def test_solvers_leave_no_reference_cycles(name):
+    # a search that recurses through a self-referencing closure keeps its
+    # ClosureCache (up to 2^n entries) alive until the cyclic collector runs
+    g = generate("cycle:8")
+    gc.collect()
+    gc.disable()
+    try:
+        PROFILE_SOLVERS[name](g)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_profile_flags_and_structure():
