@@ -17,8 +17,8 @@ from .errors import GraphFormatError, ZirkitError
 from .families import generate, parse_family_expr
 from .forcing import enumerate_forts, enumerate_minimal_forts
 from .graphs import Graph, bit_list, parse_graph6, to_graph6
-from .profiles import (PARAM_NAMES, check_bounds, check_characterizations,
-                       parameter_profile)
+from .profiles import (DEFAULT_PROFILE_MAX_ORDER, PARAM_NAMES, check_bounds,
+                       check_characterizations, parameter_profile)
 from .survey import ALL_CHECKS, survey
 from .tables import family_table
 
@@ -221,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "check (forces the full parameter set; exit 1 on a "
                         "failed check)")
     p.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
-    p.add_argument("--max-order", type=int, default=15,
+    p.add_argument("--max-order", type=int, default=DEFAULT_PROFILE_MAX_ORDER,
                    help="solver budget; larger graphs get omitted parameters")
     p.add_argument("--time-limit", type=float, default=None, metavar="SECONDS")
     p.set_defaults(func=_cmd_compute)
@@ -236,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--specs", help="semicolon-separated family expressions "
                                    "(default: built-in list)")
     p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
-    p.add_argument("--max-order", type=int, default=15)
+    p.add_argument("--max-order", type=int, default=DEFAULT_PROFILE_MAX_ORDER)
     p.add_argument("--time-limit", type=float, default=None, metavar="SECONDS")
     p.set_defaults(func=_cmd_table)
 

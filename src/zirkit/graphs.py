@@ -13,7 +13,7 @@ attached to g-vertex i occupies the block ``g.n + i*h.n .. g.n + (i+1)*h.n - 1``
 from __future__ import annotations
 
 from itertools import combinations, permutations
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import BudgetError, GraphFormatError, SizeCapError
 
@@ -59,6 +59,14 @@ def _first_subset(n: int, pred: Callable[[int], bool]) -> int:
     raise AssertionError("no subset qualifies, not even the full vertex set")
 
 
+def _check_order(n: int) -> None:
+    """Reject an order outside 1..MAX_ORDER before anything of that size is built."""
+    if n < 1:
+        raise ValueError("graph order must be at least 1")
+    if n > MAX_ORDER:
+        raise SizeCapError(f"graph order {n} exceeds the {MAX_ORDER}-vertex cap")
+
+
 class Graph:
     """Immutable simple graph with per-vertex adjacency bitmasks."""
 
@@ -66,10 +74,7 @@ class Graph:
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = (),
                  labels: tuple[str, ...] | None = None):
-        if n < 1:
-            raise ValueError("graph order must be at least 1")
-        if n > MAX_ORDER:
-            raise SizeCapError(f"graph order {n} exceeds the {MAX_ORDER}-vertex cap")
+        _check_order(n)
         adj = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -78,25 +83,14 @@ class Graph:
                 raise ValueError(f"loop at vertex {u} not allowed")
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "adj", tuple(adj))
-        object.__setattr__(self, "full", (1 << n) - 1)
-        if labels is not None:
-            labels = tuple(labels)
-            if len(labels) != n:
-                raise ValueError("label count must equal the order")
-        object.__setattr__(self, "labels", labels)
+        self._init(adj, labels)
 
     @classmethod
     def from_adj(cls, adj: tuple[int, ...],
                  labels: tuple[str, ...] | None = None) -> "Graph":
         """Build from adjacency masks, validating symmetry and irreflexivity."""
         n = len(adj)
-        g = cls.__new__(cls)
-        if n < 1:
-            raise ValueError("graph order must be at least 1")
-        if n > MAX_ORDER:
-            raise SizeCapError(f"graph order {n} exceeds the {MAX_ORDER}-vertex cap")
+        _check_order(n)
         full = (1 << n) - 1
         for v, row in enumerate(adj):
             if row & ~full:
@@ -106,15 +100,21 @@ class Graph:
             for u in bits(row):
                 if not (adj[u] >> v) & 1:
                     raise ValueError(f"asymmetric adjacency between {u} and {v}")
-        object.__setattr__(g, "n", n)
-        object.__setattr__(g, "adj", tuple(adj))
-        object.__setattr__(g, "full", full)
+        g = cls.__new__(cls)
+        g._init(adj, labels)
+        return g
+
+    def _init(self, adj: Sequence[int], labels: tuple[str, ...] | None) -> None:
+        """Set the fields from checked adjacency rows, checking the labels."""
+        n = len(adj)
         if labels is not None:
             labels = tuple(labels)
             if len(labels) != n:
                 raise ValueError("label count must equal the order")
-        object.__setattr__(g, "labels", labels)
-        return g
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "adj", tuple(adj))
+        object.__setattr__(self, "full", (1 << n) - 1)
+        object.__setattr__(self, "labels", labels)
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")

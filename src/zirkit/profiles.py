@@ -28,6 +28,7 @@ from .irredundance import (_first_zir_set, is_maximal_zir_set, lower_zir_number,
 
 PARAM_NAMES = ("zir", "Z", "Zbar", "ZIR", "gamma", "gamma2", "alpha", "gammaP")
 DEFAULT_PROFILE_MAX_ORDER = 15
+FACTOR_MAX_ORDER = 13  # the join and corona bounds solve factors up to this order
 SUBSET_CHECK_MAX_ORDER = 10
 
 
@@ -504,8 +505,7 @@ def _run_checks(checks: tuple[Check, ...], f: _ProfileFacts, scope: str) -> list
 
 
 def check_bounds(profile: ParamProfile, g: Graph,
-                 spec: FamilySpec | None = None,
-                 factor_max_order: int = 13) -> list[CheckReport]:
+                 spec: FamilySpec | None = None) -> list[CheckReport]:
     """Evaluate every applicable bound on one profile.
 
     Join and corona bounds only apply when ``spec`` describes the graph as a
@@ -514,7 +514,7 @@ def check_bounds(profile: ParamProfile, g: Graph,
     reports = _run_checks(BOUND_CHECKS, _ProfileFacts(profile, g, spec), profile.graph_id)
     if "ZIR" in profile.values:
         reports.append(_cut_vertex_bound(profile, g))
-    reports.extend(_product_bounds(profile, g, spec, factor_max_order))
+    reports.extend(_product_bounds(profile, g, spec))
     return reports
 
 
@@ -543,8 +543,8 @@ def _cut_vertex_bound(profile: ParamProfile, g: Graph) -> CheckReport:
                    f"ZIR={profile.values['ZIR']} >= {best[0]} (cut vertex {best[1]})")
 
 
-def _product_bounds(profile: ParamProfile, g: Graph, spec: FamilySpec | None,
-                    factor_max_order: int) -> list[CheckReport]:
+def _product_bounds(profile: ParamProfile, g: Graph,
+                    spec: FamilySpec | None) -> list[CheckReport]:
     scope = profile.graph_id
     reports: list[CheckReport] = []
     if spec is None or spec.kind not in ("join", "corona") or "ZIR" not in profile.values:
@@ -563,7 +563,7 @@ def _product_bounds(profile: ParamProfile, g: Graph, spec: FamilySpec | None,
             reports.append(_skip("join-range", scope, "needs both factors of order >= 2"))
         base, hub = (left, right) if right.n == 1 else (right, left)
         if hub.n == 1 and base.n >= 1 and base.isolated_vertices() == 0:
-            if base.n <= factor_max_order:
+            if base.n <= FACTOR_MAX_ORDER:
                 gamma = k_domination_number(base, 1).value
                 ok = base.n - gamma <= zir_total <= base.n - gamma + 1
                 reports.append(_report(
@@ -577,7 +577,7 @@ def _product_bounds(profile: ParamProfile, g: Graph, spec: FamilySpec | None,
         return reports
 
     # corona bounds; all need the factor parameters
-    if max(left.n, right.n + 1) > factor_max_order:
+    if max(left.n, right.n + 1) > FACTOR_MAX_ORDER:
         reports.append(_skip("corona-bounds", scope, "factor beyond budget"))
         return reports
     hull = join_graph(right, Graph(1))

@@ -15,8 +15,8 @@ from the pruned solver searches; the test suite cross-checks the two.
 ``compute --check-bounds`` are evaluated by the predicates of
 ``profiles.CHECKS``, and only the survey's own checks and scans live here.
 
-Work is sharded over edge-mask ranges; shards are merged in index order, so
-the output is identical for any thread count.
+Work is sharded over edge-mask ranges; one loop folds the shard results in
+shard order, so the output is identical for any thread count.
 """
 
 from __future__ import annotations
@@ -273,12 +273,17 @@ def _keep_least(leader: tuple, value: int | None, examples: list[str]) -> tuple:
     return best, (kept + examples)[:_LEADER_EXAMPLE_CAP]
 
 
-def _survey_shard(args: tuple) -> dict:
-    """Process edge masks [lo, hi) for one order; returns mergeable aggregates."""
+def _tally(acc: tuple, part: tuple) -> tuple:
+    """Fold two ``(checked, violations, examples)`` tallies, keeping the first examples."""
+    return acc[0] + part[0], acc[1] + part[1], (acc[2] + part[2])[:_COUNTEREXAMPLE_CAP]
+
+
+def _survey_shard(args: tuple) -> tuple[dict, tuple]:
+    """Process edge masks [lo, hi) for one order; returns mergeable tallies and leader."""
     n, lo, hi, checks, connected_only, dedup = args
     slots = edge_slots(n)
     run = [(name, _CHECKS[name]) for name in checks]
-    accum = {c: {"checked": 0, "violations": 0, "examples": []} for c in checks}
+    tallies = dict.fromkeys(checks, (0, 0, ()))
     leader: tuple[int | None, list[str]] = (None, [])
     for mask in range(lo, hi):
         g = Graph.from_adj(adj_from_edge_mask(n, mask, slots))
@@ -290,18 +295,13 @@ def _survey_shard(args: tuple) -> dict:
         g6 = to_graph6(g)
         for name, check in run:
             outcome = check.evaluate(d)
-            if not isinstance(outcome, tuple):
-                continue
-            ok, detail, *_ = outcome
-            acc = accum[name]
-            acc["checked"] += 1
-            if not ok:
-                acc["violations"] += 1
-                if len(acc["examples"]) < _COUNTEREXAMPLE_CAP:
-                    acc["examples"].append({"graph6": g6, "detail": detail})
+            if isinstance(outcome, tuple):
+                ok, detail, *_ = outcome
+                part = (1, 0, ()) if ok else (1, 1, ({"graph6": g6, "detail": detail},))
+                tallies[name] = _tally(tallies[name], part)
         if d.connected:
             leader = _keep_least(leader, d.values["ZIR"], [g6])
-    return {"checks": accum, "leader": leader}
+    return tallies, leader
 
 
 def survey(max_order: int,
@@ -313,7 +313,10 @@ def survey(max_order: int,
            time_limit: float | None = None) -> SurveyReport:
     """Run the selected checks over every labeled graph of order <= max_order.
 
-    ``time_limit`` (seconds) is enforced at shard granularity.
+    One loop folds the shard results in shard order; ``threads`` > 1 only
+    runs the shards in a pool of that many workers.  ``time_limit`` (seconds)
+    is read between shard results; with a pool, the raise still waits for
+    the shards that are already running.
     """
     if max_order < 1:
         raise BudgetError("survey order must be at least 1")
@@ -331,69 +334,46 @@ def survey(max_order: int,
             raise ValueError(f"unknown check {c!r}; known: {', '.join(ALL_CHECKS)}")
     checks = tuple(dict.fromkeys(checks))  # keep order, drop duplicates
 
+    orders = range(1, max_order + 1)
     shards: list[tuple] = []
-    for n in range(1, max_order + 1):
+    for n in orders:
         total = 1 << (n * (n - 1) // 2)
         chunk = max(512, total // (threads * 4))
-        lo = 0
-        while lo < total:
-            hi = min(total, lo + chunk)
-            shards.append((n, lo, hi, checks, connected_only, dedup))
-            lo = hi
+        shards.extend((n, lo, min(total, lo + chunk), checks, connected_only, dedup)
+                      for lo in range(0, total, chunk))
 
+    tallies = {n: dict.fromkeys(checks, (0, 0, ())) for n in orders}
+    leaders = {n: (None, []) for n in orders}
     deadline = None if time_limit is None else time.monotonic() + time_limit
-    if threads > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(_survey_shard, s) for s in shards]
-            results = []
-            for fut in futures:
-                remaining = None if deadline is None else deadline - time.monotonic()
-                if remaining is not None and remaining <= 0:
-                    for other in futures:
-                        other.cancel()
-                    raise BudgetError(f"survey exceeded the {time_limit}s time limit")
-                try:
-                    results.append(fut.result(timeout=remaining))
-                except concurrent.futures.TimeoutError:
-                    for other in futures:
-                        other.cancel()
-                    raise BudgetError(
-                        f"survey exceeded the {time_limit}s time limit") from None
-    else:
-        results = []
-        for s in shards:
+    pool = concurrent.futures.ProcessPoolExecutor(threads) if threads > 1 else None
+    try:
+        results = pool.map(_survey_shard, shards, timeout=time_limit) if pool \
+            else map(_survey_shard, shards)
+        for (n, *_), (shard_tallies, shard_leader) in zip(shards, results):
             if deadline is not None and time.monotonic() > deadline:
-                raise BudgetError(f"survey exceeded the {time_limit}s time limit")
-            results.append(_survey_shard(s))
+                raise concurrent.futures.TimeoutError
+            tallies[n] = {c: _tally(t, shard_tallies[c]) for c, t in tallies[n].items()}
+            leaders[n] = _keep_least(leaders[n], *shard_leader)
+    except concurrent.futures.TimeoutError:  # the pool's map raises it too
+        raise BudgetError(f"survey exceeded the {time_limit}s time limit") from None
+    finally:
+        if pool:
+            pool.shutdown(cancel_futures=True)
 
     report = SurveyReport(max_order=max_order, connected_only=connected_only,
                           dedup=dedup, checks=checks)
-    for n in range(1, max_order + 1):
-        idxs = [i for i, s in enumerate(shards) if s[0] == n]
+    for n in orders:
         scope = f"order {n}" + (" connected" if connected_only else "") \
             + (" dedup" if dedup else "")
-        for check in checks:
-            checked = sum(results[i]["checks"][check]["checked"] for i in idxs)
-            violations = sum(results[i]["checks"][check]["violations"] for i in idxs)
-            examples: list[dict] = []
-            for i in idxs:
-                for ex in results[i]["checks"][check]["examples"]:
-                    if len(examples) < _COUNTEREXAMPLE_CAP:
-                        examples.append(ex)
-            is_scan = check in SCAN_CHECKS
-            if violations:
-                status = "finding" if is_scan else "fail"
-            else:
-                status = "pass"
+        for check, (checked, violations, examples) in tallies[n].items():
+            status = "pass" if not violations \
+                else "finding" if check in SCAN_CHECKS else "fail"
             report.reports.append(CheckReport(
                 check=check, scope=scope, status=status,
                 detail=f"{violations} violation(s) in {checked} graph(s)",
-                counterexample={"examples": examples} if examples else None,
+                counterexample={"examples": list(examples)} if examples else None,
                 stats={"checked": checked, "violations": violations}))
-        leader = (None, [])
-        for i in idxs:
-            leader = _keep_least(leader, *results[i]["leader"])
-        leader_value, leader_examples = leader
+        leader_value, leader_examples = leaders[n]
         report.reports.append(CheckReport(
             check="min-ZIR-leaderboard", scope=scope, status="info",
             detail=f"minimum ZIR over connected graphs of order {n}: {leader_value}",

@@ -42,7 +42,7 @@ from .families import FamilySpec, generate, parse_family_expr
 from .forcing import zero_forcing_number
 from .graphs import Graph, to_graph6
 from .irredundance import upper_zero_forcing_number
-from .profiles import parameter_profile
+from .profiles import DEFAULT_PROFILE_MAX_ORDER, parameter_profile
 
 FACTOR_SOLVE_MAX_ORDER = 12
 
@@ -209,7 +209,7 @@ def _corona_expectations(spec: FamilySpec) -> dict[str, int]:
 
 
 def family_table(specs: tuple[str, ...] | None = None,
-                 max_order: int = 15,
+                 max_order: int = DEFAULT_PROFILE_MAX_ORDER,
                  time_limit: float | None = None) -> list[TableRow]:
     """Instantiate each spec, solve the parameters with closed forms, diff."""
     deadline = None if time_limit is None else time.monotonic() + time_limit

@@ -41,6 +41,22 @@ def test_small_order_witness_stream_is_pinned(tmp_path, capsys):
     assert digest == "b332572b639c97470ea26412cb80d86d20d3eaddd0e70375f8960b0688afb61b"
 
 
+def _stdout_digest(capsys, argv):
+    main(argv)
+    return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+
+def test_survey_stream_is_pinned(capsys):
+    digest = "dac6abe198dbb980376d87ca1715b7e9b4740cd345d700a8a5c6dceddc7df7b6"
+    for threads in ("1", "2"):
+        assert _stdout_digest(capsys, ["survey", "--order", "5", "--threads", threads]) == digest
+
+
+def test_table_stream_is_pinned(capsys):
+    assert _stdout_digest(capsys, ["table", "--format", "jsonl"]) == \
+        "a75b7402505592d77c0d1da767a5c96dbdc16890edad9a3591e11d27e2439895"
+
+
 def test_shared_checks_are_the_survey_theorems():
     assert len(SHARED) == 10
     assert {c.survey_name for c in SHARED} <= set(THEOREM_CHECKS)

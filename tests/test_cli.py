@@ -126,7 +126,7 @@ def test_survey_threads_deterministic(capsys):
     code1, out1, _ = run_cli(capsys, "survey", "--order", "4")
     code2, out2, _ = run_cli(capsys, "survey", "--order", "4", "--threads", "2")
     assert code1 == code2 == 0
-    assert sorted(out1.splitlines()) == sorted(out2.splitlines())
+    assert out1 == out2
 
 
 def test_survey_budget_exit_two(capsys):
@@ -226,6 +226,13 @@ def test_time_limit_exceeded_exit_two(capsys):
     code, _, err = run_cli(capsys, "survey", "--order", "5",
                            "--time-limit", "0.0001")
     assert code == 2 and "time limit" in err
+
+
+def test_time_limit_exceeded_with_pool_exit_two(capsys):
+    code, _, err = run_cli(capsys, "survey", "--order", "5", "--threads", "2",
+                           "--time-limit", "0.0001")
+    assert code == 2 and "time limit" in err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv, edges", [

@@ -2,9 +2,9 @@ import pytest
 
 from zirkit.errors import BudgetError
 from zirkit.families import generate
-from zirkit.graphs import Graph
-from zirkit.profiles import parameter_profile
-from zirkit.survey import ALL_CHECKS, SCAN_CHECKS, exact_params, survey
+from zirkit.graphs import Graph, to_graph6
+from zirkit.profiles import Check, parameter_profile
+from zirkit.survey import _CHECKS, ALL_CHECKS, SCAN_CHECKS, exact_params, survey
 
 from oracles import random_adj
 
@@ -52,7 +52,29 @@ def test_survey_dedup_counts_isomorphism_classes():
 def test_survey_threads_do_not_change_output():
     lines1 = survey(5, threads=1).to_json_lines()
     lines2 = survey(5, threads=4).to_json_lines()
-    assert sorted(lines1) == sorted(lines2)
+    assert lines1 == lines2
+
+
+def test_survey_pool_time_limit():
+    with pytest.raises(BudgetError, match="time limit"):
+        survey(5, threads=2, time_limit=1e-4)
+
+
+# order 5 has 1024 edge masks, run as the two shards [0, 512) and [512, 1024)
+# at 1 and 2 threads; these are masks 510, 511, 512 and 513
+PLANTED = ("D^w", "D~w", "D?C", "D_C")
+
+
+def test_survey_folds_examples_across_shards(monkeypatch):
+    planted = Check("chain", (), lambda d: (to_graph6(d.graph) not in PLANTED, "planted"),
+                    "chain")
+    monkeypatch.setitem(_CHECKS, "chain", planted)  # the pool forks, so workers see it
+    report = survey(5, checks=("chain",))
+    row = next(r for r in report.reports if (r.check, r.scope) == ("chain", "order 5"))
+    assert row.status == "fail"
+    assert row.stats == {"checked": 1024, "violations": 4}
+    assert [ex["graph6"] for ex in row.counterexample["examples"]] == list(PLANTED[:3])
+    assert survey(5, checks=("chain",), threads=2).to_json_lines() == report.to_json_lines()
 
 
 def test_survey_scan_checks_have_no_findings_small():
