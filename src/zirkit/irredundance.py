@@ -1,4 +1,4 @@
-"""Private forts, and zir, ZIR and Zbar through one ZIr-set search.
+"""Private forts, and zir, ZIR and Zbar on one ZIr-set extension step.
 
 A fort F is a private fort of x relative to S when F meets S exactly in
 {x}.  S is a ZIr-set when every member owns a private fort; the property is
@@ -12,6 +12,14 @@ case the uncolored remainder is the unique maximum such fort.  The test
 suite verifies this against definition-level fort enumeration on every small
 graph, so the fast path is gated by an independent oracle rather than
 assumed.
+
+Every search grows ZIr-sets one vertex at a time with ``_grow``, which
+carries the closure of the set and of each member's remainder, so adding a
+vertex recloses only the members whose maximum private fort holds it.  The
+fixed-size search ``_first_zir_set`` serves ZIR, Zbar and abandonment; one
+lexicographic walk over the ZIr-sets (``_maximal_walk``) gives zir and the
+list of maximal ZIr-sets.  ``is_zir_set`` and ``is_maximal_zir_set`` stay on
+the plain definition, and the tests re-verify witnesses through them.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ from typing import Callable
 
 from .domination import k_domination_number
 from .errors import PreconditionError
-from .forcing import ClosureCache, is_zero_forcing_set, max_fort_avoiding
+from .forcing import ClosureCache, max_fort_avoiding
 from .graphs import Graph, bit_list, bits
 
 
@@ -152,7 +160,7 @@ def upper_zir_number(g: Graph, cache: ClosureCache | None = None) -> tuple[int, 
     ub = _zir_upper_bound(g)
     verts = bit_list(g.full)
     while best.bit_count() < ub:
-        got = _first_zir_set(g, best.bit_count() + 1, cache, lambda s: True, verts)
+        got = _first_zir_set(best.bit_count() + 1, cache, None, verts)
         if got is None:
             break
         best = got
@@ -171,45 +179,117 @@ def upper_zero_forcing_number(g: Graph, cache: ClosureCache | None = None) -> tu
     cache = cache or ClosureCache(g)
     verts = bit_list(g.full)
     for k in range(_zir_upper_bound(g), 0, -1):
-        got = _first_zir_set(g, k, cache, lambda s: is_zero_forcing_set(g, s, cache), verts)
+        got = _first_zir_set(k, cache, lambda cl: cl == g.full, verts)
         if got is not None:
             return k, got
     raise AssertionError("every graph of order >= 1 has a minimal zero forcing set")
 
 
-def _first_zir_set(g: Graph, k: int, cache: ClosureCache, accept: Callable[[int], bool],
-                   verts: list[int], s: int = 0, start: int = 0) -> int | None:
-    """The lexicographically first ZIr-set that adds k of ``verts[start:]``
-    to the ZIr-set s and that ``accept`` takes, or None.
+_Members = tuple[tuple[int, int], ...]
 
-    Only ZIr prefixes are extended, which is valid pruning by heredity.
-    Plain recursion, not a nested closure, so no reference cycle keeps
-    ``cache`` alive after the search.
+
+def _grow(ct: int, members: _Members, w: int, close: Callable[[int], int]
+          ) -> tuple[int, _Members] | None:
+    """One extension step of a ZIr-set t by the outside vertex bit w.
+
+    ``members`` pairs each member bit x of t with cl(t - x), and ct = cl(t).
+    Returns the same pair for t + w when it is still a ZIr-set, else None.
+    Since cl(t - x + w) = cl(cl(t - x) | w), a member whose closure already
+    holds w (w lies outside its maximum private fort) keeps it; only the
+    others are reclosed.
+    """
+    if ct & w:
+        return None
+    grown = []
+    for x, cx in members:
+        if not cx & w:
+            cx = close(cx | w)
+            if cx & x:
+                return None
+        grown.append((x, cx))
+    grown.append((w, ct))
+    return close(ct | w), tuple(grown)
+
+
+def _first_zir_set(k: int, cache: ClosureCache, accept: Callable[[int], bool] | None,
+                   verts: list[int], s: int = 0, cs: int = 0, members: _Members = (),
+                   start: int = 0) -> int | None:
+    """The lexicographically first ZIr-set that adds k of ``verts[start:]``
+    to the ZIr-set s and whose closure ``accept`` takes (any, for None), or
+    None.  cs = cl(s), and ``members`` holds s's member closures.
+
+    Each candidate is tested by ``_grow`` when it is reached, and only ZIr
+    prefixes are extended, which is valid pruning by heredity.  Plain
+    recursion, not a nested closure, so no reference cycle keeps ``cache``
+    alive after the search.
     """
     if k == 0:
-        return s if accept(s) else None
+        return s if accept is None or accept(cs) else None
+    close = cache.closure
     for i in range(start, len(verts) - k + 1):
-        t = s | (1 << verts[i])
-        if is_zir_set(g, t, cache):
-            got = _first_zir_set(g, k - 1, cache, accept, verts, t, i + 1)
+        w = 1 << verts[i]
+        grown = _grow(cs, members, w, close)
+        if grown is not None:
+            got = _first_zir_set(k - 1, cache, accept, verts, s | w, *grown, i + 1)
             if got is not None:
                 return got
     return None
 
 
+def _maximal_walk(cache: ClosureCache, t: int, ct: int, members: _Members,
+                  cands: list[int], found: list[int], smaller: bool) -> None:
+    """Append to ``found`` the maximal ZIr-sets that contain t and add only
+    bits of ``cands`` above t's highest member, in lexicographic order.
+
+    t is a ZIr-set given with ct = cl(t) and its member closures, and
+    ``cands`` holds every bit above t's highest member that keeps t a
+    ZIr-set; by heredity a child's candidates are among its parent's.  t is
+    maximal when no candidate and no lower outside bit passes ``_grow``.
+    With ``smaller``, only sets smaller than the last one found are visited,
+    so ``found`` ends with the first maximal ZIr-set of minimum size.  Plain
+    recursion, like ``_first_zir_set``.
+    """
+    close = cache.closure
+    size = len(members)
+    if smaller and found and size + 1 >= found[-1].bit_count():
+        # no child can be visited: only t itself can still be smaller
+        if any(_grow(ct, members, w, close) is not None for w in cands):
+            return
+        children = []
+    else:
+        children = [(w, grown) for w in cands
+                    if (grown := _grow(ct, members, w, close)) is not None]
+    if not children:
+        lower = ((1 << (t.bit_length() - 1)) - 1) & ~t if t else 0
+        if all(_grow(ct, members, 1 << v, close) is None for v in bits(lower)):
+            found.append(t)
+        return
+    ws = [w for w, _ in children]
+    for i, (w, grown) in enumerate(children):
+        _maximal_walk(cache, t | w, *grown, ws[i + 1:], found, smaller)
+        if smaller and found and size + 1 >= found[-1].bit_count():
+            return
+
+
 def lower_zir_number(g: Graph, cache: ClosureCache | None = None) -> tuple[int, ZirWitness]:
     """zir(G): minimum size of a maximal ZIr-set, with certificates.
 
-    Enumerates candidate sets ascending by (cardinality, lexicographic
-    order) and returns the first candidate that is maximal.
+    One lexicographic walk over the ZIr-sets that, after each maximal set it
+    finds, visits only smaller sets.  The witness is the lexicographically
+    first maximal ZIr-set of minimum size.
     """
     cache = cache or ClosureCache(g)
-    for k in range(1, g.n + 1):
-        got = _first_zir_set(g, k, cache, lambda s: is_maximal_zir_set(g, s, cache),
-                             bit_list(g.full))
-        if got is not None:
-            return k, _certify(g, got, cache, maximal=True)
-    raise AssertionError("every graph has a maximal ZIr-set")
+    found: list[int] = []
+    _maximal_walk(cache, 0, 0, (), [1 << v for v in range(g.n)], found, True)
+    return found[-1].bit_count(), _certify(g, found[-1], cache, maximal=True)
+
+
+def maximal_zir_sets(g: Graph, cache: ClosureCache | None = None) -> list[int]:
+    """Every maximal ZIr-set of g, as ascending masks, by the same walk."""
+    cache = cache or ClosureCache(g)
+    found: list[int] = []
+    _maximal_walk(cache, 0, 0, (), [1 << v for v in range(g.n)], found, False)
+    return sorted(found)
 
 
 def abandons_fort(g: Graph, s: int, cache: ClosureCache | None = None) -> int | None:
@@ -233,8 +313,7 @@ def graph_abandons_fort(g: Graph, cache: ClosureCache | None = None
     """
     cache = cache or ClosureCache(g)
     target, _ = upper_zir_number(g, cache)
-    found = _first_zir_set(g, target, cache, lambda s: not is_zero_forcing_set(g, s, cache),
-                           bit_list(g.full))
+    found = _first_zir_set(target, cache, lambda cl: cl != g.full, bit_list(g.full))
     if found is None:
         return False, None
     fort = max_fort_avoiding(g, found, cache)

@@ -23,7 +23,7 @@ from .families import FamilySpec, generate
 from .forcing import ClosureCache, is_minimal_zfs, is_zero_forcing_set, zero_forcing_number
 from .graphs import (Graph, bit_list, bits, complement, join as join_graph,
                      mask_of, to_graph6)
-from .irredundance import (_first_zir_set, is_maximal_zir_set, lower_zir_number,
+from .irredundance import (_first_zir_set, lower_zir_number, maximal_zir_sets,
                            upper_zero_forcing_number, upper_zir_number)
 
 PARAM_NAMES = ("zir", "Z", "Zbar", "ZIR", "gamma", "gamma2", "alpha", "gammaP")
@@ -274,9 +274,12 @@ class _ProfileFacts:
     A check reads ``n``, ``min_degree``, ``max_degree``, ``has_edge``,
     ``connected``, ``isolated_free``, ``values`` and ``graph``, and the
     set-level facts ``forces(s)``, ``minimal_zfs`` and ``maximal_zir_sets``
-    (ascending masks) and ``abandons``.  The survey's ``_GraphData`` answers
-    the same from closure tables.  Only checks the survey does not run read
-    ``spec`` and ``cache``.
+    (ascending masks) and ``abandons``.  ``maximal_zir_sets`` comes from the
+    solvers' walk over the ZIr-sets; ``minimal_zfs`` stays a scan of every
+    subset by the definition, so ``minimal-zfs-equivalence`` compares two
+    independent routes.  The survey's ``_GraphData`` answers the same from
+    closure tables.  Only checks the survey does not run read ``spec`` and
+    ``cache``.
     """
 
     def __init__(self, profile: ParamProfile, g: Graph, spec: FamilySpec | None):
@@ -296,8 +299,7 @@ class _ProfileFacts:
 
     @cached_property
     def maximal_zir_sets(self) -> list[int]:
-        g = self.graph
-        return [s for s in range(g.full + 1) if is_maximal_zir_set(g, s, self.cache)]
+        return maximal_zir_sets(self.graph, self.cache)
 
     @cached_property
     def abandons(self) -> bool:
@@ -443,7 +445,7 @@ def _leaf_zir_set(f):
         return "needs corona(H, empty:t) with connected H of order >= 3 and t >= 2"
     g, target = f.graph, f.values["ZIR"]
     leaves = [v for v in range(g.n) if g.degree(v) == 1]
-    ok = _first_zir_set(g, target, f.cache, lambda s: True, leaves) is not None
+    ok = _first_zir_set(target, f.cache, None, leaves) is not None
     return ok, f"all-leaf ZIr-set of size ZIR={target} exists={ok}"
 
 

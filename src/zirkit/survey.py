@@ -333,6 +333,8 @@ def survey(max_order: int,
         if c not in _CHECKS:
             raise ValueError(f"unknown check {c!r}; known: {', '.join(ALL_CHECKS)}")
     checks = tuple(dict.fromkeys(checks))  # keep order, drop duplicates
+    if not checks:
+        raise PreconditionError("no survey check selected")
 
     orders = range(1, max_order + 1)
     shards: list[tuple] = []

@@ -1,18 +1,22 @@
 import json
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zirkit.errors import PreconditionError
 from zirkit.families import (complete_bipartite_graph, complete_graph,
                              cycle_graph, empty_graph, fig3_graph, fig7_graph,
                              friendship_graph, generate, h_rs_graph,
                              path_graph, star_graph, wheel_graph)
-from zirkit.forcing import ClosureCache, is_fort, is_zero_forcing_set
+from zirkit.forcing import (ClosureCache, closure, is_fort, is_minimal_zfs,
+                            is_zero_forcing_set)
 from zirkit.graphs import Graph, bit_list, bits, disjoint_union, join, mask_of
-from zirkit.irredundance import (abandons_fort, graph_abandons_fort,
+from zirkit.irredundance import (_grow, abandons_fort, graph_abandons_fort,
                                  has_private_fort, is_maximal_zir_set,
-                                 is_zir_set, lower_zir_number,
-                                 minimal_private_fort, upper_zir_number)
+                                 is_zir_set, lower_zir_number, maximal_zir_sets,
+                                 minimal_private_fort, upper_zero_forcing_number,
+                                 upper_zir_number)
 
 from oracles import brute_forts, brute_zir_params, private_fort_exists, random_adj
 
@@ -289,3 +293,72 @@ def test_abandonment_vs_not_forcing(small_graphs, rng):
             if is_maximal_zir_set(g, s, cache):
                 abandoned = abandons_fort(g, s, cache)
                 assert (abandoned is not None) == (not is_zero_forcing_set(g, s, cache))
+
+
+def _gnp_graphs(count, orders, seed):
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n, p = rng.choice(orders), rng.choice((0.3, 0.5, 0.7))
+        out.append(Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                             if rng.random() < p]))
+    return out
+
+
+def _first_witnesses(g):
+    """(zir, ZIR, Zbar) witnesses by a scan of every subset in (size,
+    lexicographic) order, on the definitions alone."""
+    cache = ClosureCache(g)
+    order = sorted(range(g.full + 1), key=lambda s: (s.bit_count(), bit_list(s)))
+    zir = next(s for s in order if is_maximal_zir_set(g, s, cache))
+    zir_sets = [s for s in order if is_zir_set(g, s, cache)]
+    top = zir_sets[-1].bit_count()
+    # ZIR starts from the complement of the first minimum 2-dominating set
+    # and keeps it when nothing larger exists
+    seed = g.full & ~next(s for s in order if all(
+        (g.adj[v] & s).bit_count() >= 2 for v in bits(g.full & ~s)))
+    upper = seed if seed.bit_count() == top else next(
+        s for s in zir_sets if s.bit_count() == top)
+    minimal = [s for s in order if is_minimal_zfs(g, s, cache)]
+    zbar = next(s for s in minimal if s.bit_count() == minimal[-1].bit_count())
+    return zir, upper, zbar
+
+
+def test_witnesses_are_the_first_in_search_order(small_graphs):
+    for g in small_graphs + _gnp_graphs(40, range(8, 12), 20261018):
+        got = (lower_zir_number(g)[1].members, upper_zir_number(g)[1].members,
+               upper_zero_forcing_number(g)[1])
+        assert got == _first_witnesses(g), g.adj
+
+
+@st.composite
+def _graphs(draw, max_order=9):
+    n = draw(st.integers(1, max_order))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(n, [e for e, k in zip(pairs, keep) if k])
+
+
+@settings(deadline=None)
+@given(_graphs())
+def test_grow_step_matches_definition(g):
+    cache = ClosureCache(g)
+    for t in range(g.full + 1):
+        if not is_zir_set(g, t, cache):
+            continue
+        members = tuple((1 << x, closure(g, t & ~(1 << x))) for x in bits(t))
+        for w in bits(g.full & ~t):
+            s = t | 1 << w
+            grown = _grow(closure(g, t), members, 1 << w, cache.closure)
+            assert (grown is not None) == is_zir_set(g, s, cache)
+            if grown is not None:
+                assert grown[0] == closure(g, s)
+                assert sorted(grown[1]) == [(1 << x, closure(g, s & ~(1 << x)))
+                                            for x in bits(s)]
+
+
+def test_maximal_zir_sets_walk_matches_subset_scan(small_graphs):
+    for g in small_graphs + _gnp_graphs(24, range(7, 11), 20261019):
+        cache = ClosureCache(g)
+        scan = [s for s in range(g.full + 1) if is_maximal_zir_set(g, s, cache)]
+        assert maximal_zir_sets(g) == scan, g.adj

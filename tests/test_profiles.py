@@ -7,8 +7,8 @@ from zirkit.domination import (independence_number, k_domination_number,
 from zirkit.families import generate, parse_family_expr
 from zirkit.forcing import zero_forcing_number
 from zirkit.graphs import disjoint_union, parse_graph6
-from zirkit.irredundance import (lower_zir_number, upper_zero_forcing_number,
-                                 upper_zir_number)
+from zirkit.irredundance import (lower_zir_number, maximal_zir_sets,
+                                 upper_zero_forcing_number, upper_zir_number)
 from zirkit.profiles import (check_bounds, check_characterizations,
                              is_clique_plus_isolated, is_path_graph,
                              is_star_graph, parameter_profile,
@@ -33,6 +33,7 @@ PROFILE_SOLVERS = {
     "ZIR": upper_zir_number, "gamma": lambda g: k_domination_number(g, 1),
     "gamma2": lambda g: k_domination_number(g, 2), "alpha": independence_number,
     "gammaP": power_domination_number, "profile": parameter_profile,
+    "maximal-zir-sets": maximal_zir_sets,
 }
 
 

@@ -1,6 +1,6 @@
 import pytest
 
-from zirkit.errors import BudgetError
+from zirkit.errors import BudgetError, PreconditionError
 from zirkit.families import generate
 from zirkit.graphs import Graph, to_graph6
 from zirkit.profiles import Check, parameter_profile
@@ -28,6 +28,12 @@ def test_survey_budget_enforced():
 def test_survey_unknown_check_rejected():
     with pytest.raises(ValueError):
         survey(3, checks=("no-such-check",))
+
+
+def test_survey_empty_check_selection_rejected():
+    # an empty selection would report no check at all, as if all had passed
+    with pytest.raises(PreconditionError):
+        survey(3, checks=())
 
 
 def test_survey_duplicate_checks_collapse():
