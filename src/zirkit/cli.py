@@ -167,7 +167,7 @@ def _cmd_table(args) -> int:
 
 def _cmd_survey(args) -> int:
     checks = None
-    if args.checks and args.checks != "all":
+    if args.checks != "all":
         checks = tuple(c.strip() for c in args.checks.split(",") if c.strip())
         for c in checks:
             if c not in ALL_CHECKS:

@@ -242,8 +242,9 @@ def _maximal_walk(cache: ClosureCache, t: int, ct: int, members: _Members,
     bits of ``cands`` above t's highest member, in lexicographic order.
 
     t is a ZIr-set given with ct = cl(t) and its member closures, and
-    ``cands`` holds every bit above t's highest member that keeps t a
-    ZIr-set; by heredity a child's candidates are among its parent's.  t is
+    ``cands`` holds every bit above t's highest member whose addition
+    leaves a ZIr-set; by heredity a child's candidates are among its
+    parent's.  t is
     maximal when no candidate and no lower outside bit passes ``_grow``.
     With ``smaller``, only sets smaller than the last one found are visited,
     so ``found`` ends with the first maximal ZIr-set of minimum size.  Plain
@@ -260,7 +261,7 @@ def _maximal_walk(cache: ClosureCache, t: int, ct: int, members: _Members,
         children = [(w, grown) for w in cands
                     if (grown := _grow(ct, members, w, close)) is not None]
     if not children:
-        lower = ((1 << (t.bit_length() - 1)) - 1) & ~t if t else 0
+        lower = ((1 << (t.bit_length() - 1)) - 1) & ~t  # t is never empty here
         if all(_grow(ct, members, 1 << v, close) is None for v in bits(lower)):
             found.append(t)
         return

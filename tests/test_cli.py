@@ -245,6 +245,7 @@ def test_time_limit_exceeded_with_pool_exit_two(capsys):
     (["convert", "--to", "graph6", "--edges", "{file}"], "n 0\n"),
     (["forts", "--file", "{dir}"], None),
     (["survey", "--order", "3", "--checks", ","], None),
+    (["survey", "--order", "3", "--checks", ""], None),
 ])
 def test_bad_input_exit_two_without_traceback(capsys, tmp_path, argv, edges):
     path = tmp_path / "graph.edges"
