@@ -15,7 +15,7 @@ import time
 
 from .errors import GraphFormatError, ZirkitError
 from .families import generate, parse_family_expr
-from .forcing import enumerate_forts, enumerate_minimal_forts
+from .forcing import ClosureCache, enumerate_forts, enumerate_minimal_forts
 from .graphs import Graph, bit_list, parse_graph6, to_graph6
 from .profiles import (DEFAULT_PROFILE_MAX_ORDER, PARAM_NAMES, check_bounds,
                        check_characterizations, parameter_profile)
@@ -113,12 +113,14 @@ def _cmd_compute(args) -> int:
     failed = False
     for graph_id, g in _iter_source(args):
         _check_deadline(deadline, "compute")
+        cache = ClosureCache(g)
         profile = parameter_profile(g, params=params, max_order=args.max_order,
-                                    graph_id=graph_id, with_witnesses=args.witness)
+                                    graph_id=graph_id, with_witnesses=args.witness,
+                                    cache=cache)
         rows.append(profile.to_dict(include_witnesses=args.witness))
         if args.check_bounds:
-            reports = check_bounds(profile, g, spec) \
-                + check_characterizations(g, profile, spec)
+            reports = check_bounds(profile, g, spec, cache) \
+                + check_characterizations(g, profile, spec, cache)
             failed = failed or any(r.status == "fail" for r in reports)
             rows.extend(r.to_dict() for r in reports)
     if args.format == "jsonl":

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import InvalidSpecError
-from .graphs import Graph, corona, disjoint_union, join, parse_graph6
+from .graphs import MAX_ORDER, Graph, corona, disjoint_union, join, parse_graph6
 
 PRODUCT_OPS = ("union", "join", "corona")
 
@@ -92,7 +92,7 @@ def _skip_ws(text: str, pos: int) -> int:
     return pos
 
 
-def _parse_expr(text: str, pos: int) -> tuple[FamilySpec, int]:
+def _parse_expr(text: str, pos: int, depth: int = 0) -> tuple[FamilySpec, int]:
     start = pos
     while pos < len(text) and (text[pos].isalnum() or text[pos] == "_"):
         pos += 1
@@ -100,14 +100,18 @@ def _parse_expr(text: str, pos: int) -> tuple[FamilySpec, int]:
     if not name:
         raise InvalidSpecError(f"expected a family name at position {start} in {text!r}")
     if name in PRODUCT_OPS:
+        # each product has more vertices than its factors, so a deeper
+        # nesting could never build a graph within the order cap
+        if depth >= MAX_ORDER:
+            raise InvalidSpecError(f"products nested deeper than {MAX_ORDER} levels")
         pos = _skip_ws(text, pos)
         if pos >= len(text) or text[pos] != "(":
             raise InvalidSpecError(f"{name} requires arguments: {name}(a,b)")
-        left, pos = _parse_expr(text, _skip_ws(text, pos + 1))
+        left, pos = _parse_expr(text, _skip_ws(text, pos + 1), depth + 1)
         pos = _skip_ws(text, pos)
         if pos >= len(text) or text[pos] != ",":
             raise InvalidSpecError(f"{name} requires two comma-separated arguments")
-        right, pos = _parse_expr(text, _skip_ws(text, pos + 1))
+        right, pos = _parse_expr(text, _skip_ws(text, pos + 1), depth + 1)
         pos = _skip_ws(text, pos)
         if pos >= len(text) or text[pos] != ")":
             raise InvalidSpecError(f"missing closing parenthesis in {name}(...)")
@@ -130,7 +134,7 @@ def _parse_expr(text: str, pos: int) -> tuple[FamilySpec, int]:
         while True:
             pos = _skip_ws(text, pos)
             start = pos
-            while pos < len(text) and text[pos].isdigit():
+            while pos < len(text) and text[pos] in "0123456789":
                 pos += 1
             if start == pos:
                 raise InvalidSpecError(f"expected an integer parameter at position {start}")

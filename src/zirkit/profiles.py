@@ -90,12 +90,14 @@ class CheckReport:
 def parameter_profile(g: Graph, params: tuple[str, ...] | None = None,
                       max_order: int = DEFAULT_PROFILE_MAX_ORDER,
                       graph_id: str | None = None,
-                      with_witnesses: bool = True) -> ParamProfile:
+                      with_witnesses: bool = True,
+                      cache: ClosureCache | None = None) -> ParamProfile:
     """Compute the requested parameters (default: all) with witnesses.
 
     Above ``max_order`` the exact solvers are skipped and the requested
     parameters are listed in ``omitted`` instead of silently running an
-    open-ended search.
+    open-ended search.  ``cache`` is the closure memo of ``g``; pass the
+    same one to ``check_bounds`` and ``check_characterizations``.
     """
     wanted = PARAM_NAMES if params is None else tuple(params)
     for p in wanted:
@@ -114,7 +116,7 @@ def parameter_profile(g: Graph, params: tuple[str, ...] | None = None,
         profile.omitted = list(wanted)
         return profile
 
-    cache = ClosureCache(g)
+    cache = cache or ClosureCache(g)
 
     def record(name: str, value: int, witness: int) -> None:
         profile.values[name] = value
@@ -282,9 +284,10 @@ class _ProfileFacts:
     ``cache``.
     """
 
-    def __init__(self, profile: ParamProfile, g: Graph, spec: FamilySpec | None):
+    def __init__(self, profile: ParamProfile, g: Graph, spec: FamilySpec | None,
+                 cache: ClosureCache | None = None):
         self.profile, self.graph, self.spec = profile, g, spec
-        self.cache = ClosureCache(g)
+        self.cache = cache or ClosureCache(g)
 
     def __getattr__(self, name: str):
         return getattr(self.profile, name)  # n, the degrees, the flags, values
@@ -507,13 +510,15 @@ def _run_checks(checks: tuple[Check, ...], f: _ProfileFacts, scope: str) -> list
 
 
 def check_bounds(profile: ParamProfile, g: Graph,
-                 spec: FamilySpec | None = None) -> list[CheckReport]:
+                 spec: FamilySpec | None = None,
+                 cache: ClosureCache | None = None) -> list[CheckReport]:
     """Evaluate every applicable bound on one profile.
 
     Join and corona bounds only apply when ``spec`` describes the graph as a
     product, since they compare against parameters of the factors.
     """
-    reports = _run_checks(BOUND_CHECKS, _ProfileFacts(profile, g, spec), profile.graph_id)
+    reports = _run_checks(BOUND_CHECKS, _ProfileFacts(profile, g, spec, cache),
+                          profile.graph_id)
     if "ZIR" in profile.values:
         reports.append(_cut_vertex_bound(profile, g))
     reports.extend(_product_bounds(profile, g, spec))
@@ -604,7 +609,8 @@ def _product_bounds(profile: ParamProfile, g: Graph,
 
 
 def check_characterizations(g: Graph, profile: ParamProfile,
-                            spec: FamilySpec | None = None) -> list[CheckReport]:
+                            spec: FamilySpec | None = None,
+                            cache: ClosureCache | None = None) -> list[CheckReport]:
     """Check each structural characterization whose hypothesis applies."""
-    return _run_checks(CHARACTERIZATION_CHECKS, _ProfileFacts(profile, g, spec),
+    return _run_checks(CHARACTERIZATION_CHECKS, _ProfileFacts(profile, g, spec, cache),
                        profile.graph_id)

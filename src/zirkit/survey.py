@@ -7,10 +7,13 @@ failure is reported with a re-verifiable counterexample.  Question scans
 ("gammaP-vs-zir", "gamma-vs-ZIR") record counterexamples as findings rather
 than failures.
 
-Every parameter here is recomputed from per-graph closure tables by its
-definition (for example ZIR is the literal maximum over maximal ZIr-sets),
-with no solver-level bound pruning, so the survey is an independent route
-from the pruned solver searches; the test suite cross-checks the two.
+Every parameter here is recomputed from per-graph tables over all subsets
+by its definition (for example ZIR is the literal maximum over maximal
+ZIr-sets): the closure table, then one pass over the subsets that fills the
+forcing and ZIr tables and gives gamma, gamma2 and alpha by a mask DP.  No
+solver is called and no theorem bound prunes anything, so the survey is an
+independent route from the pruned solver searches; the test suite
+cross-checks the two.
 ``_GraphData`` is the survey's facts record: the theorems shared with
 ``compute --check-bounds`` are evaluated by the predicates of
 ``profiles.CHECKS``, and only the survey's own checks and scans live here.
@@ -28,7 +31,7 @@ from itertools import combinations
 
 from .errors import BudgetError, PreconditionError
 from .forcing import _close
-from .graphs import (Graph, _first_subset, adj_from_edge_mask, bit_list, bits,
+from .graphs import (Graph, _first_subset, adj_from_edge_mask, bit_list,
                      canonical_form, edge_slots, mask_of, to_graph6, twin_classes)
 from .profiles import CHECKS, Check, CheckReport
 
@@ -79,19 +82,26 @@ class SurveyReport:
 
 
 def _closure_table(adj: tuple[int, ...], full: int) -> list[int]:
-    # cl(m) = cl(cl(m minus lowest bit) ∪ m); masks ascend so the smaller
-    # entry is always ready, and each seeded closure is near its fixpoint
+    # cl(m) = cl(cl(p) ∪ {v}) for p = m minus its lowest vertex v; masks
+    # ascend so clo[p] is ready, each seeded closure is near its fixpoint,
+    # and v ∈ cl(p) gives cl(m) = cl(p) with no closure at all
     clo = [0] * (full + 1)
     for m in range(1, full + 1):
-        clo[m] = _close(adj, clo[m & (m - 1)] | m)
+        p = m & (m - 1)
+        c = clo[p]
+        low = m ^ p
+        clo[m] = c if c & low else _close(adj, c | low)
     return clo
 
 
 class _GraphData:
-    """The facts record of one labeled graph, answered by closure tables.
+    """The facts record of one labeled graph, answered by subset tables.
 
     It answers everything the shared checks of ``profiles.CHECKS`` read,
-    plus what the survey-only checks need.
+    plus what the survey-only checks need.  After the closure table, one
+    pass over all 2^n subsets fills the forcing and ZIr tables and finds
+    gamma, gamma2 and alpha by a mask DP; every subset is visited, with no
+    solver and no bound pruning.
     """
 
     __slots__ = ("n", "adj", "full", "graph", "min_degree", "max_degree",
@@ -115,21 +125,45 @@ class _GraphData:
         self._gamma_p: int | None = None
 
     def _tables(self) -> None:
+        # one pass over the masks in ascending order; each entry extends the
+        # entry of p = m minus its lowest vertex v, whose neighbourhood is a:
+        # c1[m] holds the vertices with a neighbour in m, c2[m] those with
+        # two, so m k-dominates iff every vertex outside m lies in ck[m]
         n, full, adj, clo = self.n, self.full, self.adj, self.clo
         zfs = [False] * (full + 1)
         zirt = [False] * (full + 1)
-        zirt[0] = True
+        c1 = [0] * (full + 1)
+        c2 = [0] * (full + 1)
+        ind = [False] * (full + 1)
+        zirt[0] = ind[0] = True
+        gamma = gamma2 = n
+        alpha = 0
         for m in range(1, full + 1):
+            p = m & (m - 1)
+            a = adj[(m ^ p).bit_length() - 1]
             zfs[m] = clo[m] == full
-            ok = True
-            mm = m
-            while mm:
-                low = mm & -mm
-                mm ^= low
-                if clo[m ^ low] & low:
-                    ok = False
-                    break
-            zirt[m] = ok
+            if zirt[p]:  # ZIr-sets are hereditary
+                mm = m
+                while mm:
+                    low = mm & -mm
+                    mm ^= low
+                    if clo[m ^ low] & low:
+                        break
+                else:
+                    zirt[m] = True
+            size = m.bit_count()
+            cp = c1[p]
+            c1[m] = cp | a
+            c2[m] = c2[p] | (cp & a)
+            out = full ^ m
+            if size < gamma and not out & ~c1[m]:
+                gamma = size
+            if size < gamma2 and not out & ~c2[m]:
+                gamma2 = size
+            if ind[p] and not a & p:
+                ind[m] = True
+                if size > alpha:
+                    alpha = size
         self.zfs = zfs
         self.zirt = zirt
 
@@ -161,10 +195,9 @@ class _GraphData:
         self.zbar_witness = min((m for m in self.minimal_zfs
                                  if m.bit_count() == values["Zbar"]), key=bit_list)
 
-        values["gamma"] = self._domination(1)
-        values["gamma2"] = self._domination(2)
-        values["alpha"] = max(m.bit_count() for m in range(full + 1)
-                              if all(not adj[v] & m for v in bits(m)))
+        values["gamma"] = gamma
+        values["gamma2"] = gamma2
+        values["alpha"] = alpha
         self.values = values
         top = values["ZIR"]
         self.abandons = any(m.bit_count() == top and not zfs[m] for m in maximal)
@@ -181,16 +214,6 @@ class _GraphData:
             if self.zfs[m ^ low]:
                 return False
         return True
-
-    def _domination(self, k: int) -> int:
-        best = self.n
-        for m in range(self.full + 1):
-            if m.bit_count() >= best:
-                continue
-            if all((self.adj[v] & m).bit_count() >= k
-                   for v in bits(self.full & ~m)):
-                best = m.bit_count()
-        return best
 
     def gamma_p(self) -> int:
         if self._gamma_p is None:

@@ -1,8 +1,9 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zirkit.errors import InvalidSpecError
-from zirkit.families import (FamilySpec, complete_graph, corona, cycle_graph,
-                             empty_graph, fig7_graph, friendship_graph,
+from zirkit.families import (FAMILY_ARITY, FamilySpec, complete_graph, corona,
+                             cycle_graph, empty_graph, fig7_graph, friendship_graph,
                              generate, h_chain_graph, h_rs_graph,
                              necklace_graph, parse_family_expr, pentasun_graph,
                              wheel_graph)
@@ -135,3 +136,35 @@ def test_spec_dataclass_constructors():
     spec = FamilySpec.product("corona", FamilySpec.family("cycle", 5),
                               FamilySpec.family("empty", 1))
     assert generate(spec) == pentasun_graph()
+
+
+# near-valid expressions, so most inputs get past the first token; the
+# digits include two that str.isdigit accepts beyond ASCII
+_NUMBERS = st.lists(st.sampled_from(["0", "3", "12", " 2", "\u00b2", "\u0663", ""]),
+                    max_size=3).map(",".join)
+_LEAVES = st.tuples(st.sampled_from(sorted(FAMILY_ARITY) + ["g6", "nope", ""]),
+                    st.sampled_from(["", ":"]), _NUMBERS).map("".join)
+_EXPRESSIONS = st.recursive(
+    _LEAVES,
+    lambda inner: st.tuples(st.sampled_from(["union", "join", "corona", "meet"]),
+                            inner, inner,
+                            st.sampled_from(["", ")", " ,"])).map(
+        lambda t: f"{t[0]}({t[1]},{t[2]}{t[3]}"),
+    max_leaves=6)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text() | _EXPRESSIONS)
+def test_expression_parser_raises_only_spec_errors(text):
+    try:
+        spec = parse_family_expr(text)
+    except InvalidSpecError:
+        return
+    assert parse_family_expr(str(spec)) == spec
+
+
+def test_expression_parser_rejects_unbuildable_input():
+    with pytest.raises(InvalidSpecError, match="integer"):
+        parse_family_expr("path:\u00b2")  # a digit to isdigit(), not to int()
+    with pytest.raises(InvalidSpecError, match="nested"):
+        parse_family_expr("union(" * 2000 + "path:1")

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zirkit.errors import GraphFormatError, SizeCapError
 from zirkit.graphs import Graph, enumerate_labeled_graphs, parse_graph6, to_graph6
@@ -92,3 +93,19 @@ def test_nonzero_padding_rejected():
 def test_encode_rejects_order_beyond_62():
     with pytest.raises(SizeCapError):
         to_graph6(Graph(63))
+
+
+# graph6 bytes are '?'..'~'; mixing in a few others reaches every branch
+_GRAPH6_ISH = st.text(st.characters(min_codepoint=0, max_codepoint=130), max_size=40) \
+    | st.text(st.sampled_from([chr(c) for c in range(63, 127)] + ["\x00", " ", "\xe9"]),
+              max_size=40)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text() | _GRAPH6_ISH)
+def test_decoder_raises_only_format_errors(text):
+    try:
+        g = parse_graph6(text)
+    except (GraphFormatError, SizeCapError):
+        return
+    assert to_graph6(g) == text

@@ -1,12 +1,17 @@
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zirkit.errors import BudgetError, PreconditionError
 from zirkit.families import generate
-from zirkit.graphs import Graph, to_graph6
+from zirkit.forcing import _close
+from zirkit.graphs import Graph, bits, to_graph6
 from zirkit.profiles import Check, parameter_profile
-from zirkit.survey import _CHECKS, ALL_CHECKS, SCAN_CHECKS, exact_params, survey
+from zirkit.survey import (_CHECKS, ALL_CHECKS, SCAN_CHECKS, _GraphData, exact_params,
+                           survey)
 
-from oracles import random_adj
+from oracles import brute_domination, brute_independence, random_adj
 
 
 def test_survey_order_four_all_checks_clean():
@@ -120,3 +125,38 @@ def test_all_checks_registry_is_consistent():
     report = survey(2)
     seen = {r.check for r in report.reports}
     assert set(ALL_CHECKS) <= seen | {"min-ZIR-leaderboard"}
+
+
+def _seeded_graphs(count, orders, seed):
+    rng = random.Random(seed)
+    return [Graph.from_adj(random_adj(rng.choice(orders), rng)) for _ in range(count)]
+
+
+def test_graph_tables_match_definitions(small_graphs):
+    # the survey's one pass over the subsets against the definitions: the
+    # closure of every mask, ZIr-ness member by member with no pruning, and
+    # gamma, gamma2 and alpha by the all-subset oracles
+    for g in small_graphs + _seeded_graphs(30, range(7, 10), 20261018):
+        d = _GraphData(g)
+        adj = g.adj
+        for m in range(g.full + 1):
+            assert d.clo[m] == _close(adj, m), (g.adj, m)
+            assert d.zirt[m] == all(not _close(adj, m ^ 1 << x) >> x & 1
+                                    for x in bits(m)), (g.adj, m)
+        assert (d.values["gamma"], d.values["gamma2"], d.values["alpha"]) == (
+            brute_domination(adj, g.n, 1), brute_domination(adj, g.n, 2),
+            brute_independence(adj, g.n)), g.adj
+
+
+@st.composite
+def _graphs_of_order(draw, orders):
+    n = draw(st.sampled_from(orders))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(n, [e for e, k in zip(pairs, keep) if k])
+
+
+@settings(deadline=None, max_examples=25)
+@given(_graphs_of_order((7, 8, 9)))
+def test_exact_params_equal_solver_profile(g):
+    assert exact_params(g) == parameter_profile(g).values
