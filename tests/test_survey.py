@@ -127,16 +127,13 @@ def test_all_checks_registry_is_consistent():
     assert set(ALL_CHECKS) <= seen | {"min-ZIR-leaderboard"}
 
 
-def _seeded_graphs(count, orders, seed):
-    rng = random.Random(seed)
-    return [Graph.from_adj(random_adj(rng.choice(orders), rng)) for _ in range(count)]
-
-
 def test_graph_tables_match_definitions(small_graphs):
     # the survey's one pass over the subsets against the definitions: the
     # closure of every mask, ZIr-ness member by member with no pruning, and
     # gamma, gamma2 and alpha by the all-subset oracles
-    for g in small_graphs + _seeded_graphs(30, range(7, 10), 20261018):
+    rng = random.Random(20261018)
+    larger = [Graph.from_adj(random_adj(rng.randint(7, 9), rng)) for _ in range(30)]
+    for g in small_graphs + larger:
         d = _GraphData(g)
         adj = g.adj
         for m in range(g.full + 1):
@@ -148,15 +145,8 @@ def test_graph_tables_match_definitions(small_graphs):
             brute_independence(adj, g.n)), g.adj
 
 
-@st.composite
-def _graphs_of_order(draw, orders):
-    n = draw(st.sampled_from(orders))
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    return Graph(n, [e for e, k in zip(pairs, keep) if k])
-
-
 @settings(deadline=None, max_examples=25)
-@given(_graphs_of_order((7, 8, 9)))
-def test_exact_params_equal_solver_profile(g):
+@given(st.integers(7, 9), st.randoms(use_true_random=False))
+def test_exact_params_equal_solver_profile(n, rnd):
+    g = Graph.from_adj(random_adj(n, rnd))
     assert exact_params(g) == parameter_profile(g).values
