@@ -95,7 +95,7 @@ def test_encode_rejects_order_beyond_62():
         to_graph6(Graph(63))
 
 
-# graph6 bytes are '?'..'~'; mixing in a few others reaches every branch
+# graph6 bytes are '?'..'~'; a few others mixed in reach the error branches
 _GRAPH6_ISH = st.text(st.characters(min_codepoint=0, max_codepoint=130), max_size=40) \
     | st.text(st.sampled_from([chr(c) for c in range(63, 127)] + ["\x00", " ", "\xe9"]),
               max_size=40)
