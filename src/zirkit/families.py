@@ -194,27 +194,23 @@ def friendship_graph(k: int) -> Graph:
     _require(k >= 2, f"friendship requires k >= 2 (got {k})")
     edges = [(0, v) for v in range(1, 2 * k + 1)]
     edges += [(2 * i - 1, 2 * i) for i in range(1, k + 1)]
-    labels = tuple(f"v{v}" for v in range(2 * k + 1))
-    return Graph(2 * k + 1, edges, labels)
+    return Graph(2 * k + 1, edges)
 
 
 def wheel_graph(r: int) -> Graph:
     _require(r >= 3, f"wheel requires rim length r >= 3 (got {r})")
     edges = [(i, (i + 1) % r) for i in range(r)] + [(i, r) for i in range(r)]
-    labels = tuple(f"c{i + 1}" for i in range(r)) + ("u",)
-    return Graph(r + 1, edges, labels)
+    return Graph(r + 1, edges)
 
 
 def necklace_graph(k: int) -> Graph:
     _require(k >= 2, f"necklace requires k >= 2 (got {k})")
     edges = []
-    labels = []
     for i in range(k):
         a, b, c, d = 4 * i, 4 * i + 1, 4 * i + 2, 4 * i + 3
         edges += [(a, b), (a, d), (b, c), (b, d), (c, d)]
-        labels += [f"a{i + 1}", f"b{i + 1}", f"c{i + 1}", f"d{i + 1}"]
         edges.append((c, 4 * ((i + 1) % k)))
-    return Graph(4 * k, edges, tuple(labels))
+    return Graph(4 * k, edges)
 
 
 def h_rs_graph(r: int, s: int) -> Graph:
@@ -225,43 +221,36 @@ def h_rs_graph(r: int, s: int) -> Graph:
     y = list(range(r + 1, r + s + 1))
     edges = [(u, wi) for wi in w] + [(y[-1], wi) for wi in w]
     edges += [(y[j], y[j + 1]) for j in range(s - 1)]
-    labels = ("u",) + tuple(f"w{i + 1}" for i in range(r)) + tuple(f"y{j + 1}" for j in range(s))
-    return Graph(r + s + 1, edges, labels)
+    return Graph(r + s + 1, edges)
 
 
 def h_chain_graph(k: int) -> Graph:
     _require(k >= 3, f"h_chain requires k >= 3 (got {k})")
     edges = []
-    labels = []
     for i in range(k):
         base = 5 * i
         edges += [(base + j, base + (j + 1) % 5) for j in range(5)]
-        labels += [f"v{i + 1},{j + 1}" for j in range(5)]
         edges.append((base + 2, 5 * ((i + 1) % k)))
-    return Graph(5 * k, edges, tuple(labels))
-
-
-def _figure(n: int, edges: list[tuple[int, int]]) -> Graph:
-    return Graph(n, edges, tuple(f"v{i + 1}" for i in range(n)))
+    return Graph(5 * k, edges)
 
 
 def fig3_graph() -> Graph:
-    return _figure(6, _FIG3_EDGES)
+    return Graph(6, _FIG3_EDGES)
 
 
 def fig5_graph() -> Graph:
     # K_{3,4} with parts {u1,u2,u3} = 0..2 and {x1,x2,y1,y2} = 3..6,
     # plus the edges x1-y1 and x2-y2
     edges = [(i, j) for i in range(3) for j in range(3, 7)] + [(3, 5), (4, 6)]
-    return Graph(7, edges, ("u1", "u2", "u3", "x1", "x2", "y1", "y2"))
+    return Graph(7, edges)
 
 
 def fig6_graph() -> Graph:
-    return _figure(8, _FIG6_EDGES)
+    return Graph(8, _FIG6_EDGES)
 
 
 def fig7_graph() -> Graph:
-    return _figure(7, _FIG7_EDGES)
+    return Graph(7, _FIG7_EDGES)
 
 
 def pentasun_graph() -> Graph:

@@ -70,10 +70,9 @@ def _check_order(n: int) -> None:
 class Graph:
     """Immutable simple graph with per-vertex adjacency bitmasks."""
 
-    __slots__ = ("n", "adj", "labels", "full")
+    __slots__ = ("n", "adj", "full")
 
-    def __init__(self, n: int, edges: Iterable[tuple[int, int]] = (),
-                 labels: tuple[str, ...] | None = None):
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         _check_order(n)
         adj = [0] * n
         for u, v in edges:
@@ -83,11 +82,10 @@ class Graph:
                 raise ValueError(f"loop at vertex {u} not allowed")
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-        self._init(adj, labels)
+        self._init(adj)
 
     @classmethod
-    def from_adj(cls, adj: tuple[int, ...],
-                 labels: tuple[str, ...] | None = None) -> "Graph":
+    def from_adj(cls, adj: tuple[int, ...]) -> "Graph":
         """Build from adjacency masks, validating symmetry and irreflexivity."""
         n = len(adj)
         _check_order(n)
@@ -101,20 +99,15 @@ class Graph:
                 if not (adj[u] >> v) & 1:
                     raise ValueError(f"asymmetric adjacency between {u} and {v}")
         g = cls.__new__(cls)
-        g._init(adj, labels)
+        g._init(adj)
         return g
 
-    def _init(self, adj: Sequence[int], labels: tuple[str, ...] | None) -> None:
-        """Set the fields from checked adjacency rows, checking the labels."""
+    def _init(self, adj: Sequence[int]) -> None:
+        """Set the fields from checked adjacency rows."""
         n = len(adj)
-        if labels is not None:
-            labels = tuple(labels)
-            if len(labels) != n:
-                raise ValueError("label count must equal the order")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "adj", tuple(adj))
         object.__setattr__(self, "full", (1 << n) - 1)
-        object.__setattr__(self, "labels", labels)
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -154,13 +147,7 @@ class Graph:
             for u in bits(self.adj[v] >> (v + 1)):
                 yield (v, u + v + 1)
 
-    def label(self, v: int) -> str:
-        return self.labels[v] if self.labels is not None else f"v{v + 1}"
-
     # -- structure -----------------------------------------------------
-
-    def closed_neighborhood(self, v: int) -> int:
-        return self.adj[v] | (1 << v)
 
     def components(self) -> list[int]:
         """Connected components as vertex masks, ordered by least vertex."""
@@ -193,19 +180,11 @@ class Graph:
         index = {v: i for i, v in enumerate(verts)}
         edges = [(index[u], index[v]) for u, v in self.edges()
                  if (subset >> u) & 1 and (subset >> v) & 1]
-        labels = tuple(self.label(v) for v in verts) if self.labels else None
-        return Graph(len(verts), edges, labels)
+        return Graph(len(verts), edges)
 
     def relabel(self, perm: list[int]) -> "Graph":
         """Apply the permutation old index -> new index."""
-        edges = [(perm[u], perm[v]) for u, v in self.edges()]
-        labels = None
-        if self.labels is not None:
-            out = [""] * self.n
-            for v in range(self.n):
-                out[perm[v]] = self.labels[v]
-            labels = tuple(out)
-        return Graph(self.n, edges, labels)
+        return Graph(self.n, [(perm[u], perm[v]) for u, v in self.edges()])
 
 
 # -- graph6 codec -------------------------------------------------------
@@ -281,20 +260,12 @@ def to_graph6(g: Graph) -> str:
 # -- products and complement --------------------------------------------
 
 
-def _part_labels(g: Graph) -> list[str]:
-    return [g.label(v) for v in range(g.n)]
-
-
 def disjoint_union(g: Graph, h: Graph) -> Graph:
     """Disjoint union; h's vertices are shifted up by g.n."""
     n = g.n + h.n
     if n > MAX_ORDER:
         raise SizeCapError(f"union order {n} exceeds the {MAX_ORDER}-vertex cap")
-    adj = list(g.adj) + [row << g.n for row in h.adj]
-    labels = None
-    if g.labels is not None or h.labels is not None:
-        labels = tuple(_part_labels(g) + _part_labels(h))
-    return Graph.from_adj(tuple(adj), labels)
+    return Graph.from_adj(g.adj + tuple(row << g.n for row in h.adj))
 
 
 def join(g: Graph, h: Graph) -> Graph:
@@ -303,7 +274,7 @@ def join(g: Graph, h: Graph) -> Graph:
     gmask = (1 << g.n) - 1
     hmask = u.full & ~gmask
     adj = [row | hmask for row in u.adj[:g.n]] + [row | gmask for row in u.adj[g.n:]]
-    return Graph.from_adj(tuple(adj), u.labels)
+    return Graph.from_adj(tuple(adj))
 
 
 def corona(g: Graph, h: Graph) -> Graph:
@@ -316,17 +287,12 @@ def corona(g: Graph, h: Graph) -> Graph:
         base = g.n + i * h.n
         edges.extend((base + a, base + b) for a, b in h.edges())
         edges.extend((i, base + a) for a in range(h.n))
-    labels = None
-    if g.labels is not None or h.labels is not None:
-        gl = _part_labels(g)
-        hl = _part_labels(h)
-        labels = tuple(gl + [f"{gl[i]}.{hl[a]}" for i in range(g.n) for a in range(h.n)])
-    return Graph(n, edges, labels)
+    return Graph(n, edges)
 
 
 def complement(g: Graph) -> Graph:
     adj = tuple((g.full & ~g.adj[v]) & ~(1 << v) for v in range(g.n))
-    return Graph.from_adj(adj, g.labels)
+    return Graph.from_adj(adj)
 
 
 # -- labeled enumeration ------------------------------------------------

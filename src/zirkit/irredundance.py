@@ -90,10 +90,10 @@ def minimal_private_fort(g: Graph, s: int, x: int,
     the whole remainder; afterwards no member vertex is removable, which is
     exactly inclusion-minimality.
     """
+    cache = cache or ClosureCache(g)
     cert = has_private_fort(g, s, x, cache)
     if cert is None:
         return None
-    cache = cache or ClosureCache(g)
     bx = 1 << x
     fort = cert.fort
     for v in reversed(bit_list(fort)):

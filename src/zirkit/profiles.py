@@ -3,11 +3,12 @@
 A profile gathers every exact parameter of one graph together with
 witnesses.  ``CHECKS`` is the one ordered registry of bounds and
 characterizations: each entry tests its hypothesis and its claim on a facts
-record.  ``check_bounds`` and ``check_characterizations`` run it on a
-profile, whose facts the solvers supply; the survey runs the entries it
-shares with them on facts from its closure tables, so the two value routes
-stay independent while each theorem is written once.  Structural
-recognizers (path, star, clique-plus-isolated-vertices, and the complement
+record.  ``check_bounds`` and ``check_characterizations`` each run it once
+on a profile, whose facts the solvers supply (the join and corona bounds
+also read the factor graphs); the survey runs the entries it shares with
+them on facts from its closure tables, so the two value routes stay
+independent while each theorem is written once.  Structural recognizers
+(path, star, clique-plus-isolated-vertices, and the complement
 decomposition behind the near-extreme zero forcing characterization) are
 pure graph predicates that those checks call on both routes.
 """
@@ -280,13 +281,14 @@ class _ProfileFacts:
     solvers' walk over the ZIr-sets; ``minimal_zfs`` stays a scan of every
     subset by the definition, so ``minimal-zfs-equivalence`` compares two
     independent routes.  The survey's ``_GraphData`` answers the same from
-    closure tables.  Only checks the survey does not run read ``spec`` and
-    ``cache``.
+    closure tables.  Only checks the survey does not run read ``cache`` and
+    ``product``, which is ``(kind, left, right)`` for a join or corona.
     """
 
-    def __init__(self, profile: ParamProfile, g: Graph, spec: FamilySpec | None,
+    def __init__(self, profile: ParamProfile, g: Graph,
+                 product: tuple[str, Graph, Graph] | None,
                  cache: ClosureCache | None = None):
-        self.profile, self.graph, self.spec = profile, g, spec
+        self.profile, self.graph, self.product = profile, g, product
         self.cache = cache or ClosureCache(g)
 
     def __getattr__(self, name: str):
@@ -311,6 +313,17 @@ class _ProfileFacts:
         zir_upper = self.values["ZIR"]
         return any(s.bit_count() == zir_upper and not self.forces(s)
                    for s in self.maximal_zir_sets)
+
+    @cached_property
+    def corona_values(self) -> tuple[int, int, int, int] | None:
+        """ZIR(H ∨ K_1), ZIR(G), ZIR(H) and α(G) of the corona G∘H, or None
+        when the graph is no corona or a factor is beyond the budget."""
+        kind, left, right = self.product or ("", None, None)
+        if kind != "corona" or max(left.n, right.n + 1) > FACTOR_MAX_ORDER:
+            return None
+        return (upper_zir_number(join_graph(right, Graph(1)))[0],
+                upper_zir_number(left)[0], upper_zir_number(right)[0],
+                independence_number(left)[0])
 
 
 @dataclass(frozen=True)
@@ -438,12 +451,9 @@ def _minimal_zfs_equivalence(f):
 def _leaf_zir_set(f):
     """For coronas H∘tK_1 (H connected, order >= 3, t >= 2): some maximum
     ZIr-set uses only leaves."""
-    spec = f.spec
-    applies = (spec is not None and spec.kind == "corona"
-               and spec.parts[1].kind == "empty" and spec.parts[1].params[0] >= 2)
-    if applies:
-        h = generate(spec.parts[0])
-        applies = h.is_connected() and h.n >= 3
+    kind, h, attached = f.product or ("", None, None)
+    applies = (kind == "corona" and attached.n >= 2 and not attached.size()
+               and h.is_connected() and h.n >= 3)
     if not applies or "ZIR" not in f.values:
         return "needs corona(H, empty:t) with connected H of order >= 3 and t >= 2"
     g, target = f.graph, f.values["ZIR"]
@@ -461,6 +471,87 @@ def _abandonment_identity(f):
     return v["ZIR"] == v["Zbar"], f"ZIR={v['ZIR']} Zbar={v['Zbar']} (no abandoned fort)"
 
 
+def _cut_vertex(f):
+    """ZIR(G) >= sum of the top l-1 component values after removing a
+    cut-vertex that splits into l >= 3 components."""
+    if not f.connected or f.n < 4:
+        return "needs ZIR and a connected graph on >= 4 vertices"
+    g = f.graph
+    best: tuple[int, int] | None = None  # (required lower bound, cut vertex)
+    for c in range(g.n):
+        sub = g.induced(g.full & ~(1 << c))
+        comps = sub.components()
+        if len(comps) < 3:
+            continue
+        values = sorted((upper_zir_number(sub.induced(comp))[0] for comp in comps),
+                        reverse=True)
+        bound = sum(values[:-1])
+        if best is None or bound > best[0]:
+            best = (bound, c)
+    if best is None:
+        return "no cut vertex splits into >= 3 components"
+    zir_total = f.values["ZIR"]
+    return zir_total >= best[0], f"ZIR={zir_total} >= {best[0]} (cut vertex {best[1]})"
+
+
+def _join_range(f):
+    kind, left, right = f.product or ("", None, None)
+    if kind != "join":
+        return ""
+    if left.n < 2 or right.n < 2:
+        return "needs both factors of order >= 2"
+    zir_total = f.values["ZIR"]
+    return f.n - 4 <= zir_total <= f.n - 1, f"{f.n - 4} <= ZIR={zir_total} <= {f.n - 1}"
+
+
+def _join_hub_range(f):
+    kind, left, right = f.product or ("", None, None)
+    if kind != "join":
+        return ""
+    base, hub = (left, right) if right.n == 1 else (right, left)
+    if hub.n != 1 or base.isolated_vertices():
+        return "needs join with K_1 and isolated-free base"
+    if base.n > FACTOR_MAX_ORDER:
+        return "factor beyond budget"
+    low = base.n - k_domination_number(base, 1).value
+    zir_total = f.values["ZIR"]
+    return low <= zir_total <= low + 1, f"{low} <= ZIR={zir_total} <= {low + 1}"
+
+
+def _corona_bounds(f):
+    # one skip stands for the three corona bounds below
+    if f.product and f.product[0] == "corona" and f.corona_values is None:
+        return "factor beyond budget"
+    return ""
+
+
+def _corona_upper(f):
+    if f.corona_values is None:
+        return ""
+    if f.product[2].isolated_vertices():
+        return "attached factor has isolated vertices"
+    zir_total, zir_hull, n_left = f.values["ZIR"], f.corona_values[0], f.product[1].n
+    return zir_total <= n_left * zir_hull, f"ZIR={zir_total} <= {n_left}*{zir_hull}"
+
+
+def _corona_lower(f):
+    if f.corona_values is None:
+        return ""
+    if f.product[2].isolated_vertices():
+        return "attached factor has isolated vertices"
+    zir_hull, zir_left, zir_right, _ = f.corona_values
+    low = zir_left * zir_hull + (f.product[1].n - zir_left) * zir_right
+    return f.values["ZIR"] >= low, f"ZIR={f.values['ZIR']} >= {low}"
+
+
+def _corona_alpha_lower(f):
+    if f.corona_values is None:
+        return ""
+    zir_hull, _, zir_right, alpha_left = f.corona_values
+    low = alpha_left * zir_hull + (f.product[1].n - alpha_left) * (zir_right - 1)
+    return f.values["ZIR"] >= low, f"ZIR={f.values['ZIR']} >= {low}"
+
+
 BOUND_CHECKS = (
     Check("chain", PARAM_NAMES[:4], _chain, "chain"),
     Check("min-degree", ("zir",), _min_degree, "min-degree"),
@@ -471,6 +562,13 @@ BOUND_CHECKS = (
     Check("min-degree-2-third", ("ZIR",), _min_degree_2_third),
     Check("max-degree-ratio", ("ZIR",), _max_degree_ratio, "max-degree-ratio"),
     Check("cubic-range", ("ZIR",), _cubic_range),
+    Check("cut-vertex", ("ZIR",), _cut_vertex),
+    Check("join-range", ("ZIR",), _join_range),
+    Check("join-hub-range", ("ZIR",), _join_hub_range),
+    Check("corona-bounds", ("ZIR",), _corona_bounds),
+    Check("corona-upper", ("ZIR",), _corona_upper),
+    Check("corona-lower", ("ZIR",), _corona_lower),
+    Check("corona-alpha-lower", ("ZIR",), _corona_alpha_lower),
 )
 CHARACTERIZATION_CHECKS = (
     Check("extreme-n", ("zir", "ZIR"), _extreme_n, "extreme-n"),
@@ -486,26 +584,23 @@ CHARACTERIZATION_CHECKS = (
 CHECKS = BOUND_CHECKS + CHARACTERIZATION_CHECKS
 
 
-def _report(check: str, scope: str, ok: bool, detail: str,
-            counterexample: dict | None = None) -> CheckReport:
-    return CheckReport(check, scope, "pass" if ok else "fail", detail,
-                       None if ok else counterexample)
-
-
-def _skip(check: str, scope: str, why: str) -> CheckReport:
-    return CheckReport(check, scope, "skip", why)
-
-
-def _run_checks(checks: tuple[Check, ...], f: _ProfileFacts, scope: str) -> list[CheckReport]:
+def _run_checks(checks: tuple[Check, ...], profile: ParamProfile, g: Graph,
+                spec: FamilySpec | None, cache: ClosureCache | None) -> list[CheckReport]:
+    product = None
+    if spec is not None and spec.kind in ("join", "corona"):
+        product = (spec.kind, generate(spec.parts[0]), generate(spec.parts[1]))
+    f, scope = _ProfileFacts(profile, g, product, cache), profile.graph_id
     reports = []
     for c in checks:
         if not all(p in f.values for p in c.needs):
             continue
         outcome = c.evaluate(f)
         if isinstance(outcome, tuple):
-            reports.append(_report(c.name, scope, *outcome))
+            ok, detail, counterexample = (outcome + (None,))[:3]
+            reports.append(CheckReport(c.name, scope, "pass" if ok else "fail", detail,
+                                       None if ok else counterexample))
         elif outcome:
-            reports.append(_skip(c.name, scope, outcome))
+            reports.append(CheckReport(c.name, scope, "skip", outcome))
     return reports
 
 
@@ -517,100 +612,11 @@ def check_bounds(profile: ParamProfile, g: Graph,
     Join and corona bounds only apply when ``spec`` describes the graph as a
     product, since they compare against parameters of the factors.
     """
-    reports = _run_checks(BOUND_CHECKS, _ProfileFacts(profile, g, spec, cache),
-                          profile.graph_id)
-    if "ZIR" in profile.values:
-        reports.append(_cut_vertex_bound(profile, g))
-    reports.extend(_product_bounds(profile, g, spec))
-    return reports
-
-
-def _cut_vertex_bound(profile: ParamProfile, g: Graph) -> CheckReport:
-    """ZIR(G) >= sum of the top l-1 component values after removing a
-    cut-vertex that splits into l >= 3 components."""
-    scope = profile.graph_id
-    if "ZIR" not in profile.values or not profile.connected or g.n < 4:
-        return _skip("cut-vertex", scope, "needs ZIR and a connected graph on >= 4 vertices")
-    best: tuple[int, int] | None = None  # (required lower bound, cut vertex)
-    for c in range(g.n):
-        rest = g.full & ~(1 << c)
-        sub = g.induced(rest)
-        comps = sub.components()
-        if len(comps) < 3:
-            continue
-        values = sorted((upper_zir_number(sub.induced(comp))[0] for comp in comps),
-                        reverse=True)
-        bound = sum(values[:-1])
-        if best is None or bound > best[0]:
-            best = (bound, c)
-    if best is None:
-        return _skip("cut-vertex", scope, "no cut vertex splits into >= 3 components")
-    ok = profile.values["ZIR"] >= best[0]
-    return _report("cut-vertex", scope, ok,
-                   f"ZIR={profile.values['ZIR']} >= {best[0]} (cut vertex {best[1]})")
-
-
-def _product_bounds(profile: ParamProfile, g: Graph,
-                    spec: FamilySpec | None) -> list[CheckReport]:
-    scope = profile.graph_id
-    reports: list[CheckReport] = []
-    if spec is None or spec.kind not in ("join", "corona") or "ZIR" not in profile.values:
-        return reports
-    left = generate(spec.parts[0])
-    right = generate(spec.parts[1])
-    zir_total = profile.values["ZIR"]
-
-    if spec.kind == "join":
-        if left.n >= 2 and right.n >= 2:
-            ok = left.n + right.n - 4 <= zir_total <= left.n + right.n - 1
-            reports.append(_report("join-range", scope, ok,
-                                   f"{left.n + right.n - 4} <= ZIR={zir_total} <= "
-                                   f"{left.n + right.n - 1}"))
-        else:
-            reports.append(_skip("join-range", scope, "needs both factors of order >= 2"))
-        base, hub = (left, right) if right.n == 1 else (right, left)
-        if hub.n == 1 and base.n >= 1 and base.isolated_vertices() == 0:
-            if base.n <= FACTOR_MAX_ORDER:
-                gamma = k_domination_number(base, 1).value
-                ok = base.n - gamma <= zir_total <= base.n - gamma + 1
-                reports.append(_report(
-                    "join-hub-range", scope, ok,
-                    f"{base.n - gamma} <= ZIR={zir_total} <= {base.n - gamma + 1}"))
-            else:
-                reports.append(_skip("join-hub-range", scope, "factor beyond budget"))
-        else:
-            reports.append(_skip("join-hub-range", scope,
-                                 "needs join with K_1 and isolated-free base"))
-        return reports
-
-    # corona bounds; all need the factor parameters
-    if max(left.n, right.n + 1) > FACTOR_MAX_ORDER:
-        reports.append(_skip("corona-bounds", scope, "factor beyond budget"))
-        return reports
-    hull = join_graph(right, Graph(1))
-    zir_hull = upper_zir_number(hull)[0]
-    zir_left = upper_zir_number(left)[0]
-    zir_right = upper_zir_number(right)[0]
-    alpha_left = independence_number(left)[0]
-    if right.isolated_vertices() == 0:
-        reports.append(_report(
-            "corona-upper", scope, zir_total <= left.n * zir_hull,
-            f"ZIR={zir_total} <= {left.n}*{zir_hull}"))
-        lb = zir_left * zir_hull + (left.n - zir_left) * zir_right
-        reports.append(_report("corona-lower", scope, zir_total >= lb,
-                               f"ZIR={zir_total} >= {lb}"))
-    else:
-        reports.append(_skip("corona-upper", scope, "attached factor has isolated vertices"))
-        reports.append(_skip("corona-lower", scope, "attached factor has isolated vertices"))
-    lb2 = alpha_left * zir_hull + (left.n - alpha_left) * (zir_right - 1)
-    reports.append(_report("corona-alpha-lower", scope, zir_total >= lb2,
-                           f"ZIR={zir_total} >= {lb2}"))
-    return reports
+    return _run_checks(BOUND_CHECKS, profile, g, spec, cache)
 
 
 def check_characterizations(g: Graph, profile: ParamProfile,
                             spec: FamilySpec | None = None,
                             cache: ClosureCache | None = None) -> list[CheckReport]:
     """Check each structural characterization whose hypothesis applies."""
-    return _run_checks(CHARACTERIZATION_CHECKS, _ProfileFacts(profile, g, spec, cache),
-                       profile.graph_id)
+    return _run_checks(CHARACTERIZATION_CHECKS, profile, g, spec, cache)

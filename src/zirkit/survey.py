@@ -10,13 +10,16 @@ than failures.
 Every parameter here is recomputed from per-graph tables over all subsets
 by its definition (for example ZIR is the literal maximum over maximal
 ZIr-sets): the closure table, then one pass over the subsets that fills the
-forcing and ZIr tables and gives gamma, gamma2 and alpha by a mask DP.  No
-solver is called and no theorem bound prunes anything, so the survey is an
-independent route from the pruned solver searches; the test suite
-cross-checks the two.
+forcing and ZIr tables and gives gamma, gamma2, alpha and gammaP by a mask
+DP.  No solver is called and no theorem bound prunes anything, so the
+survey is an independent route from the pruned solver searches; the test
+suite cross-checks the two.
 ``_GraphData`` is the survey's facts record: the theorems shared with
 ``compute --check-bounds`` are evaluated by the predicates of
-``profiles.CHECKS``, and only the survey's own checks and scans live here.
+``profiles.CHECKS``, and only the survey's own theorems and scans live here.
+The scans read nothing but ``values``, so they run on either facts record.
+``THEOREM_CHECKS``, ``SCAN_CHECKS`` and ``ALL_CHECKS`` list the survey names
+of these registries.
 
 Work is sharded over edge-mask ranges; one loop folds the shard results in
 shard order, so the output is identical for any thread count.
@@ -27,7 +30,6 @@ from __future__ import annotations
 import concurrent.futures
 import time
 from dataclasses import dataclass, field
-from itertools import combinations
 
 from .errors import BudgetError, PreconditionError
 from .forcing import _close
@@ -39,23 +41,6 @@ SURVEY_DEFAULT_MAX_ORDER = 6
 SURVEY_HARD_MAX_ORDER = 7
 _COUNTEREXAMPLE_CAP = 3
 _LEADER_EXAMPLE_CAP = 3
-
-THEOREM_CHECKS = (
-    "chain",
-    "min-degree",
-    "zir-complement-dominating",
-    "minimal-zfs-equivalence",
-    "domination-sandwich",
-    "max-degree-ratio",
-    "twins",
-    "zir1-characterization",
-    "extreme-n",
-    "extreme-n-minus-1",
-    "zir-n-minus-2-form",
-    "abandonment",
-)
-SCAN_CHECKS = ("gammaP-vs-zir", "gamma-vs-ZIR")
-ALL_CHECKS = THEOREM_CHECKS + SCAN_CHECKS
 
 
 @dataclass
@@ -100,14 +85,14 @@ class _GraphData:
     It answers everything the shared checks of ``profiles.CHECKS`` read,
     plus what the survey-only checks need.  After the closure table, one
     pass over all 2^n subsets fills the forcing and ZIr tables and finds
-    gamma, gamma2 and alpha by a mask DP; every subset is visited, with no
-    solver and no bound pruning.
+    gamma, gamma2, alpha and gammaP by a mask DP; every subset is visited,
+    with no solver and no bound pruning.
     """
 
     __slots__ = ("n", "adj", "full", "graph", "min_degree", "max_degree",
                  "has_edge", "connected", "isolated_free", "clo", "zfs",
                  "zirt", "maximal_zir_sets", "minimal_zfs", "values",
-                 "z_witness", "zbar_witness", "abandons", "_gamma_p")
+                 "z_witness", "zbar_witness", "abandons")
 
     def __init__(self, g: Graph):
         self.graph = g
@@ -122,13 +107,13 @@ class _GraphData:
         self.connected = g.is_connected()
         self.clo = _closure_table(g.adj, g.full)
         self._tables()
-        self._gamma_p: int | None = None
 
     def _tables(self) -> None:
         # one pass over the masks in ascending order; each entry extends the
         # entry of p = m minus its lowest vertex v, whose neighbourhood is a:
         # c1[m] holds the vertices with a neighbour in m, c2[m] those with
-        # two, so m k-dominates iff every vertex outside m lies in ck[m]
+        # two, so m k-dominates iff every vertex outside m lies in ck[m],
+        # and m power-dominates iff its closed neighbourhood m | c1[m] forces
         n, full, adj, clo = self.n, self.full, self.adj, self.clo
         zfs = [False] * (full + 1)
         zirt = [False] * (full + 1)
@@ -136,7 +121,7 @@ class _GraphData:
         c2 = [0] * (full + 1)
         ind = [False] * (full + 1)
         zirt[0] = ind[0] = True
-        gamma = gamma2 = n
+        gamma = gamma2 = gamma_p = n
         alpha = 0
         for m in range(1, full + 1):
             p = m & (m - 1)
@@ -160,6 +145,8 @@ class _GraphData:
                 gamma = size
             if size < gamma2 and not out & ~c2[m]:
                 gamma2 = size
+            if size < gamma_p and clo[m | c1[m]] == full:
+                gamma_p = size
             if ind[p] and not a & p:
                 ind[m] = True
                 if size > alpha:
@@ -198,6 +185,7 @@ class _GraphData:
         values["gamma"] = gamma
         values["gamma2"] = gamma2
         values["alpha"] = alpha
+        values["gammaP"] = gamma_p
         self.values = values
         top = values["ZIR"]
         self.abandons = any(m.bit_count() == top and not zfs[m] for m in maximal)
@@ -214,23 +202,6 @@ class _GraphData:
             if self.zfs[m ^ low]:
                 return False
         return True
-
-    def gamma_p(self) -> int:
-        if self._gamma_p is None:
-            adj, clo, full = self.adj, self.clo, self.full
-            found = None
-            for size in range(1, self.n + 1):
-                for combo in combinations(range(self.n), size):
-                    seed = 0
-                    for v in combo:
-                        seed |= adj[v] | (1 << v)
-                    if clo[seed] == full:
-                        found = size
-                        break
-                if found is not None:
-                    break
-            self._gamma_p = found if found is not None else self.n
-        return self._gamma_p
 
 
 # -- survey-only checks; the shared theorems live in profiles.CHECKS ---------
@@ -264,25 +235,31 @@ def _twins(d):
 def _gamma_p_vs_zir(d):
     if not d.connected:
         return ""
-    return (d.gamma_p() <= d.values["zir"],
-            f"gammaP={d.gamma_p()} > zir={d.values['zir']}")
+    v = d.values
+    return v["gammaP"] <= v["zir"], f"gammaP={v['gammaP']} > zir={v['zir']}"
 
 
 def _gamma_vs_zir_upper(d):
     if not d.connected:
         return ""
-    return (d.values["gamma"] <= d.values["ZIR"],
-            f"gamma={d.values['gamma']} > ZIR={d.values['ZIR']}")
+    v = d.values
+    return v["gamma"] <= v["ZIR"], f"gamma={v['gamma']} > ZIR={v['ZIR']}"
 
 
-_SURVEY_ONLY_CHECKS = (
+_SURVEY_THEOREMS = (
     Check("zir-complement-dominating", (), _complement_dominating,
           "zir-complement-dominating"),
     Check("twins", (), _twins, "twins"),
-    Check("gammaP-vs-zir", (), _gamma_p_vs_zir, "gammaP-vs-zir"),
-    Check("gamma-vs-ZIR", (), _gamma_vs_zir_upper, "gamma-vs-ZIR"),
 )
-_CHECKS = {c.survey_name: c for c in CHECKS + _SURVEY_ONLY_CHECKS if c.survey_name}
+# question scans: a counterexample is a finding, not a failure
+_SCANS = (
+    Check("gammaP-vs-zir", ("gammaP", "zir"), _gamma_p_vs_zir, "gammaP-vs-zir"),
+    Check("gamma-vs-ZIR", ("gamma", "ZIR"), _gamma_vs_zir_upper, "gamma-vs-ZIR"),
+)
+_CHECKS = {c.survey_name: c for c in CHECKS + _SURVEY_THEOREMS + _SCANS if c.survey_name}
+SCAN_CHECKS = tuple(c.survey_name for c in _SCANS)
+THEOREM_CHECKS = tuple(name for name in _CHECKS if name not in SCAN_CHECKS)
+ALL_CHECKS = tuple(_CHECKS)
 
 
 def _keep_least(leader: tuple, value: int | None, examples: list[str]) -> tuple:
@@ -413,7 +390,4 @@ def exact_params(g: Graph) -> dict[str, int]:
     Exposed so tests can cross-check the pruned solver searches against the
     survey's independent route.
     """
-    d = _GraphData(g)
-    out = dict(d.values)
-    out["gammaP"] = d.gamma_p()
-    return out
+    return dict(_GraphData(g).values)

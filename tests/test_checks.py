@@ -7,7 +7,7 @@ from pathlib import Path
 from zirkit.cli import main
 from zirkit.graphs import Graph, enumerate_labeled_graphs, mask_of, to_graph6
 from zirkit.profiles import CHECKS, _ProfileFacts, parameter_profile
-from zirkit.survey import THEOREM_CHECKS, _GraphData
+from zirkit.survey import _CHECKS, SCAN_CHECKS, THEOREM_CHECKS, _GraphData
 
 from oracles import random_adj
 
@@ -17,6 +17,8 @@ GOLDEN_FAMILIES = (
     "fig5", "cycle:12",
 )
 SHARED = [c for c in CHECKS if c.survey_name]
+# the question scans read only values, so they run on either facts record
+SCANS = [_CHECKS[name] for name in SCAN_CHECKS]
 FLAGS = ("n", "min_degree", "max_degree", "has_edge", "connected", "isolated_free")
 
 
@@ -88,6 +90,6 @@ def test_facts_records_agree():
         assert table.maximal_zir_sets == solved.maximal_zir_sets, where
         for s in range(g.full + 1):
             assert table.forces(s) == solved.forces(s), (s, where)
-        for check in SHARED:
+        for check in SHARED + SCANS:
             # the same skip reason, or the same outcome and detail
             assert check.evaluate(table) == check.evaluate(solved), (check.name, where)

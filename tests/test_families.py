@@ -95,7 +95,6 @@ def test_h_rs_structure():
     for a, b in zip(y, y[1:]):
         assert g.has_edge(a, b)
     assert g.size() == 2 * 3 + 4
-    assert g.labels[:4] == ("u", "w1", "w2", "w3")
 
 
 def test_h_chain_structure():

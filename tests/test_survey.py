@@ -11,7 +11,8 @@ from zirkit.profiles import Check, parameter_profile
 from zirkit.survey import (_CHECKS, ALL_CHECKS, SCAN_CHECKS, _GraphData, exact_params,
                            survey)
 
-from oracles import brute_domination, brute_independence, random_adj
+from oracles import (brute_domination, brute_independence, brute_power_domination,
+                     random_adj)
 
 
 def test_survey_order_four_all_checks_clean():
@@ -130,7 +131,7 @@ def test_all_checks_registry_is_consistent():
 def test_graph_tables_match_definitions(small_graphs):
     # the survey's one pass over the subsets against the definitions: the
     # closure of every mask, ZIr-ness member by member with no pruning, and
-    # gamma, gamma2 and alpha by the all-subset oracles
+    # gamma, gamma2, alpha and gammaP by the all-subset oracles
     rng = random.Random(20261018)
     larger = [Graph.from_adj(random_adj(rng.randint(7, 9), rng)) for _ in range(30)]
     for g in small_graphs + larger:
@@ -140,9 +141,10 @@ def test_graph_tables_match_definitions(small_graphs):
             assert d.clo[m] == _close(adj, m), (g.adj, m)
             assert d.zirt[m] == all(not _close(adj, m ^ 1 << x) >> x & 1
                                     for x in bits(m)), (g.adj, m)
-        assert (d.values["gamma"], d.values["gamma2"], d.values["alpha"]) == (
+        assert (d.values["gamma"], d.values["gamma2"], d.values["alpha"],
+                d.values["gammaP"]) == (
             brute_domination(adj, g.n, 1), brute_domination(adj, g.n, 2),
-            brute_independence(adj, g.n)), g.adj
+            brute_independence(adj, g.n), brute_power_domination(adj, g.n)), g.adj
 
 
 @settings(deadline=None, max_examples=25)
