@@ -169,39 +169,30 @@ def test_join_and_corona_bounds():
             assert "corona-upper" in names and "corona-alpha-lower" in names
 
 
+LEAF_SKIP = "needs corona(H, empty:t) with connected H of order >= 3 and t >= 2"
+
+
 @pytest.mark.parametrize("expr,check,status,detail", [
     ("join(complete:1,path:4)", "join-range", "skip", "needs both factors of order >= 2"),
     ("join(complete:1,path:4)", "join-hub-range", "pass", "2 <= ZIR=3 <= 3"),
     ("join(path:14,complete:1)", "join-hub-range", "skip", "factor beyond budget"),
     ("corona(complete:1,path:13)", "corona-bounds", "skip", "factor beyond budget"),
+    # leaf-zir-set reads its hypothesis from the factor graphs, so an
+    # edgeless attached factor qualifies however it is spelled
+    ("corona(cycle:4,union(empty:1,empty:1))", "leaf-zir-set", "pass",
+     "all-leaf ZIr-set of size ZIR=4 exists=True"),
+    ("corona(cycle:4,complete:2)", "leaf-zir-set", "skip", LEAF_SKIP),
 ])
-def test_product_bound_paths(expr, check, status, detail):
+def test_product_check_paths(expr, check, status, detail):
     g = generate(expr)
+    spec = parse_family_expr(expr)
     profile = parameter_profile(g, params=("ZIR",), graph_id=expr)
-    reports = check_bounds(profile, g, parse_family_expr(expr))
+    reports = check_bounds(profile, g, spec) + check_characterizations(g, profile, spec)
     found = {r.check: (r.status, r.detail) for r in reports}
     assert found[check] == (status, detail)
     if check == "corona-bounds":
         # the one skip stands for all three corona bounds
         assert [r.check for r in reports if r.check.startswith("corona")] == [check]
-
-
-def test_leaf_zir_set_reads_the_factor_graphs():
-    # the attached factor is edgeless of order 2 however it is spelled
-    for expr in ("corona(cycle:4,empty:2)", "corona(cycle:4,union(empty:1,empty:1))"):
-        g = generate(expr)
-        profile = parameter_profile(g, params=("ZIR",), graph_id=expr)
-        reports = {r.check: r for r in
-                   check_characterizations(g, profile, parse_family_expr(expr))}
-        assert reports["leaf-zir-set"].status == "pass", expr
-        assert reports["leaf-zir-set"].detail == "all-leaf ZIr-set of size ZIR=4 exists=True"
-    # an attached factor with an edge, or a base of order 2, is outside the hypothesis
-    for expr in ("corona(cycle:4,complete:2)", "corona(path:2,empty:2)"):
-        g = generate(expr)
-        profile = parameter_profile(g, params=("ZIR",), graph_id=expr)
-        reports = {r.check: r for r in
-                   check_characterizations(g, profile, parse_family_expr(expr))}
-        assert reports["leaf-zir-set"].status == "skip", expr
 
 
 def test_cut_vertex_bound_three_components():
