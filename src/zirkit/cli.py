@@ -11,9 +11,8 @@ import csv
 import io
 import json
 import sys
-import time
 
-from .errors import GraphFormatError, ZirkitError
+from .errors import GraphFormatError, ZirkitError, check_deadline, deadline
 from .families import generate, parse_family_expr
 from .forcing import ClosureCache, enumerate_forts, enumerate_minimal_forts
 from .graphs import Graph, bit_list, parse_graph6, to_graph6
@@ -89,16 +88,6 @@ def _parse_edge_file(path: str) -> Graph:
     return Graph(n, edges)
 
 
-def _deadline(args):
-    limit = getattr(args, "time_limit", None)
-    return None if limit is None else time.monotonic() + limit
-
-
-def _check_deadline(deadline, what: str) -> None:
-    if deadline is not None and time.monotonic() > deadline:
-        raise ZirkitError(f"{what} exceeded the time limit")
-
-
 def _cmd_compute(args) -> int:
     params = tuple(p.strip() for p in args.params.split(",") if p.strip())
     for p in params:
@@ -108,11 +97,11 @@ def _cmd_compute(args) -> int:
     if args.check_bounds:
         params = PARAM_NAMES  # every bound needs the full profile
     spec = parse_family_expr(args.family) if args.family else None
-    deadline = _deadline(args)
+    at = deadline(args.time_limit)
     rows = []
     failed = False
     for graph_id, g in _iter_source(args):
-        _check_deadline(deadline, "compute")
+        check_deadline(at, "compute")
         cache = ClosureCache(g)
         profile = parameter_profile(g, params=params, max_order=args.max_order,
                                     graph_id=graph_id, with_witnesses=args.witness,
@@ -137,9 +126,9 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_forts(args) -> int:
-    deadline = _deadline(args)
+    at = deadline(args.time_limit)
     for graph_id, g in _iter_source(args):
-        _check_deadline(deadline, "forts")
+        check_deadline(at, "forts")
         forts = enumerate_minimal_forts(g) if args.minimal else enumerate_forts(g)
         for f in forts:
             print(json.dumps({"graph": graph_id, "fort": bit_list(f),
@@ -225,13 +214,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
     p.add_argument("--max-order", type=int, default=DEFAULT_PROFILE_MAX_ORDER,
                    help="solver budget; larger graphs get omitted parameters")
-    p.add_argument("--time-limit", type=float, default=None, metavar="SECONDS")
     p.set_defaults(func=_cmd_compute)
 
     p = sub.add_parser("forts", help="list forts of a graph")
     _add_source_options(p)
     p.add_argument("--minimal", action="store_true", help="minimal forts only")
-    p.add_argument("--time-limit", type=float, default=None, metavar="SECONDS")
     p.set_defaults(func=_cmd_forts)
 
     p = sub.add_parser("table", help="family regression table vs closed forms")
@@ -239,7 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
                                    "(default: built-in list)")
     p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
     p.add_argument("--max-order", type=int, default=DEFAULT_PROFILE_MAX_ORDER)
-    p.add_argument("--time-limit", type=float, default=None, metavar="SECONDS")
     p.set_defaults(func=_cmd_table)
 
     p = sub.add_parser("survey", help="exhaustive checks over small graphs")
@@ -254,8 +240,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--override-budget", action="store_true",
                    help="allow order 7 (2^21 graphs)")
     p.add_argument("--format", choices=("jsonl", "text"), default="jsonl")
-    p.add_argument("--time-limit", type=float, default=None, metavar="SECONDS")
     p.set_defaults(func=_cmd_survey)
+
+    for name in ("compute", "forts", "table", "survey"):
+        sub.choices[name].add_argument("--time-limit", type=float, metavar="SECONDS",
+                                       help="exit 2 once this many seconds have passed")
 
     p = sub.add_parser("convert", help="transcode between graph6 and edge lists")
     _add_source_options(p, with_edges=True)

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one time budget."""
+
+import time
 
 
 class ZirkitError(Exception):
@@ -24,8 +26,22 @@ class InvalidSpecError(ZirkitError):
 
 
 class BudgetError(ZirkitError):
-    """An exact search was requested beyond its enumeration budget."""
+    """An exact search was requested beyond its enumeration or time budget."""
 
 
 class PreconditionError(ZirkitError):
     """An operation was called with arguments violating its contract."""
+
+
+def deadline(seconds: float | None) -> float | None:
+    """The ``time.monotonic()`` reading ``seconds`` from now, or None for no
+    limit; the clock is system-wide, so a worker process can read it too."""
+    if seconds is not None and not seconds >= 0:  # also rejects NaN
+        raise PreconditionError(f"time limit must be at least 0 seconds, got {seconds}")
+    return None if seconds is None else time.monotonic() + seconds
+
+
+def check_deadline(at: float | None, what: str) -> None:
+    """Raise ``BudgetError`` once the ``deadline`` reading ``at`` has passed."""
+    if at is not None and time.monotonic() >= at:
+        raise BudgetError(f"{what} exceeded the time limit")

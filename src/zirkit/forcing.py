@@ -63,6 +63,36 @@ class ClosureCache:
         return got
 
 
+def closure_table(g: Graph) -> list[int]:
+    """The closure of every vertex set of g, indexed by its mask: 2^n entries."""
+    # cl(m) = cl(cl(p) ∪ {v}) for p = m minus its lowest vertex v; masks
+    # ascend so clo[p] is ready, each seeded closure is near its fixpoint,
+    # and v ∈ cl(p) gives cl(m) = cl(p) with no closure at all
+    clo = [0] * (g.full + 1)
+    for m in range(1, g.full + 1):
+        p = m & (m - 1)
+        c = clo[p]
+        low = m ^ p
+        clo[m] = c if c & low else _close(g.adj, c | low)
+    return clo
+
+
+def minimal_zero_forcing_sets(clo: list[int]) -> list[int]:
+    """The minimal zero forcing sets, ascending, read off a ``closure_table``."""
+    full = len(clo) - 1
+    out = []
+    for m in [m for m, c in enumerate(clo) if c == full]:
+        mm = m
+        while mm:
+            low = mm & -mm
+            mm ^= low
+            if clo[m ^ low] == full:
+                break
+        else:
+            out.append(m)
+    return out
+
+
 def closure(g: Graph, blue: int) -> int:
     """Final coloring of ``blue`` under repeated color changes."""
     return _close(g.adj, blue)

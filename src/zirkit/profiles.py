@@ -21,7 +21,8 @@ from typing import Any, Callable
 
 from .domination import k_domination_number, independence_number, power_domination_number
 from .families import FamilySpec, generate
-from .forcing import ClosureCache, is_minimal_zfs, is_zero_forcing_set, zero_forcing_number
+from .forcing import (ClosureCache, closure_table, is_zero_forcing_set,
+                      minimal_zero_forcing_sets, zero_forcing_number)
 from .graphs import (Graph, bit_list, bits, complement, join as join_graph,
                      mask_of, to_graph6)
 from .irredundance import (_first_zir_set, lower_zir_number, maximal_zir_sets,
@@ -278,8 +279,8 @@ class _ProfileFacts:
     ``connected``, ``isolated_free``, ``values`` and ``graph``, and the
     set-level facts ``forces(s)``, ``minimal_zfs`` and ``maximal_zir_sets``
     (ascending masks) and ``abandons``.  ``maximal_zir_sets`` comes from the
-    solvers' walk over the ZIr-sets; ``minimal_zfs`` stays a scan of every
-    subset by the definition, so ``minimal-zfs-equivalence`` compares two
+    solvers' walk over the ZIr-sets; ``minimal_zfs`` is read off the closure
+    table of every subset, so ``minimal-zfs-equivalence`` compares two
     independent routes.  The survey's ``_GraphData`` answers the same from
     closure tables.  Only checks the survey does not run read ``cache`` and
     ``product``, which is ``(kind, left, right)`` for a join or corona.
@@ -299,8 +300,7 @@ class _ProfileFacts:
 
     @cached_property
     def minimal_zfs(self) -> list[int]:
-        g = self.graph
-        return [s for s in range(g.full + 1) if is_minimal_zfs(g, s, self.cache)]
+        return minimal_zero_forcing_sets(closure_table(self.graph))
 
     @cached_property
     def maximal_zir_sets(self) -> list[int]:

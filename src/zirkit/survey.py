@@ -10,10 +10,10 @@ than failures.
 Every parameter here is recomputed from per-graph tables over all subsets
 by its definition (for example ZIR is the literal maximum over maximal
 ZIr-sets): the closure table, then one pass over the subsets that fills the
-forcing and ZIr tables and gives gamma, gamma2, alpha and gammaP by a mask
-DP.  No solver is called and no theorem bound prunes anything, so the
-survey is an independent route from the pruned solver searches; the test
-suite cross-checks the two.
+ZIr table and gives gamma, gamma2, alpha and gammaP by a mask DP.  No
+solver is called and no theorem bound prunes anything, so the survey is an
+independent route from the pruned solver searches; the test suite
+cross-checks the two.
 ``_GraphData`` is the survey's facts record: the theorems shared with
 ``compute --check-bounds`` are evaluated by the predicates of
 ``profiles.CHECKS``, and only the survey's own theorems and scans live here.
@@ -28,11 +28,10 @@ shard order, so the output is identical for any thread count.
 from __future__ import annotations
 
 import concurrent.futures
-import time
 from dataclasses import dataclass, field
 
-from .errors import BudgetError, PreconditionError
-from .forcing import _close
+from .errors import BudgetError, PreconditionError, check_deadline, deadline
+from .forcing import closure_table, minimal_zero_forcing_sets
 from .graphs import (Graph, _first_subset, adj_from_edge_mask, bit_list,
                      canonical_form, edge_slots, mask_of, to_graph6, twin_classes)
 from .profiles import CHECKS, Check, CheckReport
@@ -66,33 +65,19 @@ class SurveyReport:
 # -- per-graph computation -------------------------------------------------
 
 
-def _closure_table(adj: tuple[int, ...], full: int) -> list[int]:
-    # cl(m) = cl(cl(p) ∪ {v}) for p = m minus its lowest vertex v; masks
-    # ascend so clo[p] is ready, each seeded closure is near its fixpoint,
-    # and v ∈ cl(p) gives cl(m) = cl(p) with no closure at all
-    clo = [0] * (full + 1)
-    for m in range(1, full + 1):
-        p = m & (m - 1)
-        c = clo[p]
-        low = m ^ p
-        clo[m] = c if c & low else _close(adj, c | low)
-    return clo
-
-
 class _GraphData:
     """The facts record of one labeled graph, answered by subset tables.
 
     It answers everything the shared checks of ``profiles.CHECKS`` read,
     plus what the survey-only checks need.  After the closure table, one
-    pass over all 2^n subsets fills the forcing and ZIr tables and finds
+    pass over all 2^n subsets fills the ZIr table and finds
     gamma, gamma2, alpha and gammaP by a mask DP; every subset is visited,
     with no solver and no bound pruning.
     """
 
     __slots__ = ("n", "adj", "full", "graph", "min_degree", "max_degree",
-                 "has_edge", "connected", "isolated_free", "clo", "zfs",
-                 "zirt", "maximal_zir_sets", "minimal_zfs", "values",
-                 "z_witness", "zbar_witness", "abandons")
+                 "has_edge", "connected", "isolated_free", "clo", "zirt", "maximal_zir_sets",
+                 "minimal_zfs", "values", "z_witness", "zbar_witness", "abandons")
 
     def __init__(self, g: Graph):
         self.graph = g
@@ -105,7 +90,7 @@ class _GraphData:
         self.has_edge = self.max_degree > 0
         self.isolated_free = all(g.adj)
         self.connected = g.is_connected()
-        self.clo = _closure_table(g.adj, g.full)
+        self.clo = closure_table(g)
         self._tables()
 
     def _tables(self) -> None:
@@ -115,7 +100,6 @@ class _GraphData:
         # two, so m k-dominates iff every vertex outside m lies in ck[m],
         # and m power-dominates iff its closed neighbourhood m | c1[m] forces
         n, full, adj, clo = self.n, self.full, self.adj, self.clo
-        zfs = [False] * (full + 1)
         zirt = [False] * (full + 1)
         c1 = [0] * (full + 1)
         c2 = [0] * (full + 1)
@@ -126,7 +110,6 @@ class _GraphData:
         for m in range(1, full + 1):
             p = m & (m - 1)
             a = adj[(m ^ p).bit_length() - 1]
-            zfs[m] = clo[m] == full
             if zirt[p]:  # ZIr-sets are hereditary
                 mm = m
                 while mm:
@@ -151,7 +134,6 @@ class _GraphData:
                 ind[m] = True
                 if size > alpha:
                     alpha = size
-        self.zfs = zfs
         self.zirt = zirt
 
         maximal = []
@@ -174,10 +156,9 @@ class _GraphData:
         values["zir"] = min(m.bit_count() for m in maximal)
         values["ZIR"] = max(m.bit_count() for m in maximal)
 
-        self.z_witness = _first_subset(n, zfs.__getitem__)
+        self.z_witness = _first_subset(n, self.forces)
         values["Z"] = self.z_witness.bit_count()
-        self.minimal_zfs = [m for m in range(full + 1)
-                            if zfs[m] and self._no_smaller_zfs(m)]
+        self.minimal_zfs = minimal_zero_forcing_sets(clo)
         values["Zbar"] = max(m.bit_count() for m in self.minimal_zfs)
         self.zbar_witness = min((m for m in self.minimal_zfs
                                  if m.bit_count() == values["Zbar"]), key=bit_list)
@@ -188,20 +169,10 @@ class _GraphData:
         values["gammaP"] = gamma_p
         self.values = values
         top = values["ZIR"]
-        self.abandons = any(m.bit_count() == top and not zfs[m] for m in maximal)
+        self.abandons = any(m.bit_count() == top and clo[m] != full for m in maximal)
 
     def forces(self, m: int) -> bool:
-        return self.zfs[m]
-
-    def _no_smaller_zfs(self, m: int) -> bool:
-        """True iff no one-vertex removal from m still forces."""
-        mm = m
-        while mm:
-            low = mm & -mm
-            mm ^= low
-            if self.zfs[m ^ low]:
-                return False
-        return True
+        return self.clo[m] == self.full
 
 
 # -- survey-only checks; the shared theorems live in profiles.CHECKS ---------
@@ -280,12 +251,13 @@ def _tally(acc: tuple, part: tuple) -> tuple:
 
 def _survey_shard(args: tuple) -> tuple[dict, tuple]:
     """Process edge masks [lo, hi) for one order; returns mergeable tallies and leader."""
-    n, lo, hi, checks, connected_only, dedup = args
+    n, lo, hi, checks, connected_only, dedup, at = args
     slots = edge_slots(n)
     run = [(name, _CHECKS[name]) for name in checks]
     tallies = dict.fromkeys(checks, (0, 0, ()))
     leader: tuple[int | None, list[str]] = (None, [])
     for mask in range(lo, hi):
+        check_deadline(at, "survey")
         g = Graph.from_adj(adj_from_edge_mask(n, mask, slots))
         if dedup and canonical_form(g)[1] != mask:
             continue
@@ -314,10 +286,11 @@ def survey(max_order: int,
     """Run the selected checks over every labeled graph of order <= max_order.
 
     One loop folds the shard results in shard order; ``threads`` > 1 only
-    runs the shards in a pool of that many workers.  ``time_limit`` (seconds)
-    is read between shard results; with a pool, the raise still waits for
-    the shards that are already running.
+    runs the shards in a pool of that many workers.  Each shard, in either
+    case, reads ``time_limit`` (seconds) before each labeled graph and
+    raises ``BudgetError`` once it has passed.
     """
+    at = deadline(time_limit)
     if max_order < 1:
         raise BudgetError("survey order must be at least 1")
     limit = SURVEY_HARD_MAX_ORDER if override_budget else SURVEY_DEFAULT_MAX_ORDER
@@ -341,23 +314,17 @@ def survey(max_order: int,
     for n in orders:
         total = 1 << (n * (n - 1) // 2)
         chunk = max(512, total // (threads * 4))
-        shards.extend((n, lo, min(total, lo + chunk), checks, connected_only, dedup)
+        shards.extend((n, lo, min(total, lo + chunk), checks, connected_only, dedup, at)
                       for lo in range(0, total, chunk))
 
     tallies = {n: dict.fromkeys(checks, (0, 0, ())) for n in orders}
     leaders = {n: (None, []) for n in orders}
-    deadline = None if time_limit is None else time.monotonic() + time_limit
     pool = concurrent.futures.ProcessPoolExecutor(threads) if threads > 1 else None
     try:
-        results = pool.map(_survey_shard, shards, timeout=time_limit) if pool \
-            else map(_survey_shard, shards)
+        results = pool.map(_survey_shard, shards) if pool else map(_survey_shard, shards)
         for (n, *_), (shard_tallies, shard_leader) in zip(shards, results):
-            if deadline is not None and time.monotonic() > deadline:
-                raise concurrent.futures.TimeoutError
             tallies[n] = {c: _tally(t, shard_tallies[c]) for c, t in tallies[n].items()}
             leaders[n] = _keep_least(leaders[n], *shard_leader)
-    except concurrent.futures.TimeoutError:  # the pool's map raises it too
-        raise BudgetError(f"survey exceeded the {time_limit}s time limit") from None
     finally:
         if pool:
             pool.shutdown(cancel_futures=True)

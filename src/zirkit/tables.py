@@ -33,18 +33,15 @@ Closed forms implemented (gates in parentheses):
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from math import ceil
 
-from .errors import BudgetError
+from .errors import BudgetError, check_deadline, deadline
 from .families import FamilySpec, generate, parse_family_expr
 from .forcing import zero_forcing_number
 from .graphs import Graph, to_graph6
 from .irredundance import upper_zero_forcing_number
-from .profiles import DEFAULT_PROFILE_MAX_ORDER, parameter_profile
-
-FACTOR_SOLVE_MAX_ORDER = 12
+from .profiles import DEFAULT_PROFILE_MAX_ORDER, FACTOR_MAX_ORDER, parameter_profile
 
 DEFAULT_TABLE_SPECS = (
     "empty:5", "complete:5", "complete_bipartite:2,3", "complete_bipartite:3,4",
@@ -174,7 +171,7 @@ def _join_expectations(spec: FamilySpec) -> dict[str, int]:
             return out
         if other.kind == "complete" and other.params == (2,) and not _is_complete(base):
             out = {"ZIR": base.n}
-            if base.isolated_vertices() == 0 and base.n <= FACTOR_SOLVE_MAX_ORDER:
+            if base.isolated_vertices() == 0 and base.n <= FACTOR_MAX_ORDER:
                 out["Z"] = zero_forcing_number(base)[0] + 2
                 out["Zbar"] = upper_zero_forcing_number(base)[0] + 2
             return out
@@ -211,22 +208,23 @@ def _corona_expectations(spec: FamilySpec) -> dict[str, int]:
 def family_table(specs: tuple[str, ...] | None = None,
                  max_order: int = DEFAULT_PROFILE_MAX_ORDER,
                  time_limit: float | None = None) -> list[TableRow]:
-    """Instantiate each spec, solve the parameters with closed forms, diff."""
-    deadline = None if time_limit is None else time.monotonic() + time_limit
+    """Instantiate each spec, solve the parameters with closed forms, diff;
+    a spec above ``max_order`` is a ``BudgetError``, not a mismatch."""
+    at = deadline(time_limit)
     rows: list[TableRow] = []
     for text in (specs if specs is not None else DEFAULT_TABLE_SPECS):
-        if deadline is not None and time.monotonic() > deadline:
-            raise BudgetError(f"family table exceeded the {time_limit}s time limit")
+        check_deadline(at, "family table")
         spec = parse_family_expr(text) if isinstance(text, str) else text
         expected = expected_values(spec)
         if not expected:
             continue
         g = generate(spec)
+        if g.n > max_order:
+            raise BudgetError(f"table spec {spec} has order {g.n} > max_order {max_order}")
         profile = parameter_profile(g, params=tuple(expected), max_order=max_order,
                                     graph_id=str(spec), with_witnesses=False)
         for param in sorted(expected):
             rows.append(TableRow(
                 spec=str(spec), graph6=to_graph6(g), n=g.n, param=param,
-                expected=expected[param],
-                computed=profile.values.get(param, -1)))
+                expected=expected[param], computed=profile.values[param]))
     return rows

@@ -5,6 +5,7 @@ import random
 from pathlib import Path
 
 from zirkit.cli import main
+from zirkit.forcing import is_minimal_zfs
 from zirkit.graphs import Graph, enumerate_labeled_graphs, mask_of, to_graph6
 from zirkit.profiles import CHECKS, _ProfileFacts, parameter_profile
 from zirkit.survey import _CHECKS, SCAN_CHECKS, THEOREM_CHECKS, _GraphData
@@ -86,7 +87,11 @@ def test_facts_records_agree():
             assert solved.values[name] == value, (name, where)
         assert table.abandons == solved.abandons, where
         assert mask_of(profile.witnesses["Zbar"]) == table.zbar_witness, where
+        # both records read forcing.minimal_zero_forcing_sets, so compare
+        # them with the definition too
         assert table.minimal_zfs == solved.minimal_zfs, where
+        assert table.minimal_zfs == [s for s in range(g.full + 1)
+                                     if is_minimal_zfs(g, s)], where
         assert table.maximal_zir_sets == solved.maximal_zir_sets, where
         for s in range(g.full + 1):
             assert table.forces(s) == solved.forces(s), (s, where)

@@ -235,6 +235,34 @@ def test_time_limit_exceeded_with_pool_exit_two(capsys):
     assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("limit", ["nan", "-1"])
+@pytest.mark.parametrize("argv", [
+    ["compute", "--graph6", "D?{"],
+    ["forts", "--graph6", "D?{"],
+    ["table", "--specs", "cycle:5"],
+    ["survey", "--order", "3", "--threads", "1"],
+    ["survey", "--order", "3", "--threads", "2"],
+], ids=["compute", "forts", "table", "survey-1", "survey-2"])
+def test_bad_time_limit_exit_two(capsys, argv, limit):
+    code, out, err = run_cli(capsys, *argv, "--time-limit", limit)
+    assert code == 2 and not out
+    assert len(err.splitlines()) == 1 and "time limit must be" in err
+
+
+def test_infinite_time_limit_is_no_limit(capsys):
+    code, _, _ = run_cli(capsys, "compute", "--graph6", "D?{", "--time-limit", "inf")
+    assert code == 0
+
+
+@pytest.mark.parametrize("command", ["compute", "forts"])
+def test_file_time_limit_exit_two(capsys, tmp_path, command):
+    path = tmp_path / "graphs.g6"
+    path.write_text("A_\nD?{\nD~{\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, command, "--file", str(path), "--time-limit", "0")
+    assert code == 2 and not out
+    assert len(err.splitlines()) == 1 and "time limit" in err
+
+
 @pytest.mark.parametrize("argv, edges", [
     (["survey", "--order", "3", "--checks", "bogus"], None),
     (["survey", "--order", "3", "--threads", "0"], None),
@@ -246,6 +274,8 @@ def test_time_limit_exceeded_with_pool_exit_two(capsys):
     (["forts", "--file", "{dir}"], None),
     (["survey", "--order", "3", "--checks", ","], None),
     (["survey", "--order", "3", "--checks", ""], None),
+    (["table", "--specs", "path:20"], None),  # above the solver budget
+    (["table", "--specs", "cycle:7", "--max-order", "5"], None),
 ])
 def test_bad_input_exit_two_without_traceback(capsys, tmp_path, argv, edges):
     path = tmp_path / "graph.edges"

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -70,6 +71,15 @@ def test_survey_threads_do_not_change_output():
 def test_survey_pool_time_limit():
     with pytest.raises(BudgetError, match="time limit"):
         survey(5, threads=2, time_limit=1e-4)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_survey_time_limit_holds_at_any_thread_count(threads):
+    # every shard reads the deadline before each graph, in a worker too
+    start = time.monotonic()
+    with pytest.raises(BudgetError, match="time limit"):
+        survey(6, threads=threads, time_limit=0.3)
+    assert time.monotonic() - start < 1.3
 
 
 # order 5 has 1024 edge masks, run as the two shards [0, 512) and [512, 1024)

@@ -1,3 +1,6 @@
+import pytest
+
+from zirkit.errors import BudgetError
 from zirkit.families import parse_family_expr
 from zirkit.tables import DEFAULT_TABLE_SPECS, expected_values, family_table
 
@@ -74,3 +77,13 @@ def test_family_table_reports_mismatch_without_masking():
 def test_default_specs_parse():
     for text in DEFAULT_TABLE_SPECS:
         parse_family_expr(text)
+
+
+def test_family_table_time_limit():
+    with pytest.raises(BudgetError, match="time limit"):
+        family_table(time_limit=0)
+
+
+def test_family_table_above_solver_budget_is_budget_error():
+    with pytest.raises(BudgetError, match="cycle:7 has order 7 > max_order 5"):
+        family_table(("cycle:7",), max_order=5)
