@@ -17,7 +17,7 @@ from .families import generate, parse_family_expr
 from .forcing import ClosureCache, enumerate_forts, enumerate_minimal_forts
 from .graphs import Graph, bit_list, parse_graph6, to_graph6
 from .profiles import (DEFAULT_PROFILE_MAX_ORDER, PARAM_NAMES, check_bounds,
-                       check_characterizations, parameter_profile)
+                       check_characterizations, parameter_profile, requested_params)
 from .survey import ALL_CHECKS, survey
 from .tables import family_table
 
@@ -89,11 +89,7 @@ def _parse_edge_file(path: str) -> Graph:
 
 
 def _cmd_compute(args) -> int:
-    params = tuple(p.strip() for p in args.params.split(",") if p.strip())
-    for p in params:
-        if p not in PARAM_NAMES:
-            raise ZirkitError(
-                f"unknown parameter {p!r}; known: {', '.join(PARAM_NAMES)}")
+    params = requested_params(p.strip() for p in args.params.split(",") if p.strip())
     if args.check_bounds:
         params = PARAM_NAMES  # every bound needs the full profile
     spec = parse_family_expr(args.family) if args.family else None
@@ -160,9 +156,6 @@ def _cmd_survey(args) -> int:
     checks = None
     if args.checks != "all":
         checks = tuple(c.strip() for c in args.checks.split(",") if c.strip())
-        for c in checks:
-            if c not in ALL_CHECKS:
-                raise ZirkitError(f"unknown check {c!r}; known: {', '.join(ALL_CHECKS)}")
     report = survey(args.order, checks=checks, connected_only=args.connected_only,
                     dedup=args.dedup, threads=args.threads,
                     override_budget=args.override_budget,
@@ -235,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
                         + ", ".join(ALL_CHECKS))
     p.add_argument("--connected-only", action="store_true")
     p.add_argument("--dedup", action="store_true",
-                   help="one representative per isomorphism class (slow)")
+                   help="count each isomorphism class once, not its labelings")
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--override-budget", action="store_true",
                    help="allow order 7 (2^21 graphs)")

@@ -12,7 +12,7 @@ attached to g-vertex i occupies the block ``g.n + i*h.n .. g.n + (i+1)*h.n - 1``
 
 from __future__ import annotations
 
-from itertools import combinations, permutations
+from itertools import combinations
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import BudgetError, GraphFormatError, SizeCapError
@@ -327,24 +327,142 @@ def enumerate_labeled_graphs(n: int, connected_only: bool = False) -> Iterator[G
         yield g
 
 
-def canonical_form(g: Graph) -> tuple[int, ...]:
-    """Isomorphism-invariant key by exhaustive permutation; order <= 7 only."""
+def _equitable_cells(adj: Sequence[int]) -> list[list[int]]:
+    """The coarsest equitable partition refining the degree partition, as
+    cells ordered by invariant signatures.
+
+    Each round gives every vertex the signature (its cell, its number of
+    neighbours in each cell) and renumbers the cells by sorted signature,
+    until no cell splits.  The cells and their order depend only on the
+    graph, so every automorphism maps each cell onto itself.
+    """
+    n = len(adj)
+    cell = [0] * n
+    count = 1
+    while True:
+        members = [0] * count
+        for v in range(n):
+            members[cell[v]] |= 1 << v
+        sigs = [(cell[v], tuple((adj[v] & m).bit_count() for m in members))
+                for v in range(n)]
+        ranked = sorted(set(sigs))
+        if len(ranked) == count:
+            break
+        rank = {s: i for i, s in enumerate(ranked)}
+        cell = [rank[s] for s in sigs]
+        count = len(ranked)
+    cells: list[list[int]] = [[] for _ in range(count)]
+    for v in range(n):
+        cells[cell[v]].append(v)
+    return cells
+
+
+def _least_orders(adj: Sequence[int], cells: list[list[int]], cap: int) -> list[list[int]]:
+    """The ``cap`` least edge masks (``edge_slots`` order) over the vertex
+    orders that keep every cell of ``cells``, in turn, in its block of
+    positions; each as ``[mask, orders that reach it, mask of the vertices
+    those orders put last]``, ascending.
+
+    Positions are filled from n-1 down: placing position p fixes the slots
+    (p, q) for q > p, which are the next most significant bits, so an order
+    whose high bits already exceed the ``cap``-th least mask's is dropped
+    there.  Orders that tie are all visited.
+    """
+    n = len(adj)
+    at = [c for c in cells for _ in c]  # the cell of each position
+    offset = [p * (2 * n - p - 1) // 2 for p in range(n)]  # slot index of (p, p + 1)
+    where = [0] * n  # position of each placed vertex
+    found: list[list[int]] = []
+
+    def place(p: int, free: int, high: int) -> None:
+        shift = offset[p]
+        rows = []
+        for v in at[p]:
+            if free >> v & 1:
+                row = 0
+                for u in bits(adj[v] & ~free):
+                    row |= 1 << (where[u] - p - 1)
+                rows.append((row, v))
+        rows.sort()
+        for row, v in rows:
+            mask = high | row << shift
+            if len(found) == cap and mask >> shift > found[-1][0] >> shift:
+                return  # rows are sorted, so every later one is worse too
+            where[v] = p
+            if p:
+                place(p - 1, free ^ 1 << v, mask)
+                continue
+            last = 1 << where.index(n - 1)
+            for entry in found:
+                if entry[0] == mask:
+                    entry[1] += 1
+                    entry[2] |= last
+                    break
+            else:
+                found.append([mask, 1, last])
+                found.sort()
+                del found[cap:]
+
+    place(n - 1, (1 << n) - 1, 0)
+    return found
+
+
+def canonical_label(adj: Sequence[int]) -> tuple[int, int, int]:
+    """Canonical edge mask, automorphism count and canonical orbit of a graph.
+
+    Only the vertex orders that keep each cell of ``_equitable_cells`` in
+    its block of positions are tried; the canonical mask is the least edge
+    mask among them, so isomorphic graphs get the same one.  The orders
+    that reach it are one coset of Aut G, so their number is |Aut G|, and
+    the vertices they put last, returned as a mask, form one orbit: the
+    canonical orbit.  The cost is bounded by the product of the cells'
+    factorials.
+    """
+    mask, automorphisms, orbit = _least_orders(adj, _equitable_cells(adj), 1)[0]
+    return mask, automorphisms, orbit
+
+
+def least_labelings(adj: Sequence[int], cap: int) -> list[int]:
+    """The ``cap`` least distinct edge masks over all relabelings of a graph."""
+    return [mask for mask, _, _ in _least_orders(adj, [list(range(len(adj)))], cap)]
+
+
+def canonical_children(parent: Sequence[int]) -> Iterator[tuple[tuple[int, ...], int]]:
+    """The graphs that extend ``parent`` by one vertex, one per isomorphism
+    class that this parent generates, each with its |Aut G|.
+
+    A child is ``parent`` plus a vertex n-1 with some neighbourhood; it is
+    accepted iff n-1 lies in its canonical orbit and no earlier child has
+    its canonical mask.  Extending one graph of every class of order n-1
+    so gives every class of order n exactly once (canonical augmentation,
+    McKay 1998): the canonical orbit fixes the class of G - (n-1), so only
+    one parent generates G.
+    """
+    n = len(parent) + 1
+    new = 1 << (n - 1)
+    seen = set()
+    for hood in range(new):
+        adj = tuple(row | new if hood >> v & 1 else row
+                    for v, row in enumerate(parent)) + (hood,)
+        cells = _equitable_cells(adj)
+        if n - 1 not in cells[-1]:  # the canonical orbit lies in the last cell
+            continue
+        mask, automorphisms, orbit = _least_orders(adj, cells, 1)[0]
+        if orbit & new and mask not in seen:
+            seen.add(mask)
+            yield adj, automorphisms
+
+
+def canonical_form(g: Graph) -> tuple[int, int]:
+    """Isomorphism-invariant key ``(n, mask)``; order <= 7 only.
+
+    ``mask`` is the canonical mask of ``canonical_label``: the least edge
+    mask among the cell-respecting relabelings, which need not be the least
+    over all n! of them.
+    """
     if g.n > ENUM_MAX_ORDER:
         raise BudgetError(f"canonical form supports n <= {ENUM_MAX_ORDER}, got {g.n}")
-    slots = edge_slots(g.n)
-    slot_index = {p: e for e, p in enumerate(slots)}
-    base = list(g.edges())
-    best = None
-    for perm in permutations(range(g.n)):
-        mask = 0
-        for u, v in base:
-            a, b = perm[u], perm[v]
-            if a > b:
-                a, b = b, a
-            mask |= 1 << slot_index[(a, b)]
-        if best is None or mask < best:
-            best = mask
-    return (g.n, best if best is not None else 0)
+    return (g.n, canonical_label(g.adj)[0])
 
 
 # -- twins ---------------------------------------------------------------

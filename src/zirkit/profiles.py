@@ -17,9 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 from .domination import k_domination_number, independence_number, power_domination_number
+from .errors import PreconditionError
 from .families import FamilySpec, generate
 from .forcing import (ClosureCache, closure_table, is_zero_forcing_set,
                       minimal_zero_forcing_sets, zero_forcing_number)
@@ -89,6 +90,16 @@ class CheckReport:
         return out
 
 
+def requested_params(params: Iterable[str]) -> tuple[str, ...]:
+    """``params`` as a tuple; an unknown name raises ``PreconditionError``."""
+    wanted = tuple(params)
+    for p in wanted:
+        if p not in PARAM_NAMES:
+            raise PreconditionError(
+                f"unknown parameter {p!r}; known: {', '.join(PARAM_NAMES)}")
+    return wanted
+
+
 def parameter_profile(g: Graph, params: tuple[str, ...] | None = None,
                       max_order: int = DEFAULT_PROFILE_MAX_ORDER,
                       graph_id: str | None = None,
@@ -101,10 +112,7 @@ def parameter_profile(g: Graph, params: tuple[str, ...] | None = None,
     open-ended search.  ``cache`` is the closure memo of ``g``; pass the
     same one to ``check_bounds`` and ``check_characterizations``.
     """
-    wanted = PARAM_NAMES if params is None else tuple(params)
-    for p in wanted:
-        if p not in PARAM_NAMES:
-            raise ValueError(f"unknown parameter {p!r}; known: {', '.join(PARAM_NAMES)}")
+    wanted = PARAM_NAMES if params is None else requested_params(params)
     profile = ParamProfile(
         graph_id=graph_id if graph_id is not None else to_graph6(g),
         n=g.n,

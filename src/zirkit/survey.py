@@ -1,11 +1,19 @@
-"""Exhaustive labeled-graph surveys with theorem checks and question scans.
+"""Exhaustive small-graph surveys with theorem checks and question scans.
 
-The survey walks every labeled simple graph of order 1..max_order (optionally
-connected only, optionally one representative per isomorphism class) and
-evaluates a set of named checks on each.  Theorem checks must never fail; a
-failure is reported with a re-verifiable counterexample.  Question scans
-("gammaP-vs-zir", "gamma-vs-ZIR") record counterexamples as findings rather
-than failures.
+The survey covers every labeled simple graph of order 1..max_order
+(optionally connected only, optionally one representative per isomorphism
+class) and evaluates a set of named checks on each.  Theorem checks must
+never fail; a failure is reported with a re-verifiable counterexample.
+Question scans ("gammaP-vs-zir", "gamma-vs-ZIR") record counterexamples as
+findings rather than failures.
+
+It walks isomorphism classes, not labeled graphs: ``graphs.canonical_children``
+extends each class of order n-1 by a vertex and yields every class of
+order n once, with its automorphism count.  Each class stands for its
+n!/|Aut G| labelings in the counts (for itself alone under dedup), so a
+check's verdict and skip must not depend on the labels.  The examples are
+the least labeled edge masks of the violating or leading classes, so the
+report reads as a walk over every labeled graph in edge-mask order would.
 
 Every parameter here is recomputed from per-graph tables over all subsets
 by its definition (for example ZIR is the literal maximum over maximal
@@ -21,19 +29,22 @@ The scans read nothing but ``values``, so they run on either facts record.
 ``THEOREM_CHECKS``, ``SCAN_CHECKS`` and ``ALL_CHECKS`` list the survey names
 of these registries.
 
-Work is sharded over edge-mask ranges; one loop folds the shard results in
-shard order, so the output is identical for any thread count.
+Each order is sharded over the classes of the order below; one loop folds
+the shard results in shard order, so the output is identical for any
+thread count.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
 from dataclasses import dataclass, field
+from math import factorial
 
 from .errors import BudgetError, PreconditionError, check_deadline, deadline
 from .forcing import closure_table, minimal_zero_forcing_sets
 from .graphs import (Graph, _first_subset, adj_from_edge_mask, bit_list,
-                     canonical_form, edge_slots, mask_of, to_graph6, twin_classes)
+                     canonical_children, edge_slots, least_labelings, mask_of, to_graph6,
+                     twin_classes)
 from .profiles import CHECKS, Check, CheckReport
 
 SURVEY_DEFAULT_MAX_ORDER = 6
@@ -66,7 +77,7 @@ class SurveyReport:
 
 
 class _GraphData:
-    """The facts record of one labeled graph, answered by subset tables.
+    """The facts record of one graph, answered by subset tables.
 
     It answers everything the shared checks of ``profiles.CHECKS`` read,
     plus what the survey-only checks need.  After the closure table, one
@@ -233,47 +244,65 @@ THEOREM_CHECKS = tuple(name for name in _CHECKS if name not in SCAN_CHECKS)
 ALL_CHECKS = tuple(_CHECKS)
 
 
-def _keep_least(leader: tuple, value: int | None, examples: list[str]) -> tuple:
-    """Fold ``(value, examples)`` into ``leader``, the least value so far
-    with its first examples."""
+def _keep_least(leader: tuple, value: int | None, classes: tuple) -> tuple:
+    """Fold ``(value, classes)`` into ``leader``, the least value so far with
+    every class that reaches it."""
     best, kept = leader
     if value is None or (best is not None and value > best):
         return leader
     if best is None or value < best:
-        return value, examples[:_LEADER_EXAMPLE_CAP]
-    return best, (kept + examples)[:_LEADER_EXAMPLE_CAP]
+        return value, classes
+    return best, kept + classes
 
 
 def _tally(acc: tuple, part: tuple) -> tuple:
-    """Fold two ``(checked, violations, examples)`` tallies, keeping the first examples."""
-    return acc[0] + part[0], acc[1] + part[1], (acc[2] + part[2])[:_COUNTEREXAMPLE_CAP]
+    """Fold two ``(checked, violations, violating classes)`` tallies."""
+    return acc[0] + part[0], acc[1] + part[1], acc[2] + part[2]
 
 
-def _survey_shard(args: tuple) -> tuple[dict, tuple]:
-    """Process edge masks [lo, hi) for one order; returns mergeable tallies and leader."""
-    n, lo, hi, checks, connected_only, dedup, at = args
-    slots = edge_slots(n)
+def _survey_shard(args: tuple) -> tuple[dict, tuple, list]:
+    """Evaluate the classes of order n whose parents are the given classes
+    of order n-1; returns mergeable tallies, the leader and the classes.
+
+    Tallies count each class n!/|Aut G| times, once under ``dedup``;
+    classes are adjacency tuples.
+    """
+    n, parents, checks, connected_only, dedup, at = args
     run = [(name, _CHECKS[name]) for name in checks]
     tallies = dict.fromkeys(checks, (0, 0, ()))
-    leader: tuple[int | None, list[str]] = (None, [])
-    for mask in range(lo, hi):
+    leader: tuple[int | None, tuple] = (None, ())
+    children = []
+    labelings = factorial(n)
+    for parent in parents:
         check_deadline(at, "survey")
-        g = Graph.from_adj(adj_from_edge_mask(n, mask, slots))
-        if dedup and canonical_form(g)[1] != mask:
-            continue
-        d = _GraphData(g)
-        if connected_only and not d.connected:
-            continue
-        g6 = to_graph6(g)
-        for name, check in run:
-            outcome = check.evaluate(d)
-            if isinstance(outcome, tuple):
-                ok, detail, *_ = outcome
-                part = (1, 0, ()) if ok else (1, 1, ({"graph6": g6, "detail": detail},))
-                tallies[name] = _tally(tallies[name], part)
-        if d.connected:
-            leader = _keep_least(leader, d.values["ZIR"], [g6])
-    return tallies, leader
+        for adj, automorphisms in canonical_children(parent):
+            check_deadline(at, "survey")
+            children.append(adj)
+            g = Graph.from_adj(adj)
+            if connected_only and not g.is_connected():
+                continue
+            d = _GraphData(g)
+            weight = 1 if dedup else labelings // automorphisms
+            for name, check in run:
+                outcome = check.evaluate(d)
+                if isinstance(outcome, tuple):
+                    part = (weight, 0, ()) if outcome[0] else (weight, weight, (adj,))
+                    tallies[name] = _tally(tallies[name], part)
+            if d.connected:
+                leader = _keep_least(leader, d.values["ZIR"], (adj,))
+    return tallies, leader, children
+
+
+def _first_labelings(n: int, classes: tuple, dedup: bool, cap: int, at) -> list[Graph]:
+    """The first ``cap`` labeled graphs of ``classes`` in the labeled walk's
+    order: ascending edge mask over all their labelings, or over each
+    class's least labeling under ``dedup``."""
+    masks = []
+    for adj in classes:
+        check_deadline(at, "survey")
+        masks.extend(least_labelings(adj, 1 if dedup else cap))
+    slots = edge_slots(n)
+    return [Graph.from_adj(adj_from_edge_mask(n, m, slots)) for m in sorted(masks)[:cap]]
 
 
 def survey(max_order: int,
@@ -285,10 +314,20 @@ def survey(max_order: int,
            time_limit: float | None = None) -> SurveyReport:
     """Run the selected checks over every labeled graph of order <= max_order.
 
-    One loop folds the shard results in shard order; ``threads`` > 1 only
-    runs the shards in a pool of that many workers.  Each shard, in either
-    case, reads ``time_limit`` (seconds) before each labeled graph and
-    raises ``BudgetError`` once it has passed.
+    The walk visits one graph per isomorphism class and weighs it by its
+    number of labelings, so a check's verdict and skip must be
+    isomorphism-invariant; its detail may depend on labels.  Every check
+    here meets that: ``twins`` reads witnesses, but every zero forcing set
+    holds all but one vertex of each twin class.  Examples are the least
+    labeled graphs of the violating or leading classes, and each detail is
+    re-evaluated on its example, so the report reads as a walk over every
+    labeled graph in edge-mask order would.
+
+    Each order is sharded over the classes of the order below.  One loop
+    folds the shard results in shard order; ``threads`` > 1 only runs the
+    shards in a pool of that many workers.  Each shard, in either case,
+    reads ``time_limit`` (seconds) before each parent and each child and
+    raises ``BudgetError`` once it has passed; so does the example search.
     """
     at = deadline(time_limit)
     if max_order < 1:
@@ -304,36 +343,54 @@ def survey(max_order: int,
         checks = ALL_CHECKS
     for c in checks:
         if c not in _CHECKS:
-            raise ValueError(f"unknown check {c!r}; known: {', '.join(ALL_CHECKS)}")
+            raise PreconditionError(f"unknown check {c!r}; known: {', '.join(ALL_CHECKS)}")
     checks = tuple(dict.fromkeys(checks))  # keep order, drop duplicates
     if not checks:
         raise PreconditionError("no survey check selected")
 
     orders = range(1, max_order + 1)
-    shards: list[tuple] = []
-    for n in orders:
-        total = 1 << (n * (n - 1) // 2)
-        chunk = max(512, total // (threads * 4))
-        shards.extend((n, lo, min(total, lo + chunk), checks, connected_only, dedup, at)
-                      for lo in range(0, total, chunk))
-
     tallies = {n: dict.fromkeys(checks, (0, 0, ())) for n in orders}
-    leaders = {n: (None, []) for n in orders}
+    leaders = {n: (None, ()) for n in orders}
+    parents: list[tuple[int, ...]] = [()]  # the one class of order 0
     pool = concurrent.futures.ProcessPoolExecutor(threads) if threads > 1 else None
     try:
-        results = pool.map(_survey_shard, shards) if pool else map(_survey_shard, shards)
-        for (n, *_), (shard_tallies, shard_leader) in zip(shards, results):
-            tallies[n] = {c: _tally(t, shard_tallies[c]) for c, t in tallies[n].items()}
-            leaders[n] = _keep_least(leaders[n], *shard_leader)
+        for n in orders:
+            chunk = -(-len(parents) // (threads * 4))
+            shards = [(n, parents[lo:lo + chunk], checks, connected_only, dedup, at)
+                      for lo in range(0, len(parents), chunk)]
+            results = pool.map(_survey_shard, shards) if pool else map(_survey_shard, shards)
+            parents = []
+            for shard_tallies, shard_leader, children in results:
+                tallies[n] = {c: _tally(t, shard_tallies[c]) for c, t in tallies[n].items()}
+                leaders[n] = _keep_least(leaders[n], *shard_leader)
+                parents.extend(children)
     finally:
         if pool:
             pool.shutdown(cancel_futures=True)
 
-    report = SurveyReport(max_order=max_order, connected_only=connected_only,
-                          dedup=dedup, checks=checks)
     for n in orders:
-        scope = f"order {n}" + (" connected" if connected_only else "") \
-            + (" dedup" if dedup else "")
+        for check, (checked, violations, classes) in tallies[n].items():
+            examples = []
+            for g in _first_labelings(n, classes, dedup, _COUNTEREXAMPLE_CAP, at):
+                ok, detail, *_ = _CHECKS[check].evaluate(_GraphData(g))
+                if ok:
+                    raise AssertionError(f"check {check} passes a labeling of a failing class")
+                examples.append({"graph6": to_graph6(g), "detail": detail})
+            tallies[n][check] = (checked, violations, examples)
+        value, classes = leaders[n]
+        leaders[n] = (value, [to_graph6(g) for g in
+                              _first_labelings(n, classes, dedup, _LEADER_EXAMPLE_CAP, at)])
+    return _report(SurveyReport(max_order=max_order, connected_only=connected_only,
+                                dedup=dedup, checks=checks), tallies, leaders)
+
+
+def _report(report: SurveyReport, tallies: dict, leaders: dict) -> SurveyReport:
+    """Fill ``report`` with one row per check and order and the leaderboard
+    rows, from per-order ``(checked, violations, examples)`` tallies and
+    ``(min ZIR, graph6 examples)`` leaders."""
+    for n in range(1, report.max_order + 1):
+        scope = f"order {n}" + (" connected" if report.connected_only else "") \
+            + (" dedup" if report.dedup else "")
         for check, (checked, violations, examples) in tallies[n].items():
             status = "pass" if not violations \
                 else "finding" if check in SCAN_CHECKS else "fail"

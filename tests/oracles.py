@@ -4,12 +4,14 @@ Everything here works from first principles on raw adjacency masks: forts by
 the |F ∩ N(v)| != 1 definition, ZIr-sets by explicit fort existence, and the
 forcing numbers by fort-transversal duality.  No function in this module
 calls the package's closure, so oracle-vs-solver comparisons exercise two
-genuinely different routes.
+genuinely different routes.  The one exception is ``labeled_survey``, the
+reference for the survey's walk: it reuses the survey's facts record and
+checks and differs only in visiting every labeled graph.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, permutations
 
 
 def bits_of(mask: int) -> list[int]:
@@ -189,3 +191,55 @@ def graph6_decode_reference(text: str) -> tuple[int, set[tuple[int, int]]]:
     pairs = [(i, j) for j in range(1, n) for i in range(j)]
     edges = {pairs[k] for k in range(len(pairs)) if bitstring[k] == "1"}
     return n, edges
+
+
+def least_labeled_mask(n: int, edges) -> int:
+    """The least edge mask, slots (0,1), (0,2), ..., (1,2), ..., over all
+    n! relabelings of the graph with these edges."""
+    slot = {(i, j): 1 << e for e, (i, j) in
+            enumerate((i, j) for i in range(n) for j in range(i + 1, n))}
+    return min(sum(slot[min(p[u], p[v]), max(p[u], p[v])] for u, v in edges)
+               for p in permutations(range(n)))
+
+
+def labeled_survey(max_order: int, checks: tuple[str, ...],
+                   connected_only: bool = False, dedup: bool = False):
+    """The survey as one walk over every labeled graph in edge-mask order.
+
+    Under ``dedup`` only the graphs that are their class's least labeled
+    mask are visited.  Examples are the first three violating or leading
+    graphs met, each with the detail its check gave there.
+    """
+    from zirkit.graphs import enumerate_labeled_graphs, to_graph6
+    from zirkit.survey import _CHECKS, SurveyReport, _GraphData, _report
+
+    tallies, leaders = {}, {}
+    for n in range(1, max_order + 1):
+        counts = {name: (0, 0, []) for name in checks}
+        best, board = None, []
+        for mask, g in enumerate(enumerate_labeled_graphs(n)):
+            if dedup and least_labeled_mask(n, list(g.edges())) != mask:
+                continue
+            if connected_only and not g.is_connected():
+                continue
+            d = _GraphData(g)
+            g6 = to_graph6(g)
+            for name in checks:
+                outcome = _CHECKS[name].evaluate(d)
+                if isinstance(outcome, tuple):
+                    checked, violations, examples = counts[name]
+                    if not outcome[0]:
+                        violations += 1
+                        examples = (examples + [{"graph6": g6, "detail": outcome[1]}])[:3]
+                    counts[name] = (checked + 1, violations, examples)
+            if d.connected:
+                value = d.values["ZIR"]
+                if best is None or value < best:
+                    best, board = value, [g6]
+                elif value == best:
+                    board = (board + [g6])[:3]
+        tallies[n] = counts
+        leaders[n] = (best, board)
+    report = SurveyReport(max_order=max_order, connected_only=connected_only,
+                          dedup=dedup, checks=checks)
+    return _report(report, tallies, leaders)

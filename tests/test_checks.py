@@ -55,6 +55,11 @@ def test_survey_stream_is_pinned(capsys):
         assert _stdout_digest(capsys, ["survey", "--order", "5", "--threads", threads]) == digest
 
 
+def test_survey_order_six_stream_is_pinned(capsys):
+    assert _stdout_digest(capsys, ["survey", "--order", "6"]) == \
+        "07052b57a65564a881e1d9473174b5d9401734fbc54ba81e5aa53776885a49a3"
+
+
 def test_table_stream_is_pinned(capsys):
     assert _stdout_digest(capsys, ["table", "--format", "jsonl"]) == \
         "a75b7402505592d77c0d1da767a5c96dbdc16890edad9a3591e11d27e2439895"

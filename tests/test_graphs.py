@@ -3,9 +3,11 @@ import pytest
 from zirkit.errors import BudgetError, SizeCapError
 from zirkit.families import (complete_graph, cycle_graph, empty_graph,
                              fig5_graph, necklace_graph, path_graph)
-from zirkit.graphs import (Graph, canonical_form, complement, corona,
-                           disjoint_union, enumerate_labeled_graphs, join,
-                           twin_classes)
+from zirkit.graphs import (Graph, canonical_form, canonical_label, complement, corona,
+                           disjoint_union, edge_slots, enumerate_labeled_graphs, join,
+                           least_labelings, twin_classes)
+
+from oracles import least_labeled_mask, random_adj
 
 
 def test_graph_rejects_loops_and_bad_edges():
@@ -110,6 +112,36 @@ def test_enumeration_is_in_edge_mask_order():
 def test_canonical_form_counts_isomorphism_classes():
     classes = {canonical_form(g) for g in enumerate_labeled_graphs(4)}
     assert len(classes) == 11  # unlabeled graphs on four vertices
+
+
+def test_canonical_form_agrees_with_least_labeled_mask():
+    # two labeled graphs share a key iff they share the n! least mask
+    for n in range(1, 6):
+        pairs = {(canonical_form(g), least_labeled_mask(n, list(g.edges())))
+                 for g in enumerate_labeled_graphs(n)}
+        assert len(pairs) == len({key for key, _ in pairs}) == len({m for _, m in pairs})
+
+
+def test_least_labelings_are_the_least_relabeled_masks(rng):
+    from itertools import permutations
+    slot = {pair: 1 << e for e, pair in enumerate(edge_slots(6))}
+    for _ in range(20):
+        g = Graph.from_adj(random_adj(6, rng))
+        masks = sorted({sum(slot[min(p[u], p[v]), max(p[u], p[v])] for u, v in g.edges())
+                        for p in permutations(range(6))})
+        assert least_labelings(g.adj, 3) == masks[:3]
+    assert least_labelings(cycle_graph(4).adj, 5) == [30, 45, 51]  # 4!/8 labelings
+
+
+def test_canonical_label_counts_automorphisms():
+    # |Aut|: 8 for the 4-cycle, 2 for the path P4, 5! for the empty graph;
+    # the star K1,3's centre has the largest degree, so its cell comes last
+    # and it is the canonical orbit
+    assert canonical_label(cycle_graph(4).adj)[1] == 8
+    assert canonical_label(path_graph(4).adj)[1] == 2
+    assert canonical_label(empty_graph(5).adj)[1] == 120
+    star = Graph(4, [(0, 1), (0, 2), (0, 3)])
+    assert canonical_label(star.adj)[1:] == (6, 0b0001)
 
 
 def test_components_and_connectivity():

@@ -4,6 +4,7 @@ import pytest
 
 from zirkit.domination import (independence_number, k_domination_number,
                                power_domination_number)
+from zirkit.errors import PreconditionError
 from zirkit.families import generate, parse_family_expr
 from zirkit.forcing import zero_forcing_number
 from zirkit.graphs import disjoint_union, parse_graph6
@@ -68,7 +69,7 @@ def test_profile_budget_produces_omissions():
 
 
 def test_profile_rejects_unknown_parameter():
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionError):
         parameter_profile(generate("path:3"), params=("zzz",))
 
 

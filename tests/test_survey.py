@@ -1,5 +1,6 @@
 import random
 import time
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,13 +8,13 @@ from hypothesis import given, settings, strategies as st
 from zirkit.errors import BudgetError, PreconditionError
 from zirkit.families import generate
 from zirkit.forcing import _close
-from zirkit.graphs import Graph, bits, to_graph6
+from zirkit.graphs import Graph, bits, canonical_children, canonical_form, parse_graph6
 from zirkit.profiles import Check, parameter_profile
 from zirkit.survey import (_CHECKS, ALL_CHECKS, SCAN_CHECKS, _GraphData, exact_params,
                            survey)
 
 from oracles import (brute_domination, brute_independence, brute_power_domination,
-                     random_adj)
+                     labeled_survey, random_adj)
 
 
 def test_survey_order_four_all_checks_clean():
@@ -33,7 +34,7 @@ def test_survey_budget_enforced():
 
 
 def test_survey_unknown_check_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionError):
         survey(3, checks=("no-such-check",))
 
 
@@ -75,28 +76,56 @@ def test_survey_pool_time_limit():
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_survey_time_limit_holds_at_any_thread_count(threads):
-    # every shard reads the deadline before each graph, in a worker too
+    # every shard reads the deadline before each parent and each child, in
+    # a worker too; the order-7 walk takes several seconds
     start = time.monotonic()
     with pytest.raises(BudgetError, match="time limit"):
-        survey(6, threads=threads, time_limit=0.3)
+        survey(7, override_budget=True, threads=threads, time_limit=0.3)
     assert time.monotonic() - start < 1.3
 
 
-# order 5 has 1024 edge masks, run as the two shards [0, 512) and [512, 1024)
-# at 1 and 2 threads; these are masks 510, 511, 512 and 513
+# the classes of the order-5 graphs at edge masks 510, 511, 512 and 513
 PLANTED = ("D^w", "D~w", "D?C", "D_C")
 
 
 def test_survey_folds_examples_across_shards(monkeypatch):
-    planted = Check("chain", (), lambda d: (to_graph6(d.graph) not in PLANTED, "planted"),
+    # the planted check fails every labeling of four classes, so its
+    # verdict is isomorphism-invariant as the class walk requires
+    keys = {canonical_form(parse_graph6(g6)) for g6 in PLANTED}
+    planted = Check("chain", (), lambda d: (canonical_form(d.graph) not in keys, "planted"),
                     "chain")
     monkeypatch.setitem(_CHECKS, "chain", planted)  # the pool forks, so workers see it
     report = survey(5, checks=("chain",))
     row = next(r for r in report.reports if (r.check, r.scope) == ("chain", "order 5"))
-    assert row.status == "fail"
-    assert row.stats == {"checked": 1024, "violations": 4}
-    assert [ex["graph6"] for ex in row.counterexample["examples"]] == list(PLANTED[:3])
+    assert row.status == "fail" and len(row.counterexample["examples"]) == 3
+    assert report.to_json_lines() == labeled_survey(5, ("chain",)).to_json_lines()
     assert survey(5, checks=("chain",), threads=2).to_json_lines() == report.to_json_lines()
+
+
+@pytest.mark.parametrize("connected_only,dedup",
+                         [(False, False), (True, False), (False, True), (True, True)])
+def test_class_walk_matches_labeled_walk(connected_only, dedup):
+    expected = labeled_survey(5, ALL_CHECKS, connected_only, dedup).to_json_lines()
+    for threads in (1, 2):
+        assert survey(5, connected_only=connected_only, dedup=dedup,
+                      threads=threads).to_json_lines() == expected
+
+
+A000088 = (1, 2, 4, 11, 34, 156, 1044)  # isomorphism classes of order 1, 2, ...
+
+
+def test_class_walk_visits_every_class_once():
+    # extending one graph of every class of the order below gives every
+    # class of order n once, and the weights n!/|Aut G| sum to the number
+    # of labeled graphs
+    parents = [()]
+    for n, classes in enumerate(A000088, 1):
+        children = [child for parent in parents for child in canonical_children(parent)]
+        parents = [adj for adj, _ in children]
+        assert len(parents) == classes
+        assert len({canonical_form(Graph.from_adj(adj)) for adj in parents}) == classes
+        assert sum(factorial(n) // automorphisms for _, automorphisms in children) \
+            == 2 ** (n * (n - 1) // 2)
 
 
 def test_survey_scan_checks_have_no_findings_small():
