@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import pytest
 
 from zirkit.errors import BudgetError, SizeCapError
@@ -123,7 +125,6 @@ def test_canonical_form_agrees_with_least_labeled_mask():
 
 
 def test_least_labelings_are_the_least_relabeled_masks(rng):
-    from itertools import permutations
     slot = {pair: 1 << e for e, pair in enumerate(edge_slots(6))}
     for _ in range(20):
         g = Graph.from_adj(random_adj(6, rng))
