@@ -31,7 +31,9 @@ of these registries.
 
 Each order is sharded over the classes of the order below; one loop folds
 the shard results in shard order, so the output is identical for any
-thread count.
+thread count.  The orders within the default budget run in process at any
+thread count; more than one thread starts a worker pool for the orders
+past it.
 """
 
 from __future__ import annotations
@@ -325,9 +327,10 @@ def survey(max_order: int,
 
     Each order is sharded over the classes of the order below.  One loop
     folds the shard results in shard order; ``threads`` > 1 only runs the
-    shards in a pool of that many workers.  Each shard, in either case,
-    reads ``time_limit`` (seconds) before each parent and each child and
-    raises ``BudgetError`` once it has passed; so does the example search.
+    shards of the orders past ``SURVEY_DEFAULT_MAX_ORDER`` in a pool of
+    that many workers.  Each shard, in either case, reads ``time_limit``
+    (seconds) before each parent and each child and raises ``BudgetError``
+    once it has passed; so does the example search.
     """
     at = deadline(time_limit)
     if max_order < 1:
@@ -352,9 +355,15 @@ def survey(max_order: int,
     tallies = {n: dict.fromkeys(checks, (0, 0, ())) for n in orders}
     leaders = {n: (None, ()) for n in orders}
     parents: list[tuple[int, ...]] = [()]  # the one class of order 0
-    pool = concurrent.futures.ProcessPoolExecutor(threads) if threads > 1 else None
+    pool = None
     try:
         for n in orders:
+            # All orders within the default budget take about 80 ms in
+            # process.  A pool would save at most a fifth of that, for about
+            # 40 % more CPU time, and its forks, round trips and shared cores
+            # make the time of a call vary several times as much.
+            if threads > 1 and pool is None and n > SURVEY_DEFAULT_MAX_ORDER:
+                pool = concurrent.futures.ProcessPoolExecutor(threads)
             chunk = -(-len(parents) // (threads * 4))
             shards = [(n, parents[lo:lo + chunk], checks, connected_only, dedup, at)
                       for lo in range(0, len(parents), chunk)]

@@ -1,5 +1,6 @@
 """The check registry: its output stream, and the two facts records it reads."""
 
+import concurrent.futures
 import hashlib
 import random
 from pathlib import Path
@@ -58,6 +59,22 @@ def test_survey_stream_is_pinned(capsys):
 def test_survey_order_six_stream_is_pinned(capsys):
     assert _stdout_digest(capsys, ["survey", "--order", "6"]) == \
         "07052b57a65564a881e1d9473174b5d9401734fbc54ba81e5aa53776885a49a3"
+
+
+def test_survey_order_seven_pool_stream_is_pinned(capsys, monkeypatch):
+    # order 7 is the first order whose shards go to the worker pool
+    started = []
+
+    class Pool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, workers):
+            started.append(workers)
+            super().__init__(workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    assert _stdout_digest(capsys, ["survey", "--order", "7", "--override-budget",
+                                   "--threads", "2"]) == \
+        "93fcd4c9a575902848ae5deee5e5ab3985bc5d10d01a69592a3adf8c5f235eb7"
+    assert started == [2]
 
 
 def test_table_stream_is_pinned(capsys):

@@ -1,3 +1,4 @@
+import concurrent.futures
 import random
 import time
 from math import factorial
@@ -69,15 +70,23 @@ def test_survey_threads_do_not_change_output():
     assert lines1 == lines2
 
 
+def test_survey_default_orders_start_no_pool(monkeypatch):
+    def no_pool(*args):
+        raise AssertionError("a pool was started")
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    assert survey(6, threads=2).to_json_lines() == survey(6).to_json_lines()
+
+
 def test_survey_pool_time_limit():
+    # orders <= 6 run in process in about 80 ms; the pool starts at order 7
     with pytest.raises(BudgetError, match="time limit"):
-        survey(5, threads=2, time_limit=1e-4)
+        survey(7, override_budget=True, threads=2, time_limit=0.15)
 
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_survey_time_limit_holds_at_any_thread_count(threads):
     # every shard reads the deadline before each parent and each child, in
-    # a worker too; the order-7 walk takes several seconds
+    # a worker too; the order-7 walk takes about a second
     start = time.monotonic()
     with pytest.raises(BudgetError, match="time limit"):
         survey(7, override_budget=True, threads=threads, time_limit=0.3)
@@ -94,7 +103,7 @@ def test_survey_folds_examples_across_shards(monkeypatch):
     keys = {canonical_form(parse_graph6(g6)) for g6 in PLANTED}
     planted = Check("chain", (), lambda d: (canonical_form(d.graph) not in keys, "planted"),
                     "chain")
-    monkeypatch.setitem(_CHECKS, "chain", planted)  # the pool forks, so workers see it
+    monkeypatch.setitem(_CHECKS, "chain", planted)
     report = survey(5, checks=("chain",))
     row = next(r for r in report.reports if (r.check, r.scope) == ("chain", "order 5"))
     assert row.status == "fail" and len(row.counterexample["examples"]) == 3
