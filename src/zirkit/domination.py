@@ -33,11 +33,17 @@ def _is_k_dominating(adj: tuple[int, ...], full: int, m: int, k: int) -> bool:
 
 
 def k_domination_number(g: Graph, k: int) -> DominationResult:
-    """Minimum set whose outside vertices all have >= k neighbors inside."""
+    """Minimum set whose outside vertices all have >= k neighbors inside.
+
+    The scan runs once per graph and k; later calls return the same result.
+    """
     if k not in (1, 2):
         raise PreconditionError(f"k-domination implemented for k in {{1, 2}}, got {k}")
-    m = _first_subset(g.n, lambda m: _is_k_dominating(g.adj, g.full, m, k))
-    return DominationResult(m.bit_count(), m, k)
+    got = g._domination.get(k)
+    if got is None:
+        m = _first_subset(g.n, lambda m: _is_k_dominating(g.adj, g.full, m, k))
+        got = g._domination[k] = DominationResult(m.bit_count(), m, k)
+    return got
 
 
 def _grow_independent(adj: tuple[int, ...], cur: int, cand: int, best: int) -> int:

@@ -63,8 +63,12 @@ class ClosureCache:
         return got
 
 
-def closure_table(g: Graph) -> list[int]:
-    """The closure of every vertex set of g, indexed by its mask: 2^n entries."""
+def closure_table(g: Graph, cache: ClosureCache | None = None) -> list[int]:
+    """The closure of every vertex set of g, indexed by its mask: 2^n entries.
+
+    With ``cache`` the closures go through its memo, and the table's own
+    ones stay there for later lookups.
+    """
     # cl(m) = cl(cl(p) ∪ {v}) for p = m minus its lowest vertex v; masks
     # ascend so clo[p] is ready, each seeded closure is near its fixpoint,
     # and v ∈ cl(p) gives cl(m) = cl(p) with no closure at all
@@ -73,7 +77,10 @@ def closure_table(g: Graph) -> list[int]:
         p = m & (m - 1)
         c = clo[p]
         low = m ^ p
-        clo[m] = c if c & low else _close(g.adj, c | low)
+        if c & low:
+            clo[m] = c
+        else:
+            clo[m] = cache.closure(c | low) if cache else _close(g.adj, c | low)
     return clo
 
 
@@ -152,9 +159,13 @@ def max_fort_avoiding(g: Graph, a: int, cache: ClosureCache | None = None) -> in
 
 
 def zero_forcing_number(g: Graph, cache: ClosureCache | None = None) -> tuple[int, int]:
-    """Minimum size of a zero forcing set and the lexicographically least witness."""
+    """Minimum size of a zero forcing set and the lexicographically least witness.
+
+    The scan starts at size delta: in a set of fewer vertices every member
+    keeps at least two neighbours outside it, so nothing is forced.
+    """
     cache = cache or ClosureCache(g)
-    m = _first_subset(g.n, lambda m: cache.closure(m) == g.full)
+    m = _first_subset(g.n, lambda m: cache.closure(m) == g.full, g.min_degree())
     return m.bit_count(), m
 
 

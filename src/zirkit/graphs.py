@@ -50,9 +50,10 @@ def _masks_of_size(n: int, k: int) -> Iterator[int]:
         yield m
 
 
-def _first_subset(n: int, pred: Callable[[int], bool]) -> int:
-    """The first mask satisfying ``pred``, ascending by (size, lexicographic)."""
-    for k in range(n + 1):
+def _first_subset(n: int, pred: Callable[[int], bool], start: int = 0) -> int:
+    """The first mask of at least ``start`` vertices satisfying ``pred``,
+    ascending by (size, lexicographic)."""
+    for k in range(start, n + 1):
         for m in _masks_of_size(n, k):
             if pred(m):
                 return m
@@ -70,7 +71,10 @@ def _check_order(n: int) -> None:
 class Graph:
     """Immutable simple graph with per-vertex adjacency bitmasks."""
 
-    __slots__ = ("n", "adj", "full")
+    # _domination maps k to the graph's first minimum k-dominating set, as
+    # ``domination.k_domination_number`` finds it: several solvers and the
+    # profile ask for the same one, and the graph never changes
+    __slots__ = ("n", "adj", "full", "_domination")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         _check_order(n)
@@ -108,6 +112,7 @@ class Graph:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "adj", tuple(adj))
         object.__setattr__(self, "full", (1 << n) - 1)
+        object.__setattr__(self, "_domination", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")

@@ -20,6 +20,18 @@ fixed-size search ``_first_zir_set`` serves ZIR, Zbar and abandonment; one
 lexicographic walk over the ZIr-sets (``_maximal_walk``) gives zir and the
 list of maximal ZIr-sets.  ``is_zir_set`` and ``is_maximal_zir_set`` stay on
 the plain definition, and the tests re-verify witnesses through them.
+
+For zir, once a maximal ZIr-set of size b is found, the walk stops at a
+ZIr-set t whose subtree cannot hold a maximal ZIr-set smaller than b
+(``_cannot_stay_maximal``).  The bound counts first forces, as Z >= delta
+does (Barioli et al., "Zero forcing parameters and minimum rank problems",
+LAA 2010): a vertex v left out of a maximal ZIr-set T makes T + v fail, and
+that failure needs a force, so some u in T + v has at most one neighbour
+outside T + v.  When, for some vertex below t's highest member, no u can
+reach that with the members still allowed, every set below t is cut.  The
+sets cut hold no maximal ZIr-set smaller than b, so what the walk finds,
+the witness included, is unchanged; the walk over every maximal ZIr-set
+(``maximal_zir_sets``) is not cut.
 """
 
 from __future__ import annotations
@@ -236,6 +248,46 @@ def _first_zir_set(k: int, cache: ClosureCache, accept: Callable[[int], bool] | 
     return None
 
 
+def _cannot_stay_maximal(adj: tuple[int, ...], t: int, cand: int, r: int) -> bool:
+    """True when no maximal ZIr-set T with t <= T <= t | cand has at most r
+    members outside t, by a counting argument on first forces.
+
+    Take a lower outside vertex v (below t's highest member, not in t); it
+    lies outside every such T.  If T is maximal, T + v is no ZIr-set, so
+    some member y has y in cl(T + v - y), and the first force of that
+    closure comes from some u in T + v with |N(u) - (T + v)| <= 1.  With
+    M = N(u) - (t + v), T must then hold u (unless u is in t + v) and all
+    of M but at most one vertex, and T adds only vertices of ``cand`` to
+    t.  So v needs some u in
+    t | cand | v where M has at most one vertex outside ``cand`` and
+    [u not in t + v] + max(0, |M| - 1) <= r; a v without one rules out
+    every T.  The per-u masks do not depend on v and are worked out once.
+    """
+    lower = ((1 << (t.bit_length() - 1)) - 1) & ~t
+    white = ~(t | cand)
+    covered = 0  # the lower v that some u in t | cand serves
+    m = t | cand
+    while m:
+        low = m & -m
+        m ^= low
+        nb = adj[low.bit_length() - 1] & ~t
+        out = nb & white
+        k = out.bit_count()
+        if k > 2:
+            continue
+        extra = 0 if t & low else 1
+        need = nb.bit_count() - 1  # |M| - 1 for a v outside N(u)
+        if k < 2 and extra + max(0, need) <= r:
+            return False  # u serves every v
+        if extra + max(0, need - 1) <= r:  # v in N(u) leaves M one smaller
+            covered |= nb if k < 2 else out
+    for v in bits(lower & ~covered):
+        nb = adj[v] & ~t  # u = v, already in t + v
+        if (nb & white).bit_count() > 1 or nb.bit_count() - 1 > r:
+            return True
+    return False
+
+
 def _maximal_walk(cache: ClosureCache, t: int, ct: int, members: _Members,
                   cands: list[int], found: list[int], smaller: bool) -> None:
     """Append to ``found`` the maximal ZIr-sets that contain t and add only
@@ -247,11 +299,18 @@ def _maximal_walk(cache: ClosureCache, t: int, ct: int, members: _Members,
     parent's.  t is
     maximal when no candidate and no lower outside bit passes ``_grow``.
     With ``smaller``, only sets smaller than the last one found are visited,
-    so ``found`` ends with the first maximal ZIr-set of minimum size.  Plain
-    recursion, like ``_first_zir_set``.
+    so ``found`` ends with the first maximal ZIr-set of minimum size.  Then
+    a node is left with its whole subtree when some lower outside vertex v
+    stays addable to every set T there with at most r = |last find| - 1 -
+    |t| members more than t: by the first-force count of
+    ``_cannot_stay_maximal``, T + v is still a ZIr-set, so no such T is
+    maximal.  Plain recursion, like ``_first_zir_set``.
     """
     close = cache.closure
     size = len(members)
+    if smaller and found and t and _cannot_stay_maximal(
+            cache.adj, t, sum(cands), found[-1].bit_count() - 1 - size):
+        return  # no maximal ZIr-set below t is smaller than the last find
     if smaller and found and size + 1 >= found[-1].bit_count():
         # no child can be visited: only t itself can still be smaller
         if any(_grow(ct, members, w, close) is not None for w in cands):

@@ -289,9 +289,11 @@ class _ProfileFacts:
     (ascending masks) and ``abandons``.  ``maximal_zir_sets`` comes from the
     solvers' walk over the ZIr-sets; ``minimal_zfs`` is read off the closure
     table of every subset, so ``minimal-zfs-equivalence`` compares two
-    independent routes.  The survey's ``_GraphData`` answers the same from
-    closure tables.  Only checks the survey does not run read ``cache`` and
-    ``product``, which is ``(kind, left, right)`` for a join or corona.
+    independent routes (the table shares only ``cache``, the memo of
+    closures, which holds no ZIr-set).  The survey's ``_GraphData`` answers
+    the same from closure tables.  Only checks the survey does not run read
+    ``cache`` and ``product``, which is ``(kind, left, right)`` for a join
+    or corona.
     """
 
     def __init__(self, profile: ParamProfile, g: Graph,
@@ -308,7 +310,7 @@ class _ProfileFacts:
 
     @cached_property
     def minimal_zfs(self) -> list[int]:
-        return minimal_zero_forcing_sets(closure_table(self.graph))
+        return minimal_zero_forcing_sets(closure_table(self.graph, self.cache))
 
     @cached_property
     def maximal_zir_sets(self) -> list[int]:

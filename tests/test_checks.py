@@ -34,6 +34,17 @@ def test_compute_check_stream_is_pinned(capsys):
     assert "".join(out).encode() == golden.read_bytes()
 
 
+def test_dense_gnp_check_stream_is_pinned(capsys):
+    # twelve G(n, p) graphs, n = 13-15 and p = 0.5 or 0.7: small sets force
+    # nothing there, so the zir walk goes deep after its first find, which
+    # is where its pruning acts; values, witnesses and checks byte for byte
+    data = Path(__file__).parent / "data"
+    assert main(["compute", "--witness", "--check-bounds",
+                 "--file", str(data / "dense_gnp.g6")]) == 0
+    assert capsys.readouterr().out.encode() == \
+        (data / "compute_dense_gnp.jsonl").read_bytes()
+
+
 def test_small_order_witness_stream_is_pinned(tmp_path, capsys):
     # every labeled graph of order <= 5: values, witnesses and check stream,
     # byte for byte, so a refactor of the solvers cannot move a witness

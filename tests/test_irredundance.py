@@ -12,7 +12,7 @@ from zirkit.families import (complete_bipartite_graph, complete_graph,
 from zirkit.forcing import (ClosureCache, closure, is_fort, is_minimal_zfs,
                             is_zero_forcing_set)
 from zirkit.graphs import Graph, bit_list, bits, disjoint_union, join, mask_of
-from zirkit.irredundance import (_grow, abandons_fort, graph_abandons_fort,
+from zirkit.irredundance import (_cannot_stay_maximal, _grow, abandons_fort, graph_abandons_fort,
                                  has_private_fort, is_maximal_zir_set,
                                  is_zir_set, lower_zir_number, maximal_zir_sets,
                                  minimal_private_fort, upper_zero_forcing_number,
@@ -362,3 +362,25 @@ def test_maximal_zir_sets_walk_matches_subset_scan(small_graphs):
         cache = ClosureCache(g)
         scan = [s for s in range(g.full + 1) if is_maximal_zir_set(g, s, cache)]
         assert maximal_zir_sets(g) == scan, g.adj
+
+
+@settings(deadline=None)
+@given(_graphs(max_order=8))
+def test_maximality_cut_keeps_every_small_maximal_set(g):
+    # the zir walk drops the sets t + A (A within cand, |A| <= r) when the
+    # cut fires; for every t and cand a scan of all the maximal ZIr-sets
+    # must then find none there
+    cache = ClosureCache(g)
+    maximal = [s for s in range(g.full + 1) if is_maximal_zir_set(g, s, cache)]
+    for t in range(1, g.full + 1):
+        above = g.full & ~((1 << t.bit_length()) - 1)
+        cand = above
+        while True:
+            smallest = min(((s & ~t).bit_count() for s in maximal
+                            if s & t == t and not s & ~(t | cand)), default=g.n)
+            for r in range(cand.bit_count() + 1):
+                if _cannot_stay_maximal(g.adj, t, cand, r):
+                    assert r < smallest, (g.adj, t, cand, r)
+            if not cand:
+                break
+            cand = (cand - 1) & above

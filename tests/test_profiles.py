@@ -1,19 +1,23 @@
 import gc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from zirkit.domination import (independence_number, k_domination_number,
-                               power_domination_number)
+from zirkit.domination import (_is_k_dominating, independence_number,
+                               k_domination_number, power_domination_number)
 from zirkit.errors import PreconditionError
 from zirkit.families import generate, parse_family_expr
-from zirkit.forcing import zero_forcing_number
-from zirkit.graphs import disjoint_union, parse_graph6
-from zirkit.irredundance import (lower_zir_number, maximal_zir_sets,
-                                 upper_zero_forcing_number, upper_zir_number)
+from zirkit.forcing import closure, is_minimal_zfs, zero_forcing_number
+from zirkit.graphs import Graph, disjoint_union, mask_of, parse_graph6
+from zirkit.irredundance import (is_maximal_zir_set, lower_zir_number,
+                                 maximal_zir_sets, upper_zero_forcing_number,
+                                 upper_zir_number)
 from zirkit.profiles import (check_bounds, check_characterizations,
                              is_clique_plus_isolated, is_path_graph,
                              is_star_graph, parameter_profile,
                              recognize_zn2_complement_form)
+
+from oracles import random_adj
 
 
 def _values(expr, params=("zir", "Z", "Zbar", "ZIR")):
@@ -50,6 +54,24 @@ def test_solvers_leave_no_reference_cycles(name):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+@settings(deadline=None)
+@given(st.integers(7, 9), st.randoms(use_true_random=False))
+def test_profile_witnesses_reverify_by_definition(n, rnd):
+    g = Graph.from_adj(random_adj(n, rnd))
+    p = parameter_profile(g)
+    wit = {name: mask_of(vs) for name, vs in p.witnesses.items()}
+    for name in ("zir", "ZIR"):
+        assert is_maximal_zir_set(g, wit[name]), (g.adj, name)
+    # Z: the first forcing set in (size, lexicographic) order, from size 0
+    first = min((m for m in range(g.full + 1) if closure(g, m) == g.full),
+                key=lambda m: (m.bit_count(), [v for v in range(n) if m >> v & 1]))
+    assert wit["Z"] == first, g.adj
+    assert is_minimal_zfs(g, wit["Zbar"]), g.adj
+    for name, k in (("gamma", 1), ("gamma2", 2)):
+        assert _is_k_dominating(g.adj, g.full, wit[name], k), (g.adj, name)
+    assert all(wit[name].bit_count() == p.values[name] for name in wit), g.adj
 
 
 def test_profile_flags_and_structure():
