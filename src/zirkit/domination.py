@@ -35,15 +35,15 @@ def _is_k_dominating(adj: tuple[int, ...], full: int, m: int, k: int) -> bool:
 def k_domination_number(g: Graph, k: int) -> DominationResult:
     """Minimum set whose outside vertices all have >= k neighbors inside.
 
-    The scan runs once per graph and k; later calls return the same result.
+    The scan runs once per graph and k; later calls read its witness back.
     """
     if k not in (1, 2):
         raise PreconditionError(f"k-domination implemented for k in {{1, 2}}, got {k}")
-    got = g._domination.get(k)
-    if got is None:
-        m = _first_subset(g.n, lambda m: _is_k_dominating(g.adj, g.full, m, k))
-        got = g._domination[k] = DominationResult(m.bit_count(), m, k)
-    return got
+    m = g._domination.get(k)
+    if m is None:
+        m = g._domination[k] = _first_subset(
+            g.n, lambda m: _is_k_dominating(g.adj, g.full, m, k))
+    return DominationResult(m.bit_count(), m, k)
 
 
 def _grow_independent(adj: tuple[int, ...], cur: int, cand: int, best: int) -> int:

@@ -71,9 +71,10 @@ def _check_order(n: int) -> None:
 class Graph:
     """Immutable simple graph with per-vertex adjacency bitmasks."""
 
-    # _domination maps k to the graph's first minimum k-dominating set, as
-    # ``domination.k_domination_number`` finds it: several solvers and the
-    # profile ask for the same one, and the graph never changes
+    # _domination maps k to the mask of the graph's first minimum
+    # k-dominating set, as ``domination.k_domination_number`` finds it:
+    # several solvers and the profile ask for the same one, and the graph
+    # never changes
     __slots__ = ("n", "adj", "full", "_domination")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
