@@ -258,10 +258,10 @@ def _cannot_stay_maximal(adj: tuple[int, ...], t: int, cand: int, r: int) -> boo
     closure comes from some u in T + v with |N(u) - (T + v)| <= 1.  With
     M = N(u) - (t + v), T must then hold u (unless u is in t + v) and all
     of M but at most one vertex, and T adds only vertices of ``cand`` to
-    t.  So v needs some u in
-    t | cand | v where M has at most one vertex outside ``cand`` and
-    [u not in t + v] + max(0, |M| - 1) <= r; a v without one rules out
-    every T.  The per-u masks do not depend on v and are worked out once.
+    t.  So v needs some u in t | cand | v where M has at most one vertex
+    outside ``cand`` and [u not in t + v] + max(0, |M| - 1) <= r; a v
+    without one rules out every T.  The per-u masks do not depend on v and
+    are worked out once.
     """
     lower = ((1 << (t.bit_length() - 1)) - 1) & ~t
     white = ~(t | cand)
