@@ -101,7 +101,7 @@ def _cmd_compute(args) -> int:
         cache = ClosureCache(g)
         profile = parameter_profile(g, params=params, max_order=args.max_order,
                                     graph_id=graph_id, with_witnesses=args.witness,
-                                    cache=cache)
+                                    cache=cache, at=at)
         rows.append(profile.to_dict(include_witnesses=args.witness))
         if args.check_bounds:
             reports = check_bounds(profile, g, spec, cache) \

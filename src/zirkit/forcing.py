@@ -158,14 +158,21 @@ def max_fort_avoiding(g: Graph, a: int, cache: ClosureCache | None = None) -> in
     return rest if rest else None
 
 
-def zero_forcing_number(g: Graph, cache: ClosureCache | None = None) -> tuple[int, int]:
+def zero_forcing_number(g: Graph, cache: ClosureCache | None = None,
+                        lower: int = 0) -> tuple[int, int]:
     """Minimum size of a zero forcing set and the lexicographically least witness.
 
-    The scan starts at size delta: in a set of fewer vertices every member
-    keeps at least two neighbours outside it, so nothing is forced.
+    The scan starts at size max(delta, ``lower``).  Below delta every member
+    of a set keeps at least two neighbours outside it, so nothing is forced.
+    ``lower`` is a known lower bound on Z, such as zir(G): a minimum zero
+    forcing set is a minimal one, hence a ZIr-set, and a ZIr-set that forces
+    is maximal, since every outside vertex lies in its closure; so zir <= Z.
+    No size below a valid bound holds a forcing set, so the witness is the
+    same as with no bound.
     """
     cache = cache or ClosureCache(g)
-    m = _first_subset(g.n, lambda m: cache.closure(m) == g.full, g.min_degree())
+    m = _first_subset(g.n, lambda m: cache.closure(m) == g.full,
+                      max(g.min_degree(), lower))
     return m.bit_count(), m
 
 

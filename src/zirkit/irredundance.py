@@ -179,18 +179,21 @@ def upper_zir_number(g: Graph, cache: ClosureCache | None = None) -> tuple[int, 
     return best.bit_count(), _certify(g, best, cache, maximal=True)
 
 
-def upper_zero_forcing_number(g: Graph, cache: ClosureCache | None = None) -> tuple[int, int]:
+def upper_zero_forcing_number(g: Graph, cache: ClosureCache | None = None,
+                              upper: int | None = None) -> tuple[int, int]:
     """Zbar(G): maximum size of a minimal zero forcing set, with its first witness.
 
     The minimal zero forcing sets are exactly the ZIr-sets that force: when
     s forces, a fort avoiding s - {x} contains x and is private to it.  So
-    the sizes descend from ``_zir_upper_bound`` (Zbar <= ZIR), and the first
-    forcing ZIr-set found, lexicographically first within its size, is
-    returned.
+    Zbar <= ZIR, the sizes descend from ``upper`` (a known upper bound on
+    ZIR, such as ZIR(G) itself) or else from ``_zir_upper_bound``, and the
+    first forcing ZIr-set found, lexicographically first within its size, is
+    returned.  The sizes above ZIR hold no ZIr-set at all, so the witness is
+    the same from either start.
     """
     cache = cache or ClosureCache(g)
     verts = bit_list(g.full)
-    for k in range(_zir_upper_bound(g), 0, -1):
+    for k in range(_zir_upper_bound(g) if upper is None else upper, 0, -1):
         got = _first_zir_set(k, cache, lambda cl: cl == g.full, verts)
         if got is not None:
             return k, got

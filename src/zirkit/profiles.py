@@ -20,7 +20,7 @@ from functools import cached_property
 from typing import Any, Callable, Iterable
 
 from .domination import k_domination_number, independence_number, power_domination_number
-from .errors import PreconditionError
+from .errors import PreconditionError, check_deadline
 from .families import FamilySpec, generate
 from .forcing import (ClosureCache, closure_table, is_zero_forcing_set,
                       minimal_zero_forcing_sets, zero_forcing_number)
@@ -30,6 +30,8 @@ from .irredundance import (_first_zir_set, lower_zir_number, maximal_zir_sets,
                            upper_zero_forcing_number, upper_zir_number)
 
 PARAM_NAMES = ("zir", "Z", "Zbar", "ZIR", "gamma", "gamma2", "alpha", "gammaP")
+# the order parameter_profile solves in: each chain solver after its bound
+SOLVE_ORDER = ("zir", "Z", "ZIR", "Zbar", "gamma", "gamma2", "alpha", "gammaP")
 DEFAULT_PROFILE_MAX_ORDER = 15
 FACTOR_MAX_ORDER = 13  # the join and corona bounds solve factors up to this order
 SUBSET_CHECK_MAX_ORDER = 10
@@ -104,13 +106,23 @@ def parameter_profile(g: Graph, params: tuple[str, ...] | None = None,
                       max_order: int = DEFAULT_PROFILE_MAX_ORDER,
                       graph_id: str | None = None,
                       with_witnesses: bool = True,
-                      cache: ClosureCache | None = None) -> ParamProfile:
+                      cache: ClosureCache | None = None,
+                      at: float | None = None) -> ParamProfile:
     """Compute the requested parameters (default: all) with witnesses.
 
     Above ``max_order`` the exact solvers are skipped and the requested
     parameters are listed in ``omitted`` instead of silently running an
     open-ended search.  ``cache`` is the closure memo of ``g``; pass the
-    same one to ``check_bounds`` and ``check_characterizations``.
+    same one to ``check_bounds`` and ``check_characterizations``.  ``at``
+    is an ``errors.deadline`` reading, checked before each parameter.
+
+    The solvers run along the paper's chain zir <= Z <= Zbar <= ZIR, in
+    ``SOLVE_ORDER``: Z's scan starts at zir (a minimum zero forcing set is
+    a ZIr-set, and a ZIr-set that forces is maximal), and Zbar's descent
+    starts at ZIR (every minimal zero forcing set is a ZIr-set), whenever
+    that neighbour was requested too.  Either start skips only sizes that
+    hold no candidate, so values and witnesses are the same as from the
+    solvers alone; ``values`` and ``witnesses`` keep the requested order.
     """
     wanted = PARAM_NAMES if params is None else requested_params(params)
     profile = ParamProfile(
@@ -133,14 +145,15 @@ def parameter_profile(g: Graph, params: tuple[str, ...] | None = None,
         if with_witnesses:
             profile.witnesses[name] = bit_list(witness)
 
-    for p in wanted:
+    for p in [p for p in SOLVE_ORDER if p in wanted]:
+        check_deadline(at, "compute")
         if p == "zir":
             value, wit = lower_zir_number(g, cache)
             record(p, value, wit.members)
         elif p == "Z":
-            record(p, *zero_forcing_number(g, cache))
+            record(p, *zero_forcing_number(g, cache, profile.values.get("zir", 0)))
         elif p == "Zbar":
-            record(p, *upper_zero_forcing_number(g, cache))
+            record(p, *upper_zero_forcing_number(g, cache, profile.values.get("ZIR")))
         elif p == "ZIR":
             value, wit = upper_zir_number(g, cache)
             record(p, value, wit.members)
@@ -154,6 +167,9 @@ def parameter_profile(g: Graph, params: tuple[str, ...] | None = None,
             record(p, *independence_number(g))
         elif p == "gammaP":
             record(p, *power_domination_number(g))
+    profile.values = {p: profile.values[p] for p in wanted}
+    if with_witnesses:
+        profile.witnesses = {p: profile.witnesses[p] for p in wanted}
     return profile
 
 

@@ -236,6 +236,15 @@ def test_time_limit_exceeded_with_pool_exit_two(capsys):
     assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
+def test_compute_time_limit_is_read_between_parameters(capsys):
+    # zir alone takes about 0.1 s on the slowest graph of
+    # tests/data/dense_gnp.g6, so the limit has passed before Z starts
+    code, out, err = run_cli(capsys, "compute", "--graph6", r"NYUjFPHC{Z_\fzLFbww",
+                             "--time-limit", "0.01")
+    assert code == 2 and not out
+    assert len(err.splitlines()) == 1 and "time limit" in err
+
+
 @pytest.mark.parametrize("limit", ["nan", "-1"])
 @pytest.mark.parametrize("argv", [
     ["compute", "--graph6", "D?{"],

@@ -1,4 +1,5 @@
 import gc
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +9,7 @@ from zirkit.domination import (_is_k_dominating, independence_number,
 from zirkit.errors import PreconditionError
 from zirkit.families import generate, parse_family_expr
 from zirkit.forcing import closure, is_minimal_zfs, zero_forcing_number
-from zirkit.graphs import Graph, disjoint_union, mask_of, parse_graph6
+from zirkit.graphs import Graph, bit_list, disjoint_union, mask_of, parse_graph6
 from zirkit.irredundance import (is_maximal_zir_set, lower_zir_number,
                                  maximal_zir_sets, upper_zero_forcing_number,
                                  upper_zir_number)
@@ -23,6 +24,8 @@ from oracles import random_adj
 def _values(expr, params=("zir", "Z", "Zbar", "ZIR")):
     g = generate(expr)
     profile = parameter_profile(g, params=params, graph_id=expr)
+    # the solvers run in chain order, the profile keeps the requested one
+    assert list(profile.values) == list(profile.witnesses) == list(params)
     return tuple(profile.values[p] for p in params)
 
 
@@ -31,6 +34,26 @@ def test_profile_values_for_small_families():
     assert _values("h_rs:3,5") == (2, 3, 4, 5)
     assert _values("empty:4") == (4, 4, 4, 4)
     assert _values("complete:5") == (4, 4, 4, 4)
+
+
+def test_chain_starts_keep_z_and_zbar():
+    # the profile starts Z's scan at zir and Zbar's descent at ZIR; zir = Z
+    # on C_7 and Zbar = ZIR on K_5 and the empty graph, so a start one size
+    # past either bound misses the value there
+    rng = random.Random(20261019)
+    graphs = [Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                        if rng.random() < p])
+              for n in range(7, 13) for p in (0.3, 0.5, 0.7, 0.85)]
+    graphs += [generate(expr) for expr in ("cycle:7", "complete:5", "empty:4")]
+    for g in graphs:
+        full = parameter_profile(g)
+        for name, solver in (("Z", zero_forcing_number),
+                             ("Zbar", upper_zero_forcing_number)):
+            value, wit = solver(Graph.from_adj(g.adj))
+            alone = parameter_profile(g, params=(name,))
+            for p in (full, alone):
+                assert (p.values[name], p.witnesses[name]) == (value, bit_list(wit)), \
+                    (g.adj, name)
 
 
 PROFILE_SOLVERS = {
