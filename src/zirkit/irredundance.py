@@ -185,11 +185,11 @@ def upper_zero_forcing_number(g: Graph, cache: ClosureCache | None = None,
 
     The minimal zero forcing sets are exactly the ZIr-sets that force: when
     s forces, a fort avoiding s - {x} contains x and is private to it.  So
-    Zbar <= ZIR, the sizes descend from ``upper`` (a known upper bound on
-    ZIR, such as ZIR(G) itself) or else from ``_zir_upper_bound``, and the
-    first forcing ZIr-set found, lexicographically first within its size, is
-    returned.  The sizes above ZIR hold no ZIr-set at all, so the witness is
-    the same from either start.
+    Zbar <= ZIR, and the sizes descend from ``upper`` (a known upper bound
+    on Zbar, such as ZIR(G)) or else from ``_zir_upper_bound``; the first
+    forcing ZIr-set found, lexicographically first within its size, is
+    returned.  No size above a valid bound holds a minimal zero forcing set,
+    so the witness is the same from either start.
     """
     cache = cache or ClosureCache(g)
     verts = bit_list(g.full)
