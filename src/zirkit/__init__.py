@@ -16,12 +16,12 @@ from .forcing import (ClosureCache, ForceStep, closure, closure_with_chronicle,
                       enumerate_forts, enumerate_minimal_forts, is_fort,
                       is_minimal_zfs, is_z_irrelevant, is_zero_forcing_set,
                       max_fort_avoiding, zero_forcing_number)
-from .irredundance import (PrivateFortCertificate, ZirWitness, abandons_fort,
-                           graph_abandons_fort, has_private_fort, is_maximal_zir_set,
-                           is_zir_set, lower_zir_number, minimal_private_fort,
-                           upper_zero_forcing_number, upper_zir_number)
-from .domination import (DominationResult, independence_number,
-                         k_domination_number, power_domination_number)
+from .irredundance import (abandons_fort, graph_abandons_fort, has_private_fort,
+                           is_maximal_zir_set, is_zir_set, lower_zir_number,
+                           minimal_private_fort, upper_zero_forcing_number,
+                           upper_zir_number)
+from .domination import (independence_number, k_domination_number,
+                         power_domination_number)
 from .profiles import (CheckReport, ParamProfile, check_bounds,
                        check_characterizations, parameter_profile,
                        recognize_zn2_complement_form)
@@ -41,12 +41,10 @@ __all__ = [
     "enumerate_forts", "enumerate_minimal_forts", "is_fort", "is_minimal_zfs",
     "is_z_irrelevant", "is_zero_forcing_set", "max_fort_avoiding",
     "zero_forcing_number",
-    "PrivateFortCertificate", "ZirWitness", "abandons_fort",
-    "graph_abandons_fort", "has_private_fort", "is_maximal_zir_set",
-    "is_zir_set", "lower_zir_number", "minimal_private_fort",
-    "upper_zero_forcing_number", "upper_zir_number",
-    "DominationResult", "independence_number", "k_domination_number",
-    "power_domination_number",
+    "abandons_fort", "graph_abandons_fort", "has_private_fort",
+    "is_maximal_zir_set", "is_zir_set", "lower_zir_number",
+    "minimal_private_fort", "upper_zero_forcing_number", "upper_zir_number",
+    "independence_number", "k_domination_number", "power_domination_number",
     "CheckReport", "ParamProfile", "check_bounds", "check_characterizations",
     "parameter_profile", "recognize_zn2_complement_form",
     "SurveyReport", "exact_params", "survey",

@@ -100,12 +100,11 @@ def _cmd_compute(args) -> int:
         check_deadline(at, "compute")
         cache = ClosureCache(g)
         profile = parameter_profile(g, params=params, max_order=args.max_order,
-                                    graph_id=graph_id, with_witnesses=args.witness,
-                                    cache=cache, at=at)
+                                    graph_id=graph_id, cache=cache, at=at)
         rows.append(profile.to_dict(include_witnesses=args.witness))
         if args.check_bounds:
             reports = check_bounds(profile, g, spec, cache) \
-                + check_characterizations(g, profile, spec, cache)
+                + check_characterizations(profile, g, spec, cache)
             failed = failed or any(r.status == "fail" for r in reports)
             rows.extend(r.to_dict() for r in reports)
     if args.format == "jsonl":

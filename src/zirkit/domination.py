@@ -8,18 +8,9 @@ the definition with no special casing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import PreconditionError
 from .forcing import ClosureCache
 from .graphs import Graph, _first_subset, bits
-
-
-@dataclass(frozen=True)
-class DominationResult:
-    value: int
-    witness: int
-    k: int
 
 
 def _is_k_dominating(adj: tuple[int, ...], full: int, m: int, k: int) -> bool:
@@ -32,8 +23,9 @@ def _is_k_dominating(adj: tuple[int, ...], full: int, m: int, k: int) -> bool:
     return True
 
 
-def k_domination_number(g: Graph, k: int) -> DominationResult:
-    """Minimum set whose outside vertices all have >= k neighbors inside.
+def k_domination_number(g: Graph, k: int) -> tuple[int, int]:
+    """Minimum set whose outside vertices all have >= k neighbors inside,
+    as (size, mask).
 
     The scan runs once per graph and k; later calls read its witness back.
     """
@@ -43,7 +35,7 @@ def k_domination_number(g: Graph, k: int) -> DominationResult:
     if m is None:
         m = g._domination[k] = _first_subset(
             g.n, lambda m: _is_k_dominating(g.adj, g.full, m, k))
-    return DominationResult(m.bit_count(), m, k)
+    return m.bit_count(), m
 
 
 def _grow_independent(adj: tuple[int, ...], cur: int, cand: int, best: int) -> int:

@@ -27,7 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import InvalidSpecError
-from .graphs import MAX_ORDER, Graph, corona, disjoint_union, join, parse_graph6
+from .graphs import (MAX_ORDER, Graph, _check_order, corona, disjoint_union, join,
+                     parse_graph6)
 
 PRODUCT_OPS = ("union", "join", "corona")
 
@@ -138,7 +139,11 @@ def _parse_expr(text: str, pos: int, depth: int = 0) -> tuple[FamilySpec, int]:
                 pos += 1
             if start == pos:
                 raise InvalidSpecError(f"expected an integer parameter at position {start}")
-            params.append(int(text[start:pos]))
+            try:
+                params.append(int(text[start:pos]))
+            except ValueError:  # more digits than sys.get_int_max_str_digits()
+                raise InvalidSpecError(
+                    f"integer parameter at position {start} is too long") from None
             pos = _skip_ws(text, pos)
             if pos < len(text) and text[pos] == ",":
                 # a further integer only belongs to us if the arity allows it
@@ -155,56 +160,60 @@ def _parse_expr(text: str, pos: int, depth: int = 0) -> tuple[FamilySpec, int]:
 # -- generators ----------------------------------------------------------
 
 
-def _require(cond: bool, message: str) -> None:
+def _require(cond: bool, message: str, order: int) -> None:
+    """Reject bad parameters, then an order above the cap, before any edge
+    is built."""
     if not cond:
         raise InvalidSpecError(message)
+    _check_order(order)
 
 
 def empty_graph(n: int) -> Graph:
-    _require(n >= 1, f"empty requires n >= 1 (got {n})")
+    _require(n >= 1, f"empty requires n >= 1 (got {n})", n)
     return Graph(n)
 
 
 def complete_graph(n: int) -> Graph:
-    _require(n >= 1, f"complete requires n >= 1 (got {n})")
+    _require(n >= 1, f"complete requires n >= 1 (got {n})", n)
     return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
 def path_graph(n: int) -> Graph:
-    _require(n >= 1, f"path requires n >= 1 (got {n})")
+    _require(n >= 1, f"path requires n >= 1 (got {n})", n)
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def cycle_graph(n: int) -> Graph:
-    _require(n >= 3, f"cycle requires n >= 3 (got {n})")
+    _require(n >= 3, f"cycle requires n >= 3 (got {n})", n)
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def complete_bipartite_graph(q: int, p: int) -> Graph:
-    _require(q >= 1 and p >= 1, f"complete_bipartite requires q, p >= 1 (got {q}, {p})")
+    _require(q >= 1 and p >= 1, f"complete_bipartite requires q, p >= 1 (got {q}, {p})",
+             q + p)
     return Graph(q + p, [(i, q + j) for i in range(q) for j in range(p)])
 
 
 def star_graph(p: int) -> Graph:
-    _require(p >= 1, f"star requires p >= 1 leaves (got {p})")
+    _require(p >= 1, f"star requires p >= 1 leaves (got {p})", p + 1)
     return complete_bipartite_graph(1, p)
 
 
 def friendship_graph(k: int) -> Graph:
-    _require(k >= 2, f"friendship requires k >= 2 (got {k})")
+    _require(k >= 2, f"friendship requires k >= 2 (got {k})", 2 * k + 1)
     edges = [(0, v) for v in range(1, 2 * k + 1)]
     edges += [(2 * i - 1, 2 * i) for i in range(1, k + 1)]
     return Graph(2 * k + 1, edges)
 
 
 def wheel_graph(r: int) -> Graph:
-    _require(r >= 3, f"wheel requires rim length r >= 3 (got {r})")
+    _require(r >= 3, f"wheel requires rim length r >= 3 (got {r})", r + 1)
     edges = [(i, (i + 1) % r) for i in range(r)] + [(i, r) for i in range(r)]
     return Graph(r + 1, edges)
 
 
 def necklace_graph(k: int) -> Graph:
-    _require(k >= 2, f"necklace requires k >= 2 (got {k})")
+    _require(k >= 2, f"necklace requires k >= 2 (got {k})", 4 * k)
     edges = []
     for i in range(k):
         a, b, c, d = 4 * i, 4 * i + 1, 4 * i + 2, 4 * i + 3
@@ -214,8 +223,8 @@ def necklace_graph(k: int) -> Graph:
 
 
 def h_rs_graph(r: int, s: int) -> Graph:
-    _require(r >= 2, f"h_rs requires r >= 2 (got {r})")
-    _require(s >= 3 and s % 2 == 1, f"h_rs requires odd s >= 3 (got {s})")
+    _require(r >= 2, f"h_rs requires r >= 2 (got {r})", r + 1)
+    _require(s >= 3 and s % 2 == 1, f"h_rs requires odd s >= 3 (got {s})", r + s + 1)
     u = 0
     w = list(range(1, r + 1))
     y = list(range(r + 1, r + s + 1))
@@ -225,7 +234,7 @@ def h_rs_graph(r: int, s: int) -> Graph:
 
 
 def h_chain_graph(k: int) -> Graph:
-    _require(k >= 3, f"h_chain requires k >= 3 (got {k})")
+    _require(k >= 3, f"h_chain requires k >= 3 (got {k})", 5 * k)
     edges = []
     for i in range(k):
         base = 5 * i

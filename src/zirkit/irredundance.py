@@ -8,10 +8,12 @@ forcing set, is the maximum size of a ZIr-set that forces.
 
 The privacy test runs through the forcing closure: a private fort of x
 relative to S exists iff x survives outside the closure of S - {x}, in which
-case the uncolored remainder is the unique maximum such fort.  The test
-suite verifies this against definition-level fort enumeration on every small
-graph, so the fast path is gated by an independent oracle rather than
-assumed.
+case the uncolored remainder is the unique maximum such fort.  So a
+ZIr-set's mask determines its certificates: every solver returns
+(value, witness mask), and ``has_private_fort`` recovers each member's
+maximum private fort from the mask alone.  The test suite verifies this
+against definition-level fort enumeration on every small graph, so the
+fast path is gated by an independent oracle rather than assumed.
 
 Every search grows ZIr-sets one vertex at a time with ``_grow``, which
 carries the closure of the set and of each member's remainder, so adding a
@@ -36,7 +38,6 @@ the witness included, is unchanged; the walk over every maximal ZIr-set
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 from .domination import k_domination_number
@@ -45,49 +46,18 @@ from .forcing import ClosureCache, max_fort_avoiding
 from .graphs import Graph, bit_list, bits
 
 
-@dataclass(frozen=True)
-class PrivateFortCertificate:
-    """A fort meeting ``relative_to`` exactly in its owner."""
-
-    owner: int
-    fort: int
-    relative_to: int
-
-    def to_dict(self) -> dict:
-        return {"owner": self.owner, "fort": bit_list(self.fort)}
-
-
-@dataclass(frozen=True)
-class ZirWitness:
-    """A ZIr-set with one private-fort certificate per member."""
-
-    members: int
-    certificates: tuple[PrivateFortCertificate, ...]
-    maximal: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "set": bit_list(self.members),
-            "certificates": [c.to_dict() for c in self.certificates],
-            "maximal": self.maximal,
-        }
-
-
 def has_private_fort(g: Graph, s: int, x: int,
-                     cache: ClosureCache | None = None) -> PrivateFortCertificate | None:
-    """Certificate that x has a private fort relative to s, or None.
+                     cache: ClosureCache | None = None) -> int | None:
+    """The maximum private fort of x relative to s, or None when x has none.
 
-    The returned fort is the maximum private fort of x: the complement of
-    the closure of s - {x}.
+    That fort is the complement of the closure of s - {x}.
     """
     bx = 1 << x
     if not s & bx:
         raise PreconditionError(f"vertex {x} is not a member of the set")
     cache = cache or ClosureCache(g)
     cl = cache.closure(s & ~bx)
-    if cl & bx:
-        return None
-    return PrivateFortCertificate(owner=x, fort=g.full & ~cl, relative_to=s)
+    return None if cl & bx else g.full & ~cl
 
 
 def minimal_private_fort(g: Graph, s: int, x: int,
@@ -103,11 +73,10 @@ def minimal_private_fort(g: Graph, s: int, x: int,
     exactly inclusion-minimality.
     """
     cache = cache or ClosureCache(g)
-    cert = has_private_fort(g, s, x, cache)
-    if cert is None:
+    fort = has_private_fort(g, s, x, cache)
+    if fort is None:
         return None
     bx = 1 << x
-    fort = cert.fort
     for v in reversed(bit_list(fort)):
         bv = 1 << v
         if bv == bx or not fort & bv:
@@ -137,12 +106,11 @@ def is_maximal_zir_set(g: Graph, s: int, cache: ClosureCache | None = None) -> b
     return True
 
 
-def _certify(g: Graph, members: int, cache: ClosureCache,
-             maximal: bool) -> ZirWitness:
-    certs = tuple(has_private_fort(g, members, x, cache) for x in bits(members))
-    if any(c is None for c in certs):
+def _certify(g: Graph, members: int, cache: ClosureCache) -> int:
+    """``members``, once every member is checked to own a private fort."""
+    if any(has_private_fort(g, members, x, cache) is None for x in bits(members)):
         raise AssertionError("witness lost a private fort; solver bug")
-    return ZirWitness(members=members, certificates=certs, maximal=maximal)
+    return members
 
 
 def _zir_upper_bound(g: Graph) -> int:
@@ -151,14 +119,14 @@ def _zir_upper_bound(g: Graph) -> int:
     if g.size() > 0:
         ub = g.n - 1
     if g.n >= 2 and g.is_connected():
-        gamma = k_domination_number(g, 1).value
+        gamma = k_domination_number(g, 1)[0]
         dmax = g.max_degree()
         ub = min(ub, g.n - gamma, (dmax * g.n) // (dmax + 1))
     return ub
 
 
-def upper_zir_number(g: Graph, cache: ClosureCache | None = None) -> tuple[int, ZirWitness]:
-    """ZIR(G): maximum size of a ZIr-set, with certificates.
+def upper_zir_number(g: Graph, cache: ClosureCache | None = None) -> tuple[int, int]:
+    """ZIR(G): maximum size of a ZIr-set, with its witness mask.
 
     The seed is the complement of a minimum 2-dominating set D, which is
     always a ZIr-set (D plus any one outside vertex is one of its private
@@ -168,7 +136,7 @@ def upper_zir_number(g: Graph, cache: ClosureCache | None = None) -> tuple[int, 
     maximal.
     """
     cache = cache or ClosureCache(g)
-    best = g.full & ~k_domination_number(g, 2).witness
+    best = g.full & ~k_domination_number(g, 2)[1]
     ub = _zir_upper_bound(g)
     verts = bit_list(g.full)
     while best.bit_count() < ub:
@@ -176,7 +144,7 @@ def upper_zir_number(g: Graph, cache: ClosureCache | None = None) -> tuple[int, 
         if got is None:
             break
         best = got
-    return best.bit_count(), _certify(g, best, cache, maximal=True)
+    return best.bit_count(), _certify(g, best, cache)
 
 
 def upper_zero_forcing_number(g: Graph, cache: ClosureCache | None = None,
@@ -334,8 +302,8 @@ def _maximal_walk(cache: ClosureCache, t: int, ct: int, members: _Members,
             return
 
 
-def lower_zir_number(g: Graph, cache: ClosureCache | None = None) -> tuple[int, ZirWitness]:
-    """zir(G): minimum size of a maximal ZIr-set, with certificates.
+def lower_zir_number(g: Graph, cache: ClosureCache | None = None) -> tuple[int, int]:
+    """zir(G): minimum size of a maximal ZIr-set, with its witness mask.
 
     One lexicographic walk over the ZIr-sets that, after each maximal set it
     finds, visits only smaller sets.  The witness is the lexicographically
@@ -344,7 +312,7 @@ def lower_zir_number(g: Graph, cache: ClosureCache | None = None) -> tuple[int, 
     cache = cache or ClosureCache(g)
     found: list[int] = []
     _maximal_walk(cache, 0, 0, (), [1 << v for v in range(g.n)], found, True)
-    return found[-1].bit_count(), _certify(g, found[-1], cache, maximal=True)
+    return found[-1].bit_count(), _certify(g, found[-1], cache)
 
 
 def maximal_zir_sets(g: Graph, cache: ClosureCache | None = None) -> list[int]:
@@ -368,18 +336,19 @@ def abandons_fort(g: Graph, s: int, cache: ClosureCache | None = None) -> int | 
 
 
 def graph_abandons_fort(g: Graph, cache: ClosureCache | None = None
-                        ) -> tuple[bool, tuple[ZirWitness, int] | None]:
-    """Whether some maximum-size ZIr-set fails to be a zero forcing set.
+                        ) -> tuple[int, int] | None:
+    """(set, fort) for the first maximum-size ZIr-set that fails to be a
+    zero forcing set and the largest fort it abandons, or None when every
+    maximum-size ZIr-set forces.
 
-    Scans every ZIr-set of size ZIR(G) in lexicographic order; the first one
-    that is not a zero forcing set is returned with its abandoned fort.
+    Scans every ZIr-set of size ZIR(G) in lexicographic order.
     """
     cache = cache or ClosureCache(g)
     target, _ = upper_zir_number(g, cache)
     found = _first_zir_set(target, cache, lambda cl: cl != g.full, bit_list(g.full))
     if found is None:
-        return False, None
+        return None
     fort = max_fort_avoiding(g, found, cache)
     if fort is None:
         raise AssertionError("non-forcing set must leave a fort uncolored")
-    return True, (_certify(g, found, cache, maximal=True), fort)
+    return _certify(g, found, cache), fort

@@ -30,8 +30,19 @@ from .irredundance import (_first_zir_set, lower_zir_number, maximal_zir_sets,
                            upper_zero_forcing_number, upper_zir_number)
 
 PARAM_NAMES = ("zir", "Z", "Zbar", "ZIR", "gamma", "gamma2", "alpha", "gammaP")
-# the order parameter_profile solves in: each chain solver after its bound
-SOLVE_ORDER = ("zir", "Z", "ZIR", "Zbar", "gamma", "gamma2", "alpha", "gammaP")
+# parameter -> solver(g, cache, values so far) -> (value, witness mask), in
+# the order parameter_profile solves them: each chain solver after its bound
+_SOLVERS: dict[str, Callable[[Graph, ClosureCache, dict[str, int]], tuple[int, int]]] = {
+    "zir": lambda g, cache, values: lower_zir_number(g, cache),
+    "Z": lambda g, cache, values: zero_forcing_number(g, cache, values.get("zir", 0)),
+    "ZIR": lambda g, cache, values: upper_zir_number(g, cache),
+    "Zbar": lambda g, cache, values: upper_zero_forcing_number(g, cache, values.get("ZIR")),
+    "gamma": lambda g, cache, values: k_domination_number(g, 1),
+    "gamma2": lambda g, cache, values: k_domination_number(g, 2),
+    "alpha": lambda g, cache, values: independence_number(g),
+    "gammaP": lambda g, cache, values: power_domination_number(g),
+}
+SOLVE_ORDER = tuple(_SOLVERS)
 DEFAULT_PROFILE_MAX_ORDER = 15
 FACTOR_MAX_ORDER = 13  # the join and corona bounds solve factors up to this order
 SUBSET_CHECK_MAX_ORDER = 10
@@ -105,7 +116,6 @@ def requested_params(params: Iterable[str]) -> tuple[str, ...]:
 def parameter_profile(g: Graph, params: tuple[str, ...] | None = None,
                       max_order: int = DEFAULT_PROFILE_MAX_ORDER,
                       graph_id: str | None = None,
-                      with_witnesses: bool = True,
                       cache: ClosureCache | None = None,
                       at: float | None = None) -> ParamProfile:
     """Compute the requested parameters (default: all) with witnesses.
@@ -116,13 +126,14 @@ def parameter_profile(g: Graph, params: tuple[str, ...] | None = None,
     same one to ``check_bounds`` and ``check_characterizations``.  ``at``
     is an ``errors.deadline`` reading, checked before each parameter.
 
-    The solvers run along the paper's chain zir <= Z <= Zbar <= ZIR, in
-    ``SOLVE_ORDER``: Z's scan starts at zir (a minimum zero forcing set is
-    a ZIr-set, and a ZIr-set that forces is maximal), and Zbar's descent
-    starts at ZIR (every minimal zero forcing set is a ZIr-set), whenever
-    that neighbour was requested too.  Either start skips only sizes that
-    hold no candidate, so values and witnesses are the same as from the
-    solvers alone; ``values`` and ``witnesses`` keep the requested order.
+    The solvers run in the order of ``_SOLVERS``, along the paper's chain
+    zir <= Z <= Zbar <= ZIR: Z's scan starts at zir (a minimum zero forcing
+    set is a ZIr-set, and a ZIr-set that forces is maximal), and Zbar's
+    descent starts at ZIR (every minimal zero forcing set is a ZIr-set),
+    whenever that neighbour was requested too.  Either start skips only
+    sizes that hold no candidate, so values and witnesses are the same as
+    from the solvers alone; ``values`` and ``witnesses`` keep the requested
+    order, and ``ParamProfile.to_dict`` decides whether witnesses print.
     """
     wanted = PARAM_NAMES if params is None else requested_params(params)
     profile = ParamProfile(
@@ -139,37 +150,13 @@ def parameter_profile(g: Graph, params: tuple[str, ...] | None = None,
         return profile
 
     cache = cache or ClosureCache(g)
-
-    def record(name: str, value: int, witness: int) -> None:
-        profile.values[name] = value
-        if with_witnesses:
-            profile.witnesses[name] = bit_list(witness)
-
-    for p in [p for p in SOLVE_ORDER if p in wanted]:
-        check_deadline(at, "compute")
-        if p == "zir":
-            value, wit = lower_zir_number(g, cache)
-            record(p, value, wit.members)
-        elif p == "Z":
-            record(p, *zero_forcing_number(g, cache, profile.values.get("zir", 0)))
-        elif p == "Zbar":
-            record(p, *upper_zero_forcing_number(g, cache, profile.values.get("ZIR")))
-        elif p == "ZIR":
-            value, wit = upper_zir_number(g, cache)
-            record(p, value, wit.members)
-        elif p == "gamma":
-            result = k_domination_number(g, 1)
-            record(p, result.value, result.witness)
-        elif p == "gamma2":
-            result = k_domination_number(g, 2)
-            record(p, result.value, result.witness)
-        elif p == "alpha":
-            record(p, *independence_number(g))
-        elif p == "gammaP":
-            record(p, *power_domination_number(g))
+    for p, solve in _SOLVERS.items():
+        if p in wanted:
+            check_deadline(at, "compute")
+            profile.values[p], witness = solve(g, cache, profile.values)
+            profile.witnesses[p] = bit_list(witness)
     profile.values = {p: profile.values[p] for p in wanted}
-    if with_witnesses:
-        profile.witnesses = {p: profile.witnesses[p] for p in wanted}
+    profile.witnesses = {p: profile.witnesses[p] for p in wanted}
     return profile
 
 
@@ -539,7 +526,7 @@ def _join_hub_range(f):
         return "needs join with K_1 and isolated-free base"
     if base.n > FACTOR_MAX_ORDER:
         return "factor beyond budget"
-    low = base.n - k_domination_number(base, 1).value
+    low = base.n - k_domination_number(base, 1)[0]
     zir_total = f.values["ZIR"]
     return low <= zir_total <= low + 1, f"{low} <= ZIR={zir_total} <= {low + 1}"
 
@@ -641,7 +628,7 @@ def check_bounds(profile: ParamProfile, g: Graph,
     return _run_checks(BOUND_CHECKS, profile, g, spec, cache)
 
 
-def check_characterizations(g: Graph, profile: ParamProfile,
+def check_characterizations(profile: ParamProfile, g: Graph,
                             spec: FamilySpec | None = None,
                             cache: ClosureCache | None = None) -> list[CheckReport]:
     """Check each structural characterization whose hypothesis applies."""

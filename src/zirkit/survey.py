@@ -44,9 +44,8 @@ from math import factorial
 
 from .errors import BudgetError, PreconditionError, check_deadline, deadline
 from .forcing import closure_table, minimal_zero_forcing_sets
-from .graphs import (Graph, _first_subset, adj_from_edge_mask, bit_list,
-                     canonical_children, edge_slots, least_labelings, mask_of, to_graph6,
-                     twin_classes)
+from .graphs import (Graph, adj_from_edge_mask, bit_list, canonical_children, edge_slots,
+                     least_labelings, mask_of, to_graph6, twin_classes)
 from .profiles import CHECKS, Check, CheckReport
 
 SURVEY_DEFAULT_MAX_ORDER = 6
@@ -169,9 +168,11 @@ class _GraphData:
         values["zir"] = min(m.bit_count() for m in maximal)
         values["ZIR"] = max(m.bit_count() for m in maximal)
 
-        self.z_witness = _first_subset(n, self.forces)
-        values["Z"] = self.z_witness.bit_count()
+        # every minimum zero forcing set is minimal, so both witnesses are
+        # the first minimal one of their size, by (size, lexicographic)
         self.minimal_zfs = minimal_zero_forcing_sets(clo)
+        self.z_witness = min(self.minimal_zfs, key=lambda m: (m.bit_count(), bit_list(m)))
+        values["Z"] = self.z_witness.bit_count()
         values["Zbar"] = max(m.bit_count() for m in self.minimal_zfs)
         self.zbar_witness = min((m for m in self.minimal_zfs
                                  if m.bit_count() == values["Zbar"]), key=bit_list)

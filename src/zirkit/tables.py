@@ -222,7 +222,7 @@ def family_table(specs: tuple[str, ...] | None = None,
         if g.n > max_order:
             raise BudgetError(f"table spec {spec} has order {g.n} > max_order {max_order}")
         profile = parameter_profile(g, params=tuple(expected), max_order=max_order,
-                                    graph_id=str(spec), with_witnesses=False, at=at)
+                                    graph_id=str(spec), at=at)
         for param in sorted(expected):
             rows.append(TableRow(
                 spec=str(spec), graph6=to_graph6(g), n=g.n, param=param,

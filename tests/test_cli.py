@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import zirkit
 from zirkit.cli import main
 
 
@@ -9,6 +10,11 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_public_names_resolve():
+    assert [name for name in zirkit.__all__ if not hasattr(zirkit, name)] == []
+    assert len(set(zirkit.__all__)) == len(zirkit.__all__)
 
 
 def test_compute_family_profile(capsys):
@@ -286,6 +292,7 @@ def test_file_time_limit_exit_two(capsys, tmp_path, command):
     (["survey", "--order", "3", "--checks", ""], None),
     (["table", "--specs", "path:20"], None),  # above the solver budget
     (["table", "--specs", "cycle:7", "--max-order", "5"], None),
+    (["compute", "--family", "path:" + "9" * 5000], None),  # past int()'s digit limit
 ])
 def test_bad_input_exit_two_without_traceback(capsys, tmp_path, argv, edges):
     path = tmp_path / "graph.edges"

@@ -1,7 +1,10 @@
+import time
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zirkit.errors import InvalidSpecError
+from zirkit.errors import InvalidSpecError, SizeCapError
 from zirkit.families import (FAMILY_ARITY, FamilySpec, complete_graph, corona,
                              cycle_graph, empty_graph, fig7_graph, friendship_graph,
                              generate, h_chain_graph, h_rs_graph,
@@ -165,5 +168,25 @@ def test_expression_parser_raises_only_spec_errors(text):
 def test_expression_parser_rejects_unbuildable_input():
     with pytest.raises(InvalidSpecError, match="integer"):
         parse_family_expr("path:\u00b2")  # a digit to isdigit(), not to int()
+    with pytest.raises(InvalidSpecError, match="integer"):
+        parse_family_expr("path:" + "9" * 5000)  # past int()'s digit limit
     with pytest.raises(InvalidSpecError, match="nested"):
         parse_family_expr("union(" * 2000 + "path:1")
+
+
+@pytest.mark.parametrize("expr", [
+    "complete:1000", "complete_bipartite:500,500", "path:200000", "cycle:200000",
+    "friendship:60000", "wheel:100000", "necklace:40000", "h_rs:80000,5", "h_chain:40000",
+])
+def test_order_cap_checked_before_edges_are_built(expr):
+    # each would otherwise build 200 000 edges or more before the cap is read
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    try:
+        with pytest.raises(SizeCapError, match="exceeds the 64-vertex cap"):
+            generate(expr)
+        elapsed = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.1 and peak < 1 << 20, (elapsed, peak)

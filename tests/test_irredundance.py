@@ -1,4 +1,3 @@
-import json
 import random
 
 import pytest
@@ -12,8 +11,8 @@ from zirkit.families import (complete_bipartite_graph, complete_graph,
 from zirkit.forcing import (ClosureCache, closure, is_fort, is_minimal_zfs,
                             is_zero_forcing_set)
 from zirkit.graphs import Graph, bit_list, bits, disjoint_union, join, mask_of
-from zirkit.irredundance import (_cannot_stay_maximal, _grow, abandons_fort, graph_abandons_fort,
-                                 has_private_fort, is_maximal_zir_set,
+from zirkit.irredundance import (_cannot_stay_maximal, _certify, _grow, abandons_fort,
+                                 graph_abandons_fort, has_private_fort, is_maximal_zir_set,
                                  is_zir_set, lower_zir_number, maximal_zir_sets,
                                  minimal_private_fort, upper_zero_forcing_number,
                                  upper_zir_number)
@@ -30,23 +29,23 @@ def test_private_fort_in_complete_bipartite():
     # sets that omit one vertex from each side leave pair forts private
     g = complete_bipartite_graph(2, 3)
     s = mask_of([0, 2, 3])  # omits 1 from the small side, 4 from the large
-    cert = has_private_fort(g, s, 0)
-    assert cert is not None
-    assert is_fort(g, cert.fort) and cert.fort & s == 1
+    fort = has_private_fort(g, s, 0)
+    assert fort is not None
+    assert is_fort(g, fort) and fort & s == 1
 
 
 def test_private_fort_fig7_example():
     g = fig7_graph()
     s = mask_of([2, 3])  # the {v3, v4} set
     for x in (2, 3):
-        cert = has_private_fort(g, s, x)
-        assert cert is not None and cert.fort & s == 1 << x
+        fort = has_private_fort(g, s, x)
+        assert fort is not None and fort & s == 1 << x
 
 
 def test_singleton_always_has_private_fort_in_connected_graph():
     for g in (cycle_graph(5), path_graph(4), star_graph(3)):
-        cert = has_private_fort(g, 1, 0)
-        assert cert is not None and is_fort(g, cert.fort)
+        fort = has_private_fort(g, 1, 0)
+        assert fort is not None and is_fort(g, fort)
 
 
 def test_fast_path_agrees_with_fort_enumeration(small_graphs, rng):
@@ -55,11 +54,11 @@ def test_fast_path_agrees_with_fort_enumeration(small_graphs, rng):
         cache = ClosureCache(g)
         for s in range(g.full + 1):
             for x in bits(s):
-                cert = has_private_fort(g, s, x, cache)
-                assert (cert is not None) == private_fort_exists(s, x, forts)
-                if cert is not None:
-                    assert is_fort(g, cert.fort)
-                    assert cert.fort & s == 1 << x
+                fort = has_private_fort(g, s, x, cache)
+                assert (fort is not None) == private_fort_exists(s, x, forts)
+                if fort is not None:
+                    assert is_fort(g, fort)
+                    assert fort & s == 1 << x
 
 
 def test_minimal_private_fort_examples():
@@ -215,25 +214,25 @@ def test_witness_certificates_verify():
     for expr in ("cycle:6", "h_rs:3,5", "fig3", "wheel:5", "complete_bipartite:2,3"):
         g = generate(expr)
         for solver in (lower_zir_number, upper_zir_number):
-            value, wit = solver(g)
-            assert wit.members.bit_count() == value
-            assert wit.maximal and is_maximal_zir_set(g, wit.members)
-            owners = [c.owner for c in wit.certificates]
-            assert owners == bit_list(wit.members)
-            for cert in wit.certificates:
-                assert is_fort(g, cert.fort)
-                assert cert.fort & wit.members == 1 << cert.owner
+            value, s = solver(g)
+            assert s.bit_count() == value
+            assert is_maximal_zir_set(g, s)
+            forts = [has_private_fort(g, s, x) for x in bits(s)]
+            assert None not in forts
+            for x, fort in zip(bits(s), forts):
+                assert is_fort(g, fort)
+                assert fort & s == 1 << x
 
 
 def test_private_fort_union_size_bound(small_graphs, rng):
     # |S| <= n - |union of the first k private forts| + k for every prefix
     for g in rng.sample(small_graphs, 60):
         for solver in (lower_zir_number, upper_zir_number):
-            _, wit = solver(g)
+            _, s = solver(g)
             union = 0
-            for k, cert in enumerate(wit.certificates, start=1):
-                union |= cert.fort
-                assert wit.members.bit_count() <= g.n - union.bit_count() + k
+            for k, x in enumerate(bits(s), start=1):
+                union |= has_private_fort(g, s, x)
+                assert s.bit_count() <= g.n - union.bit_count() + k
 
 
 def test_complement_of_maximal_zir_set_dominates(small_graphs, rng):
@@ -245,11 +244,15 @@ def test_complement_of_maximal_zir_set_dominates(small_graphs, rng):
                 assert all((comp >> v) & 1 or g.adj[v] & comp for v in range(g.n))
 
 
-def test_witness_serialization_shape():
-    _, wit = upper_zir_number(cycle_graph(5))
-    payload = json.loads(json.dumps(wit.to_dict()))
-    assert set(payload) == {"set", "certificates", "maximal"}
-    assert all(set(c) == {"owner", "fort"} for c in payload["certificates"])
+def test_certify_rejects_a_member_without_a_private_fort():
+    # every printed witness re-verifies: on the path 0-1-2, {0, 1} leaves 1
+    # no private fort, since 0 alone forces 1
+    g = path_graph(3)
+    s = mask_of([0, 1])
+    assert has_private_fort(g, s, 1) is None
+    with pytest.raises(AssertionError, match="lost a private fort"):
+        _certify(g, s, ClosureCache(g))
+    assert _certify(g, mask_of([0]), ClosureCache(g)) == mask_of([0])
 
 
 def test_abandons_fort_examples():
@@ -272,17 +275,17 @@ def test_abandons_fort_examples():
 
 
 def test_graph_abandons_fort():
-    assert graph_abandons_fort(friendship_graph(2))[0] is False
-    assert graph_abandons_fort(friendship_graph(3))[0] is False
+    assert graph_abandons_fort(friendship_graph(2)) is None
+    assert graph_abandons_fort(friendship_graph(3)) is None
     for expr in ("wheel:5", "fig3", "join(path:4,empty:2)"):
         g = generate(expr)
-        flag, witness = graph_abandons_fort(g)
-        assert flag and witness is not None
-        zw, fort = witness
-        assert is_maximal_zir_set(g, zw.members)
-        assert zw.members.bit_count() == upper_zir_number(g)[0]
-        assert is_fort(g, fort) and not fort & zw.members
-        assert not is_zero_forcing_set(g, zw.members)
+        witness = graph_abandons_fort(g)
+        assert witness is not None
+        s, fort = witness
+        assert is_maximal_zir_set(g, s)
+        assert s.bit_count() == upper_zir_number(g)[0]
+        assert is_fort(g, fort) and not fort & s
+        assert not is_zero_forcing_set(g, s)
 
 
 def test_abandonment_vs_not_forcing(small_graphs, rng):
@@ -326,7 +329,7 @@ def _first_witnesses(g):
 
 def test_witnesses_are_the_first_in_search_order(small_graphs):
     for g in small_graphs + _gnp_graphs(40, range(8, 12), 20261018):
-        got = (lower_zir_number(g)[1].members, upper_zir_number(g)[1].members,
+        got = (lower_zir_number(g)[1], upper_zir_number(g)[1],
                upper_zero_forcing_number(g)[1])
         assert got == _first_witnesses(g), g.adj
 

@@ -233,7 +233,7 @@ def test_product_check_paths(expr, check, status, detail):
     g = generate(expr)
     spec = parse_family_expr(expr)
     profile = parameter_profile(g, params=("ZIR",), graph_id=expr)
-    reports = check_bounds(profile, g, spec) + check_characterizations(g, profile, spec)
+    reports = check_bounds(profile, g, spec) + check_characterizations(profile, g, spec)
     found = {r.check: (r.status, r.detail) for r in reports}
     assert found[check] == (status, detail)
     if check == "corona-bounds":
@@ -259,7 +259,7 @@ def test_characterizations_on_examples():
     g = disjoint_union(generate("complete:5"), generate("empty:2"))
     profile = parameter_profile(g)
     assert profile.values["zir"] == 6 == profile.values["ZIR"]
-    reports = {r.check: r for r in check_characterizations(g, profile)}
+    reports = {r.check: r for r in check_characterizations(profile, g)}
     assert reports["extreme-n-minus-1"].status == "pass"
     assert reports["zir1-characterization"].status == "pass"
 
@@ -267,12 +267,12 @@ def test_characterizations_on_examples():
     g = generate(expr)
     profile = parameter_profile(g, graph_id=expr)
     reports = {r.check: r for r in
-               check_characterizations(g, profile, parse_family_expr(expr))}
+               check_characterizations(profile, g, parse_family_expr(expr))}
     assert reports["leaf-zir-set"].status == "pass"
 
     g = generate("friendship:3")
     profile = parameter_profile(g)
-    reports = {r.check: r for r in check_characterizations(g, profile)}
+    reports = {r.check: r for r in check_characterizations(profile, g)}
     assert reports["abandonment-identity"].status == "pass"
     assert profile.values["ZIR"] == profile.values["Zbar"] == 4
 
@@ -280,7 +280,7 @@ def test_characterizations_on_examples():
 def test_characterizations_hold_on_random_graphs(small_graphs, rng):
     for g in rng.sample(small_graphs, 40):
         profile = parameter_profile(g)
-        for report in check_characterizations(g, profile):
+        for report in check_characterizations(profile, g):
             assert report.status in ("pass", "skip"), (report.check, report.detail)
 
 
