@@ -38,14 +38,6 @@ _FIG6_EDGES = [(0, 1), (1, 2), (2, 3), (3, 5), (5, 4), (4, 0), (0, 6), (6, 7),
                (7, 4)]
 _FIG7_EDGES = [(0, 2), (1, 2), (2, 3), (3, 4), (4, 5), (4, 6)]
 
-# family name -> number of integer parameters
-FAMILY_ARITY = {
-    "empty": 1, "complete": 1, "path": 1, "cycle": 1,
-    "complete_bipartite": 2, "star": 1, "friendship": 1, "wheel": 1,
-    "necklace": 1, "h_rs": 2, "h_chain": 1,
-    "fig3": 0, "fig5": 0, "fig6": 0, "fig7": 0, "pentasun": 0,
-}
-
 
 @dataclass(frozen=True)
 class FamilySpec:
@@ -284,6 +276,9 @@ _GENERATORS = {
     "fig7": fig7_graph,
     "pentasun": pentasun_graph,
 }
+
+# family name -> number of integer parameters, read off its generator
+FAMILY_ARITY = {name: gen.__code__.co_argcount for name, gen in _GENERATORS.items()}
 
 _PRODUCTS = {"union": disjoint_union, "join": join, "corona": corona}
 

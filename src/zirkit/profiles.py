@@ -1,16 +1,18 @@
-"""Parameter profiles, the check registry, and structural recognizers.
+"""Parameter profiles, facts records, checks and structural recognizers.
 
 A profile gathers every exact parameter of one graph together with
 witnesses.  ``CHECKS`` is the one ordered registry of bounds and
-characterizations: each entry tests its hypothesis and its claim on a facts
-record.  ``check_bounds`` and ``check_characterizations`` each run it once
-on a profile, whose facts the solvers supply (the join and corona bounds
-also read the factor graphs); the survey runs the entries it shares with
-them on facts from its closure tables, so the two value routes stay
-independent while each theorem is written once.  Structural recognizers
-(path, star, clique-plus-isolated-vertices, and the complement
-decomposition behind the near-extreme zero forcing characterization) are
-pure graph predicates that those checks call on both routes.
+characterizations: each entry tests its hypothesis and its claim on a
+``Facts`` record, which holds the graph-level fields and reads the
+set-level facts off a closure table.  Two subclasses supply the values:
+``_ProfileFacts`` from a profile the solvers filled (for ``check_bounds``
+and ``check_characterizations``; the join and corona bounds also read the
+factor graphs), and the survey's ``_GraphData`` from its subset tables; so
+the two value routes stay independent while each theorem is written once.
+Structural recognizers (path, star, clique-plus-isolated-vertices, and the
+complement decomposition behind the near-extreme zero forcing
+characterization) are pure graph predicates that those checks call on both
+routes.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ from typing import Any, Callable, Iterable
 from .domination import k_domination_number, independence_number, power_domination_number
 from .errors import PreconditionError, check_deadline
 from .families import FamilySpec, generate
-from .forcing import (ClosureCache, closure_table, is_zero_forcing_set,
-                      minimal_zero_forcing_sets, zero_forcing_number)
+from .forcing import (ClosureCache, closure_table, minimal_zero_forcing_sets,
+                      zero_forcing_number)
 from .graphs import (Graph, bit_list, bits, complement, join as join_graph,
                      mask_of, to_graph6)
 from .irredundance import (_first_zir_set, lower_zir_number, maximal_zir_sets,
@@ -46,6 +48,8 @@ SOLVE_ORDER = tuple(_SOLVERS)
 DEFAULT_PROFILE_MAX_ORDER = 15
 FACTOR_MAX_ORDER = 13  # the join and corona bounds solve factors up to this order
 SUBSET_CHECK_MAX_ORDER = 10
+# the graph-level fields of a profile and of every facts record
+FLAGS = ("n", "min_degree", "max_degree", "has_edge", "connected", "isolated_free")
 
 
 @dataclass
@@ -104,12 +108,15 @@ class CheckReport:
 
 
 def requested_params(params: Iterable[str]) -> tuple[str, ...]:
-    """``params`` as a tuple; an unknown name raises ``PreconditionError``."""
-    wanted = tuple(params)
+    """``params`` as a tuple in first-seen order, repeats dropped; an unknown
+    name or an empty selection raises ``PreconditionError``."""
+    wanted = tuple(dict.fromkeys(params))
     for p in wanted:
         if p not in PARAM_NAMES:
             raise PreconditionError(
                 f"unknown parameter {p!r}; known: {', '.join(PARAM_NAMES)}")
+    if not wanted:
+        raise PreconditionError("no parameter selected")
     return wanted
 
 
@@ -136,15 +143,9 @@ def parameter_profile(g: Graph, params: tuple[str, ...] | None = None,
     order, and ``ParamProfile.to_dict`` decides whether witnesses print.
     """
     wanted = PARAM_NAMES if params is None else requested_params(params)
-    profile = ParamProfile(
-        graph_id=graph_id if graph_id is not None else to_graph6(g),
-        n=g.n,
-        min_degree=g.min_degree(),
-        max_degree=g.max_degree(),
-        has_edge=g.size() > 0,
-        connected=g.is_connected(),
-        isolated_free=g.isolated_vertices() == 0,
-    )
+    facts = Facts(g)
+    profile = ParamProfile(graph_id if graph_id is not None else to_graph6(g),
+                           **{name: getattr(facts, name) for name in FLAGS})
     if g.n > max_order:
         profile.omitted = list(wanted)
         return profile
@@ -224,47 +225,36 @@ def recognize_zn2_complement_form(g: Graph
     and all (0,*) pieces merge into one.
     """
     c = complement(g)
-    universal = [v for v in range(c.n) if c.adj[v] == c.full & ~(1 << v)]
-    r = len(universal)
-    rest = c.full & ~mask_of(universal)
+    universal = mask_of(v for v in range(c.n) if c.adj[v] == c.full & ~(1 << v))
+    # the complement with each universal vertex cut off into its own component
+    cut = Graph.from_adj([0 if (universal >> v) & 1 else row & ~universal
+                          for v, row in enumerate(c.adj)])
+    inner = cut.adj
 
     complete_sizes: list[int] = []
     bipartite: list[tuple[int, int]] = []
     pooled_empty = 0
-
-    if rest:
-        inner = {v: c.adj[v] & rest for v in bits(rest)}
-        seen = 0
-        for v in bits(rest):
-            if (seen >> v) & 1:
-                continue
-            comp = 1 << v
-            while True:
-                grow = comp
-                for u in bits(comp):
-                    grow |= inner[u]
-                if grow == comp:
-                    break
-                comp = grow
-            seen |= comp
-            size = comp.bit_count()
-            if size == 1:
-                pooled_empty += 1
-                continue
-            if all(inner[u] == comp & ~(1 << u) for u in bits(comp)):
-                if size == 2:
-                    bipartite.append((1, 1))
-                else:
-                    complete_sizes.append(size)
-                continue
-            # complete bipartite iff v's neighbours are one side and every
-            # vertex sees exactly the other side
-            side = inner[v]
-            other = comp & ~side
-            if any(inner[u] != (other if (side >> u) & 1 else side) for u in bits(comp)):
-                return False, None, False
-            q, p = sorted((side.bit_count(), other.bit_count()))
-            bipartite.append((q, p))
+    for comp in cut.components():
+        if comp & universal:
+            continue
+        size = comp.bit_count()
+        if size == 1:
+            pooled_empty += 1
+            continue
+        if all(inner[u] == comp & ~(1 << u) for u in bits(comp)):
+            if size == 2:
+                bipartite.append((1, 1))
+            else:
+                complete_sizes.append(size)
+            continue
+        # complete bipartite iff the least vertex's neighbours are one side
+        # and every vertex sees exactly the other side
+        side = inner[(comp & -comp).bit_length() - 1]
+        other = comp & ~side
+        if any(inner[u] != (other if (side >> u) & 1 else side) for u in bits(comp)):
+            return False, None, False
+        q, p = sorted((side.bit_count(), other.bit_count()))
+        bipartite.append((q, p))
 
     bipartite.sort(key=lambda qp: (-qp[0], -qp[1]))
     if pooled_empty:
@@ -272,7 +262,7 @@ def recognize_zn2_complement_form(g: Graph
     decomp = ComplementDecomposition(
         complete_sizes=tuple(sorted(complete_sizes, reverse=True)),
         bipartite_parts=tuple(bipartite),
-        universal_count=r,
+        universal_count=universal.bit_count(),
     )
     t, k = len(decomp.complete_sizes), len(decomp.bipartite_parts)
     lower_form = (t == 0 and k >= 1
@@ -283,49 +273,64 @@ def recognize_zn2_complement_form(g: Graph
 # -- the check registry ---------------------------------------------------
 
 
-class _ProfileFacts:
-    """The facts record of one profiled graph, answered by the solvers.
+class Facts:
+    """The facts record of one graph that every check reads.
 
-    A check reads ``n``, ``min_degree``, ``max_degree``, ``has_edge``,
-    ``connected``, ``isolated_free``, ``values`` and ``graph``, and the
-    set-level facts ``forces(s)``, ``minimal_zfs`` and ``maximal_zir_sets``
-    (ascending masks) and ``abandons``.  ``maximal_zir_sets`` comes from the
-    solvers' walk over the ZIr-sets; ``minimal_zfs`` is read off the closure
-    table of every subset, so ``minimal-zfs-equivalence`` compares two
-    independent routes (the table shares only ``cache``, the memo of
-    closures, which holds no ZIr-set).  The survey's ``_GraphData`` answers
-    the same from closure tables.  Only checks the survey does not run read
-    ``cache`` and ``product``, which is ``(kind, left, right)`` for a join
-    or corona.
+    It holds ``graph`` and the ``FLAGS`` fields, and reads ``forces(s)``,
+    ``minimal_zfs`` and ``abandons`` off ``clo``, the closure table of every
+    subset; a subclass supplies ``clo``, ``values`` and ``maximal_zir_sets``
+    (ascending masks).
+    """
+
+    def __init__(self, g: Graph):
+        degs = g.degrees()
+        self.graph, self.n = g, g.n
+        self.min_degree, self.max_degree = min(degs), max(degs)
+        self.has_edge = self.max_degree > 0
+        self.connected = g.is_connected()
+        self.isolated_free = all(g.adj)
+
+    def forces(self, s: int) -> bool:
+        return self.clo[s] == self.graph.full
+
+    @cached_property
+    def minimal_zfs(self) -> list[int]:
+        return minimal_zero_forcing_sets(self.clo)
+
+    @cached_property
+    def abandons(self) -> bool:
+        # graph_abandons_fort, from ZIR and the maximal sets: every ZIr-set
+        # of size ZIR is maximal
+        zir_upper = self.values["ZIR"]
+        return any(s.bit_count() == zir_upper and not self.forces(s)
+                   for s in self.maximal_zir_sets)
+
+
+class _ProfileFacts(Facts):
+    """The facts record of a profile, whose values the solvers supply.
+
+    ``maximal_zir_sets`` is the solvers' walk over the ZIr-sets, and ``clo``
+    is built through ``cache``, the memo of closures, which holds no
+    ZIr-set; so ``minimal-zfs-equivalence`` compares two independent
+    routes.  Only checks gated to n <= ``SUBSET_CHECK_MAX_ORDER`` read
+    ``clo``.  Only checks the survey does not run read ``cache`` and
+    ``product``, which is ``(kind, left, right)`` for a join or corona.
     """
 
     def __init__(self, profile: ParamProfile, g: Graph,
                  product: tuple[str, Graph, Graph] | None,
                  cache: ClosureCache | None = None):
-        self.profile, self.graph, self.product = profile, g, product
+        super().__init__(g)
+        self.values, self.product = profile.values, product
         self.cache = cache or ClosureCache(g)
 
-    def __getattr__(self, name: str):
-        return getattr(self.profile, name)  # n, the degrees, the flags, values
-
-    def forces(self, s: int) -> bool:
-        return is_zero_forcing_set(self.graph, s, self.cache)
-
     @cached_property
-    def minimal_zfs(self) -> list[int]:
-        return minimal_zero_forcing_sets(closure_table(self.graph, self.cache))
+    def clo(self) -> list[int]:
+        return closure_table(self.graph, self.cache)
 
     @cached_property
     def maximal_zir_sets(self) -> list[int]:
         return maximal_zir_sets(self.graph, self.cache)
-
-    @cached_property
-    def abandons(self) -> bool:
-        # graph_abandons_fort, from the profile's ZIR and the swept maximal
-        # sets: every ZIr-set of size ZIR is maximal
-        zir_upper = self.values["ZIR"]
-        return any(s.bit_count() == zir_upper and not self.forces(s)
-                   for s in self.maximal_zir_sets)
 
     @cached_property
     def corona_values(self) -> tuple[int, int, int, int] | None:

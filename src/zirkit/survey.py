@@ -22,10 +22,11 @@ ZIr table and gives gamma, gamma2, alpha and gammaP by a mask DP.  No
 solver is called and no theorem bound prunes anything, so the survey is an
 independent route from the pruned solver searches; the test suite
 cross-checks the two.
-``_GraphData`` is the survey's facts record: the theorems shared with
-``compute --check-bounds`` are evaluated by the predicates of
-``profiles.CHECKS``, and only the survey's own theorems and scans live here.
-The scans read nothing but ``values``, so they run on either facts record.
+``_GraphData`` is the survey's ``profiles.Facts`` record, with its values
+from the subset tables: the theorems shared with ``compute --check-bounds``
+are evaluated by the predicates of ``profiles.CHECKS``, and only the
+survey's own theorems and scans live here.  The scans read nothing but
+``values``, so they run on either facts record.
 ``THEOREM_CHECKS``, ``SCAN_CHECKS`` and ``ALL_CHECKS`` list the survey names
 of these registries.
 
@@ -43,10 +44,10 @@ from dataclasses import dataclass, field
 from math import factorial
 
 from .errors import BudgetError, PreconditionError, check_deadline, deadline
-from .forcing import closure_table, minimal_zero_forcing_sets
+from .forcing import closure_table
 from .graphs import (Graph, adj_from_edge_mask, bit_list, canonical_children, edge_slots,
                      least_labelings, mask_of, to_graph6, twin_classes)
-from .profiles import CHECKS, Check, CheckReport
+from .profiles import CHECKS, Check, CheckReport, Facts
 
 SURVEY_DEFAULT_MAX_ORDER = 6
 SURVEY_HARD_MAX_ORDER = 7
@@ -77,7 +78,7 @@ class SurveyReport:
 # -- per-graph computation -------------------------------------------------
 
 
-class _GraphData:
+class _GraphData(Facts):
     """The facts record of one graph, answered by subset tables.
 
     It answers everything the shared checks of ``profiles.CHECKS`` read,
@@ -87,21 +88,8 @@ class _GraphData:
     with no solver and no bound pruning.
     """
 
-    __slots__ = ("n", "adj", "full", "graph", "min_degree", "max_degree",
-                 "has_edge", "connected", "isolated_free", "clo", "zirt", "maximal_zir_sets",
-                 "minimal_zfs", "values", "z_witness", "zbar_witness", "abandons")
-
     def __init__(self, g: Graph):
-        self.graph = g
-        self.n = g.n
-        self.adj = g.adj
-        self.full = g.full
-        degs = g.degrees()
-        self.min_degree = min(degs)
-        self.max_degree = max(degs)
-        self.has_edge = self.max_degree > 0
-        self.isolated_free = all(g.adj)
-        self.connected = g.is_connected()
+        super().__init__(g)
         self.clo = closure_table(g)
         self._tables()
 
@@ -111,7 +99,7 @@ class _GraphData:
         # c1[m] holds the vertices with a neighbour in m, c2[m] those with
         # two, so m k-dominates iff every vertex outside m lies in ck[m],
         # and m power-dominates iff its closed neighbourhood m | c1[m] forces
-        n, full, adj, clo = self.n, self.full, self.adj, self.clo
+        n, full, adj, clo = self.n, self.graph.full, self.graph.adj, self.clo
         zirt = [False] * (full + 1)
         c1 = [0] * (full + 1)
         c2 = [0] * (full + 1)
@@ -170,7 +158,6 @@ class _GraphData:
 
         # every minimum zero forcing set is minimal, so both witnesses are
         # the first minimal one of their size, by (size, lexicographic)
-        self.minimal_zfs = minimal_zero_forcing_sets(clo)
         self.z_witness = min(self.minimal_zfs, key=lambda m: (m.bit_count(), bit_list(m)))
         values["Z"] = self.z_witness.bit_count()
         values["Zbar"] = max(m.bit_count() for m in self.minimal_zfs)
@@ -182,11 +169,6 @@ class _GraphData:
         values["alpha"] = alpha
         values["gammaP"] = gamma_p
         self.values = values
-        top = values["ZIR"]
-        self.abandons = any(m.bit_count() == top and clo[m] != full for m in maximal)
-
-    def forces(self, m: int) -> bool:
-        return self.clo[m] == self.full
 
 
 # -- survey-only checks; the shared theorems live in profiles.CHECKS ---------
@@ -195,10 +177,11 @@ class _GraphData:
 def _complement_dominating(d):
     if not d.isolated_free:
         return ""
+    adj, full = d.graph.adj, d.graph.full
     for m in d.maximal_zir_sets:
-        comp = d.full & ~m
+        comp = full & ~m
         for v in range(d.n):
-            if not (comp >> v) & 1 and not d.adj[v] & comp:
+            if not (comp >> v) & 1 and not adj[v] & comp:
                 return False, f"complement of maximal ZIr-set {bit_list(m)} misses {v}"
     return True, ""
 

@@ -8,7 +8,9 @@ from pathlib import Path
 from zirkit.cli import main
 from zirkit.forcing import is_minimal_zfs
 from zirkit.graphs import Graph, enumerate_labeled_graphs, mask_of, to_graph6
-from zirkit.profiles import CHECKS, _ProfileFacts, parameter_profile
+from zirkit.families import generate
+from zirkit.profiles import (CHARACTERIZATION_CHECKS, CHECKS, SUBSET_CHECK_MAX_ORDER,
+                             _ProfileFacts, parameter_profile)
 from zirkit.survey import _CHECKS, SCAN_CHECKS, THEOREM_CHECKS, _GraphData
 
 from oracles import random_adj
@@ -131,3 +133,15 @@ def test_facts_records_agree():
         for check in SHARED + SCANS:
             # the same skip reason, or the same outcome and detail
             assert check.evaluate(table) == check.evaluate(solved), (check.name, where)
+
+
+def test_profile_checks_build_no_closure_table_above_the_subset_gate():
+    # the profile's facts build the 2^n closure table only for the checks
+    # gated to n <= SUBSET_CHECK_MAX_ORDER
+    left, right = generate("path:4"), generate("empty:2")
+    g = generate("corona(path:4,empty:2)")
+    assert g.n == 12 > SUBSET_CHECK_MAX_ORDER
+    facts = _ProfileFacts(parameter_profile(g), g, ("corona", left, right))
+    for check in CHARACTERIZATION_CHECKS:
+        check.evaluate(facts)
+    assert "clo" not in vars(facts)

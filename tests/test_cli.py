@@ -35,6 +35,13 @@ def test_compute_graph6_csv(capsys):
     assert lines[1].startswith("D?{,5,")
 
 
+def test_compute_drops_repeated_params(capsys):
+    code, out, _ = run_cli(capsys, "compute", "--graph6", "D?{",
+                           "--params", "zir,Z,zir", "--format", "csv")
+    assert code == 0
+    assert out.splitlines()[0] == "graph,n,zir,Z"
+
+
 def test_compute_file_input(capsys, tmp_path):
     path = tmp_path / "graphs.g6"
     path.write_text("# two graphs\nA_\nD?{\n", encoding="utf-8")
@@ -293,6 +300,8 @@ def test_file_time_limit_exit_two(capsys, tmp_path, command):
     (["table", "--specs", "path:20"], None),  # above the solver budget
     (["table", "--specs", "cycle:7", "--max-order", "5"], None),
     (["compute", "--family", "path:" + "9" * 5000], None),  # past int()'s digit limit
+    (["compute", "--graph6", "A_", "--params", ""], None),
+    (["compute", "--graph6", "A_", "--params", ","], None),
 ])
 def test_bad_input_exit_two_without_traceback(capsys, tmp_path, argv, edges):
     path = tmp_path / "graph.edges"
