@@ -8,6 +8,14 @@ vertex has exactly one neighbor in F; a set is zero forcing exactly when it
 meets every fort, which is the duality the test suite exercises from both
 sides.  The upper zero forcing number Zbar is a ZIr-set search and lives
 in ``irredundance``.
+
+Two kernels compute closures.  ``_close`` sweeps every blue vertex until a
+sweep forces nothing, from any start.  ``_close_add`` closes a closed set
+plus one vertex w from a work list: only w and the blue neighbours of each
+vertex that turns blue can start to force.  ``ClosureCache`` memoizes both,
+``closure`` by the first and ``add`` by the second, in one memo keyed by
+the set closed; ``closure_table`` and the ZIr-set searches' extension step
+call ``add``, every one of whose closures is of that shape.
 """
 
 from __future__ import annotations
@@ -47,8 +55,33 @@ def _close(adj: tuple[int, ...], blue: int) -> int:
             return blue
 
 
+def _close_add(adj: tuple[int, ...], blue: int, w: int) -> int:
+    """Closure of ``blue`` when ``blue`` minus the bit w is already closed.
+
+    Only a vertex whose white neighbourhood shrank can start to force: w
+    itself and its blue neighbours at first, then each newly blue vertex
+    and its blue neighbours.  Those go on a work list, so the closure costs
+    the forces it makes rather than full sweeps.  A set that forces nothing
+    comes back as the same object.
+    """
+    todo = w | (adj[w.bit_length() - 1] & blue)
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        x = adj[low.bit_length() - 1] & ~blue
+        if x and not (x & (x - 1)):
+            blue |= x
+            todo |= x | (adj[x.bit_length() - 1] & blue)
+    return blue
+
+
 class ClosureCache:
-    """Memoized closures for one graph; at most 2^n entries."""
+    """Memoized closures for one graph; at most 2^n entries.
+
+    ``closure`` closes any set; ``add`` closes a closed set plus one
+    outside vertex by the seeded kernel ``_close_add``.  Both share one
+    memo keyed by the set closed.
+    """
 
     __slots__ = ("adj", "_memo")
 
@@ -62,6 +95,14 @@ class ClosureCache:
             got = self._memo[blue] = _close(self.adj, blue)
         return got
 
+    def add(self, closed: int, w: int) -> int:
+        """cl(closed + w) for a closed set ``closed`` and a bit w outside it."""
+        blue = closed | w
+        got = self._memo.get(blue)
+        if got is None:
+            got = self._memo[blue] = _close_add(self.adj, blue, w)
+        return got
+
 
 def closure_table(g: Graph, cache: ClosureCache | None = None) -> list[int]:
     """The closure of every vertex set of g, indexed by its mask: 2^n entries.
@@ -70,8 +111,9 @@ def closure_table(g: Graph, cache: ClosureCache | None = None) -> list[int]:
     ones stay there for later lookups.
     """
     # cl(m) = cl(cl(p) ∪ {v}) for p = m minus its lowest vertex v; masks
-    # ascend so clo[p] is ready, each seeded closure is near its fixpoint,
-    # and v ∈ cl(p) gives cl(m) = cl(p) with no closure at all
+    # ascend so clo[p] is ready, the seeded kernel closes the closed cl(p)
+    # plus v, and v ∈ cl(p) gives cl(m) = cl(p) with no closure at all
+    adj = g.adj
     clo = [0] * (g.full + 1)
     for m in range(1, g.full + 1):
         p = m & (m - 1)
@@ -80,7 +122,7 @@ def closure_table(g: Graph, cache: ClosureCache | None = None) -> list[int]:
         if c & low:
             clo[m] = c
         else:
-            clo[m] = cache.closure(c | low) if cache else _close(g.adj, c | low)
+            clo[m] = cache.add(c, low) if cache else _close_add(adj, c | low, low)
     return clo
 
 

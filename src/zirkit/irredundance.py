@@ -17,23 +17,28 @@ fast path is gated by an independent oracle rather than assumed.
 
 Every search grows ZIr-sets one vertex at a time with ``_grow``, which
 carries the closure of the set and of each member's remainder, so adding a
-vertex recloses only the members whose maximum private fort holds it.  The
-fixed-size search ``_first_zir_set`` serves ZIR, Zbar and abandonment; one
-lexicographic walk over the ZIr-sets (``_maximal_walk``) gives zir and the
-list of maximal ZIr-sets.  ``is_zir_set`` and ``is_maximal_zir_set`` stay on
-the plain definition, and the tests re-verify witnesses through them.
+vertex recloses only the members whose maximum private fort holds it; each
+of those closures closes a closed set plus the new vertex, by the seeded
+kernel behind ``ClosureCache.add``.  The fixed-size search
+``_first_zir_set`` serves ZIR, Zbar and abandonment; one lexicographic walk
+over the ZIr-sets (``_maximal_walk``) gives zir and the list of maximal
+ZIr-sets.  ``is_zir_set`` and ``is_maximal_zir_set`` stay on the plain
+definition, and the tests re-verify witnesses through them.
 
-For zir, once a maximal ZIr-set of size b is found, the walk stops at a
+For zir, once a maximal ZIr-set of size b is found, the walk skips a
 ZIr-set t whose subtree cannot hold a maximal ZIr-set smaller than b
-(``_cannot_stay_maximal``).  The bound counts first forces, as Z >= delta
-does (Barioli et al., "Zero forcing parameters and minimum rank problems",
-LAA 2010): a vertex v left out of a maximal ZIr-set T makes T + v fail, and
-that failure needs a force, so some u in T + v has at most one neighbour
-outside T + v.  When, for some vertex below t's highest member, no u can
-reach that with the members still allowed, every set below t is cut.  The
-sets cut hold no maximal ZIr-set smaller than b, so what the walk finds,
-the witness included, is unchanged; the walk over every maximal ZIr-set
-(``maximal_zir_sets``) is not cut.
+(``_cannot_stay_maximal``).  The cut runs at t's parent, before t's last
+vertex is grown, with the parent's later candidates: a superset of the
+vertices that can still join t, and a cut that fires on a superset fires
+on each subset.  The bound counts first forces, as
+Z >= delta does (Barioli et al., "Zero forcing parameters and minimum rank
+problems", LAA 2010): a vertex v left out of a maximal ZIr-set T makes
+T + v fail, and that failure needs a force, so some u in T + v has at most
+one neighbour outside T + v.  When, for some vertex below t's highest
+member, no u can reach that with the members still allowed, every set
+below t is cut.  The sets cut hold no maximal ZIr-set smaller than b, so
+what the walk finds, the witness included, is unchanged; the walk over
+every maximal ZIr-set (``maximal_zir_sets``) is not cut.
 """
 
 from __future__ import annotations
@@ -171,7 +176,7 @@ def upper_zero_forcing_number(g: Graph, cache: ClosureCache | None = None,
 _Members = tuple[tuple[int, int], ...]
 
 
-def _grow(ct: int, members: _Members, w: int, close: Callable[[int], int]
+def _grow(ct: int, members: _Members, w: int, add: Callable[[int, int], int]
           ) -> tuple[int, _Members] | None:
     """One extension step of a ZIr-set t by the outside vertex bit w.
 
@@ -179,19 +184,20 @@ def _grow(ct: int, members: _Members, w: int, close: Callable[[int], int]
     Returns the same pair for t + w when it is still a ZIr-set, else None.
     Since cl(t - x + w) = cl(cl(t - x) | w), a member whose closure already
     holds w (w lies outside its maximum private fort) keeps it; only the
-    others are reclosed.
+    others are reclosed.  Each of those closures closes a closed set plus
+    the one bit w outside it, so ``add`` is ``ClosureCache.add``.
     """
     if ct & w:
         return None
     grown = []
     for x, cx in members:
         if not cx & w:
-            cx = close(cx | w)
+            cx = add(cx, w)
             if cx & x:
                 return None
         grown.append((x, cx))
     grown.append((w, ct))
-    return close(ct | w), tuple(grown)
+    return add(ct, w), tuple(grown)
 
 
 def _first_zir_set(k: int, cache: ClosureCache, accept: Callable[[int], bool] | None,
@@ -208,10 +214,10 @@ def _first_zir_set(k: int, cache: ClosureCache, accept: Callable[[int], bool] | 
     """
     if k == 0:
         return s if accept is None or accept(cs) else None
-    close = cache.closure
+    add = cache.add
     for i in range(start, len(verts) - k + 1):
         w = 1 << verts[i]
-        grown = _grow(cs, members, w, close)
+        grown = _grow(cs, members, w, add)
         if grown is not None:
             got = _first_zir_set(k - 1, cache, accept, verts, s | w, *grown, i + 1)
             if got is not None:
@@ -265,41 +271,48 @@ def _maximal_walk(cache: ClosureCache, t: int, ct: int, members: _Members,
     bits of ``cands`` above t's highest member, in lexicographic order.
 
     t is a ZIr-set given with ct = cl(t) and its member closures, and
-    ``cands`` holds every bit above t's highest member whose addition
-    leaves a ZIr-set; by heredity a child's candidates are among its
-    parent's.  t is
+    ``cands`` holds every bit above t's highest member whose addition may
+    leave a ZIr-set.  Each candidate is grown when it is reached and, if
+    t + w is a ZIr-set, its subtree is walked at once with the later
+    candidates; one that failed at t fails again there (heredity).  t is
     maximal when no candidate and no lower outside bit passes ``_grow``.
+
     With ``smaller``, only sets smaller than the last one found are visited,
     so ``found`` ends with the first maximal ZIr-set of minimum size.  Then
-    a node is left with its whole subtree when some lower outside vertex v
-    stays addable to every set T there with at most r = |last find| - 1 -
-    |t| members more than t: by the first-force count of
-    ``_cannot_stay_maximal``, T + v is still a ZIr-set, so no such T is
-    maximal.  Plain recursion, like ``_first_zir_set``.
+    the first-force cut ``_cannot_stay_maximal`` runs before a candidate w
+    is grown: on t + w, with every candidate after w and r = |last find| -
+    2 - |t|.  Those candidates are a superset of the vertices that can
+    still join t + w, and a cut that fires on a set of candidates fires on
+    each of its subsets.  When it fires, some lower outside vertex stays
+    addable to every set below t + w with at most r members more, so none
+    of them is maximal, and w is skipped without a closure.  Only when no
+    candidate grew are the skipped ones grown, to decide whether t itself
+    is maximal.  Plain recursion, like ``_first_zir_set``.
     """
-    close = cache.closure
+    add = cache.add
     size = len(members)
-    if smaller and found and t and _cannot_stay_maximal(
-            cache.adj, t, sum(cands), found[-1].bit_count() - 1 - size):
-        return  # no maximal ZIr-set below t is smaller than the last find
-    if smaller and found and size + 1 >= found[-1].bit_count():
-        # no child can be visited: only t itself can still be smaller
-        if any(_grow(ct, members, w, close) is not None for w in cands):
-            return
-        children = []
-    else:
-        children = [(w, grown) for w in cands
-                    if (grown := _grow(ct, members, w, close)) is not None]
-    if not children:
-        lower = ((1 << (t.bit_length() - 1)) - 1) & ~t  # t is never empty here
-        if all(_grow(ct, members, 1 << v, close) is None for v in bits(lower)):
-            found.append(t)
+    rest = sum(cands)  # the candidates after w
+    held = []  # the candidates passed over without a grow
+    grew = False
+    for i, w in enumerate(cands):
+        rest ^= w
+        if smaller and found:
+            r = found[-1].bit_count() - 2 - size
+            if r < 0:  # no child can be smaller than the last find
+                held += cands[i:]
+                break
+            if _cannot_stay_maximal(cache.adj, t | w, rest, r):
+                held.append(w)
+                continue
+        grown = _grow(ct, members, w, add)
+        if grown is not None:
+            grew = True
+            _maximal_walk(cache, t | w, *grown, cands[i + 1:], found, smaller)
+    if grew or any(_grow(ct, members, w, add) is not None for w in held):
         return
-    ws = [w for w, _ in children]
-    for i, (w, grown) in enumerate(children):
-        _maximal_walk(cache, t | w, *grown, ws[i + 1:], found, smaller)
-        if smaller and found and size + 1 >= found[-1].bit_count():
-            return
+    lower = ((1 << (t.bit_length() - 1)) - 1) & ~t  # t is never empty here
+    if all(_grow(ct, members, 1 << v, add) is None for v in bits(lower)):
+        found.append(t)
 
 
 def lower_zir_number(g: Graph, cache: ClosureCache | None = None) -> tuple[int, int]:

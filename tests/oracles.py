@@ -137,6 +137,28 @@ def brute_domination(adj: tuple[int, ...], n: int, k: int) -> int:
     return best
 
 
+def _is_k_dominating(adj: tuple[int, ...], full: int, m: int, k: int) -> bool:
+    outside = full & ~m
+    while outside:
+        low = outside & -outside
+        outside ^= low
+        if (adj[low.bit_length() - 1] & m).bit_count() < k:
+            return False
+    return True
+
+
+def first_k_dominating(g, k: int) -> int:
+    """The first k-dominating set of g in (size, lexicographic) order: every
+    vertex outside it has at least k neighbours inside."""
+    for size in range(g.n + 1):
+        for combo in combinations(range(g.n), size):
+            m = sum(1 << v for v in combo)
+            if all((g.adj[v] & m).bit_count() >= k
+                   for v in range(g.n) if not m >> v & 1):
+                return m
+    raise AssertionError("the whole vertex set k-dominates")
+
+
 def brute_independence(adj: tuple[int, ...], n: int) -> int:
     full = (1 << n) - 1
     return max(m.bit_count() for m in range(full + 1)

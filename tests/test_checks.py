@@ -47,6 +47,17 @@ def test_dense_gnp_check_stream_is_pinned(capsys):
         (data / "compute_dense_gnp.jsonl").read_bytes()
 
 
+def test_sparse_gnp_check_stream_is_pinned(capsys):
+    # twelve G(n, p) graphs, n = 12-15 and p = 0.2 or 0.35, some with
+    # isolated vertices: Zbar and the gamma2 seed of ZIR carry the solve
+    # there; values, witnesses and checks byte for byte
+    data = Path(__file__).parent / "data"
+    assert main(["compute", "--witness", "--check-bounds",
+                 "--file", str(data / "sparse_gnp.g6")]) == 0
+    assert capsys.readouterr().out.encode() == \
+        (data / "compute_sparse_gnp.jsonl").read_bytes()
+
+
 def test_small_order_witness_stream_is_pinned(tmp_path, capsys):
     # every labeled graph of order <= 5: values, witnesses and check stream,
     # byte for byte, so a refactor of the solvers cannot move a witness

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings
 
 from zirkit.errors import PreconditionError
 from zirkit.families import (complete_graph, corona, cycle_graph, empty_graph,
@@ -10,7 +11,8 @@ from zirkit.forcing import closure
 from zirkit.graphs import Graph, bits
 
 from oracles import (brute_domination, brute_independence,
-                     brute_power_domination, random_adj)
+                     brute_power_domination, first_k_dominating, random_adj)
+from strategies import graphs
 
 
 def test_domination_examples():
@@ -40,6 +42,15 @@ def test_domination_witness_is_valid_and_minimal_size(small_graphs, rng):
             outside = g.full & ~witness
             for v in bits(outside):
                 assert (g.adj[v] & witness).bit_count() >= k
+
+
+@settings(deadline=None)
+@given(graphs(9))
+def test_domination_witness_is_the_first_in_scan_order(g):
+    # the prefix walk's prune keeps the (size, lexicographic) scan's first
+    # set; ZIR's seed and the printed witnesses read it
+    for k in (1, 2):
+        assert k_domination_number(g, k)[1] == first_k_dominating(g, k), (g.adj, k)
 
 
 def test_two_domination_implies_domination(small_graphs, rng):

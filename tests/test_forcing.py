@@ -1,9 +1,11 @@
 import pytest
+from hypothesis import given, settings
 
 from zirkit.errors import BudgetError
 from zirkit.families import (complete_graph, cycle_graph, friendship_graph,
                              generate, h_rs_graph, path_graph, star_graph)
-from zirkit.forcing import (ClosureCache, closure, closure_with_chronicle,
+from zirkit.forcing import (ClosureCache, _close, _close_add, closure,
+                            closure_table, closure_with_chronicle,
                             enumerate_forts, enumerate_minimal_forts, is_fort,
                             is_minimal_zfs, is_z_irrelevant,
                             is_zero_forcing_set, max_fort_avoiding,
@@ -12,6 +14,7 @@ from zirkit.graphs import Graph, mask_of
 from zirkit.irredundance import upper_zero_forcing_number
 
 from oracles import brute_forcing_params, brute_forts, brute_minimal_forts
+from strategies import graphs
 
 
 def test_closure_path_from_endpoint():
@@ -246,3 +249,23 @@ def test_witnesses_are_lexicographically_least():
     assert (z, wit) == (2, mask_of([0, 1]))
     zbar, wit = upper_zero_forcing_number(g)
     assert zbar == 2 and wit == mask_of([0, 1])
+
+
+@settings(deadline=None)
+@given(graphs(8))
+def test_seeded_closure_matches_full_closure(g):
+    # the seeded kernel closes a closed set plus one outside vertex; the
+    # memo entry it leaves is the one a later plain lookup reads
+    clo = [_close(g.adj, m) for m in range(g.full + 1)]
+    for c in {c for c in clo if c != g.full}:
+        for v in range(g.n):
+            w = 1 << v
+            if c & w:
+                continue
+            want = clo[c | w]
+            assert _close_add(g.adj, c | w, w) == want, (g.adj, c, v)
+            cache = ClosureCache(g)
+            assert cache.add(c, w) == want
+            assert cache.closure(c | w) == want and len(cache._memo) == 1
+    assert closure_table(g) == clo
+    assert closure_table(g, ClosureCache(g)) == clo

@@ -352,7 +352,7 @@ def test_grow_step_matches_definition(g):
         members = tuple((1 << x, closure(g, t & ~(1 << x))) for x in bits(t))
         for w in bits(g.full & ~t):
             s = t | 1 << w
-            grown = _grow(closure(g, t), members, 1 << w, cache.closure)
+            grown = _grow(closure(g, t), members, 1 << w, cache.add)
             assert (grown is not None) == is_zir_set(g, s, cache)
             if grown is not None:
                 assert grown[0] == closure(g, s)

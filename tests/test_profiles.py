@@ -4,8 +4,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zirkit.domination import (_is_k_dominating, independence_number,
-                               k_domination_number, power_domination_number)
+from zirkit.domination import (independence_number, k_domination_number,
+                               power_domination_number)
 from zirkit.errors import PreconditionError
 from zirkit.families import generate, parse_family_expr
 from zirkit.forcing import closure, is_minimal_zfs, zero_forcing_number
@@ -18,7 +18,7 @@ from zirkit.profiles import (check_bounds, check_characterizations,
                              is_star_graph, parameter_profile,
                              recognize_zn2_complement_form)
 
-from oracles import random_adj
+from oracles import _is_k_dominating, random_adj
 
 
 def _values(expr, params=("zir", "Z", "Zbar", "ZIR")):
