@@ -153,8 +153,7 @@ def first_k_dominating(g, k: int) -> int:
     for size in range(g.n + 1):
         for combo in combinations(range(g.n), size):
             m = sum(1 << v for v in combo)
-            if all((g.adj[v] & m).bit_count() >= k
-                   for v in range(g.n) if not m >> v & 1):
+            if _is_k_dominating(g.adj, g.full, m, k):
                 return m
     raise AssertionError("the whole vertex set k-dominates")
 
