@@ -8,9 +8,9 @@ small-order theorem surveys.
 
 from .errors import (BudgetError, GraphFormatError, InvalidSpecError,
                      PreconditionError, SizeCapError, ZirkitError)
-from .graphs import (Graph, bit_list, bits, canonical_form, complement, corona,
-                     disjoint_union, enumerate_labeled_graphs, join, mask_of,
-                     parse_graph6, to_graph6, twin_classes)
+from .graphs import (Graph, bit_list, bits, complement, corona, disjoint_union,
+                     enumerate_labeled_graphs, join, mask_of, parse_graph6,
+                     to_graph6, twin_classes)
 from .families import FamilySpec, generate, parse_family_expr
 from .forcing import (ClosureCache, ForceStep, closure, closure_with_chronicle,
                       enumerate_forts, enumerate_minimal_forts, is_fort,
@@ -33,7 +33,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BudgetError", "GraphFormatError", "InvalidSpecError", "PreconditionError",
     "SizeCapError", "ZirkitError",
-    "Graph", "bit_list", "bits", "canonical_form", "complement", "corona",
+    "Graph", "bit_list", "bits", "complement", "corona",
     "disjoint_union", "enumerate_labeled_graphs", "join", "mask_of",
     "parse_graph6", "to_graph6", "twin_classes",
     "FamilySpec", "generate", "parse_family_expr",

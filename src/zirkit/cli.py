@@ -43,8 +43,7 @@ def _iter_source(args) -> list[tuple[str, Graph]]:
     if args.graph6:
         return [(args.graph6, parse_graph6(args.graph6))]
     if getattr(args, "edges", None):
-        g = _parse_edge_file(args.edges)
-        return [(to_graph6(g), g)]
+        return [(args.edges, _parse_edge_file(args.edges))]
     if args.family:
         spec = parse_family_expr(args.family)
         return [(str(spec), generate(spec))]
@@ -94,29 +93,28 @@ def _cmd_compute(args) -> int:
         params = PARAM_NAMES  # every bound needs the full profile
     spec = parse_family_expr(args.family) if args.family else None
     at = deadline(args.time_limit)
-    rows = []
+    graphs = _iter_source(args)
+    if args.format == "csv":
+        writer = csv.writer(sys.stdout)
+        writer.writerow(["graph", "n"] + list(params))
     failed = False
-    for graph_id, g in _iter_source(args):
+    for graph_id, g in graphs:
         check_deadline(at, "compute")
         cache = ClosureCache(g)
         profile = parameter_profile(g, params=params, max_order=args.max_order,
                                     graph_id=graph_id, cache=cache, at=at)
-        rows.append(profile.to_dict(include_witnesses=args.witness))
+        row = profile.to_dict(include_witnesses=args.witness)
+        reports = []
         if args.check_bounds:
             reports = check_bounds(profile, g, spec, cache) \
                 + check_characterizations(profile, g, spec, cache)
             failed = failed or any(r.status == "fail" for r in reports)
-            rows.extend(r.to_dict() for r in reports)
-    if args.format == "jsonl":
-        for row in rows:
-            print(json.dumps(row, sort_keys=True))
-    else:
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["graph", "n"] + list(params))
-        for row in rows:
-            if "check" in row:
-                continue
+        if args.format == "jsonl":
+            for out in [row] + [r.to_dict() for r in reports]:
+                print(json.dumps(out, sort_keys=True))
+        else:
             writer.writerow([row["graph"], row["n"]] + [row.get(p, "") for p in params])
+        sys.stdout.flush()
     return 1 if failed else 0
 
 

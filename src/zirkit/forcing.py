@@ -9,13 +9,10 @@ meets every fort, which is the duality the test suite exercises from both
 sides.  The upper zero forcing number Zbar is a ZIr-set search and lives
 in ``irredundance``.
 
-Two kernels compute closures.  ``_close`` sweeps every blue vertex until a
-sweep forces nothing, from any start.  ``_close_add`` closes a closed set
-plus one vertex w from a work list: only w and the blue neighbours of each
-vertex that turns blue can start to force.  ``ClosureCache`` memoizes both,
-``closure`` by the first and ``add`` by the second, in one memo keyed by
+One kernel, ``_close``, computes every closure from a work list of the blue
+vertices that may force.  ``ClosureCache`` memoizes it in one memo keyed by
 the set closed; ``closure_table`` and the ZIr-set searches' extension step
-call ``add``, every one of whose closures is of that shape.
+call ``add``, which closes a closed set plus one vertex from that vertex.
 """
 
 from __future__ import annotations
@@ -40,31 +37,16 @@ class ForceStep:
         return {"forcer": self.forcer, "forced": self.forced, "step": self.step}
 
 
-def _close(adj: tuple[int, ...], blue: int) -> int:
-    """Fixed point of the color change rule starting from ``blue``."""
-    while True:
-        prev = blue
-        m = blue
-        while m:
-            low = m & -m
-            m ^= low
-            w = adj[low.bit_length() - 1] & ~blue
-            if w and not (w & (w - 1)):
-                blue |= w
-        if blue == prev:
-            return blue
+def _close(adj: tuple[int, ...], blue: int, todo: int) -> int:
+    """Fixed point of the color change rule starting from ``blue``.
 
-
-def _close_add(adj: tuple[int, ...], blue: int, w: int) -> int:
-    """Closure of ``blue`` when ``blue`` minus the bit w is already closed.
-
-    Only a vertex whose white neighbourhood shrank can start to force: w
-    itself and its blue neighbours at first, then each newly blue vertex
-    and its blue neighbours.  Those go on a work list, so the closure costs
-    the forces it makes rather than full sweeps.  A set that forces nothing
-    comes back as the same object.
+    ``todo`` holds the blue vertices that may force: all of ``blue`` from
+    any start, or w and its blue neighbours when ``blue`` minus the bit w
+    is already closed.  A force of x puts x and its blue neighbours on the
+    list, the only vertices whose white neighbourhood shrank, so a closure
+    costs the forces it makes rather than full sweeps.  A set that forces
+    nothing comes back as the same object.
     """
-    todo = w | (adj[w.bit_length() - 1] & blue)
     while todo:
         low = todo & -todo
         todo ^= low
@@ -79,8 +61,8 @@ class ClosureCache:
     """Memoized closures for one graph; at most 2^n entries.
 
     ``closure`` closes any set; ``add`` closes a closed set plus one
-    outside vertex by the seeded kernel ``_close_add``.  Both share one
-    memo keyed by the set closed.
+    outside vertex, seeding ``_close`` with that vertex alone.  Both share
+    one memo keyed by the set closed.
     """
 
     __slots__ = ("adj", "_memo")
@@ -92,7 +74,7 @@ class ClosureCache:
     def closure(self, blue: int) -> int:
         got = self._memo.get(blue)
         if got is None:
-            got = self._memo[blue] = _close(self.adj, blue)
+            got = self._memo[blue] = _close(self.adj, blue, blue)
         return got
 
     def add(self, closed: int, w: int) -> int:
@@ -100,7 +82,8 @@ class ClosureCache:
         blue = closed | w
         got = self._memo.get(blue)
         if got is None:
-            got = self._memo[blue] = _close_add(self.adj, blue, w)
+            got = self._memo[blue] = _close(
+                self.adj, blue, w | self.adj[w.bit_length() - 1] & closed)
         return got
 
 
@@ -111,8 +94,8 @@ def closure_table(g: Graph, cache: ClosureCache | None = None) -> list[int]:
     ones stay there for later lookups.
     """
     # cl(m) = cl(cl(p) ∪ {v}) for p = m minus its lowest vertex v; masks
-    # ascend so clo[p] is ready, the seeded kernel closes the closed cl(p)
-    # plus v, and v ∈ cl(p) gives cl(m) = cl(p) with no closure at all
+    # ascend so clo[p] is ready, the kernel closes the closed cl(p) plus v
+    # from v alone, and v ∈ cl(p) gives cl(m) = cl(p) with no closure at all
     adj = g.adj
     clo = [0] * (g.full + 1)
     for m in range(1, g.full + 1):
@@ -122,7 +105,8 @@ def closure_table(g: Graph, cache: ClosureCache | None = None) -> list[int]:
         if c & low:
             clo[m] = c
         else:
-            clo[m] = cache.add(c, low) if cache else _close_add(adj, c | low, low)
+            clo[m] = cache.add(c, low) if cache else _close(
+                adj, c | low, low | adj[low.bit_length() - 1] & c)
     return clo
 
 
@@ -144,7 +128,7 @@ def minimal_zero_forcing_sets(clo: list[int]) -> list[int]:
 
 def closure(g: Graph, blue: int) -> int:
     """Final coloring of ``blue`` under repeated color changes."""
-    return _close(g.adj, blue)
+    return _close(g.adj, blue, blue)
 
 
 def closure_with_chronicle(g: Graph, blue: int) -> tuple[int, list[ForceStep]]:
@@ -170,7 +154,7 @@ def closure_with_chronicle(g: Graph, blue: int) -> tuple[int, list[ForceStep]]:
 
 
 def is_zero_forcing_set(g: Graph, b: int, cache: ClosureCache | None = None) -> bool:
-    cl = cache.closure(b) if cache else _close(g.adj, b)
+    cl = cache.closure(b) if cache else _close(g.adj, b, b)
     return cl == g.full
 
 
@@ -195,7 +179,7 @@ def max_fort_avoiding(g: Graph, a: int, cache: ClosureCache | None = None) -> in
     never enter a fort it does not meet, and the uncolored remainder (when
     nonempty) is itself a fort.
     """
-    cl = cache.closure(a) if cache else _close(g.adj, a)
+    cl = cache.closure(a) if cache else _close(g.adj, a, a)
     rest = g.full & ~cl
     return rest if rest else None
 

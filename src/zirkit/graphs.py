@@ -188,10 +188,6 @@ class Graph:
                  if (subset >> u) & 1 and (subset >> v) & 1]
         return Graph(len(verts), edges)
 
-    def relabel(self, perm: list[int]) -> "Graph":
-        """Apply the permutation old index -> new index."""
-        return Graph(self.n, [(perm[u], perm[v]) for u, v in self.edges()])
-
 
 # -- graph6 codec -------------------------------------------------------
 
@@ -413,21 +409,6 @@ def _least_orders(adj: Sequence[int], cells: list[list[int]], cap: int) -> list[
     return found
 
 
-def canonical_label(adj: Sequence[int]) -> tuple[int, int, int]:
-    """Canonical edge mask, automorphism count and canonical orbit of a graph.
-
-    Only the vertex orders that keep each cell of ``_equitable_cells`` in
-    its block of positions are tried; the canonical mask is the least edge
-    mask among them, so isomorphic graphs get the same one.  The orders
-    that reach it are one coset of Aut G, so their number is |Aut G|, and
-    the vertices they put last, returned as a mask, form one orbit: the
-    canonical orbit.  The cost is bounded by the product of the cells'
-    factorials.
-    """
-    mask, automorphisms, orbit = _least_orders(adj, _equitable_cells(adj), 1)[0]
-    return mask, automorphisms, orbit
-
-
 def least_labelings(adj: Sequence[int], cap: int) -> list[int]:
     """The ``cap`` least distinct edge masks over all relabelings of a graph."""
     return [mask for mask, _, _ in _least_orders(adj, [list(range(len(adj)))], cap)]
@@ -437,12 +418,18 @@ def canonical_children(parent: Sequence[int]) -> Iterator[tuple[tuple[int, ...],
     """The graphs that extend ``parent`` by one vertex, one per isomorphism
     class that this parent generates, each with its |Aut G|.
 
-    A child is ``parent`` plus a vertex n-1 with some neighbourhood; it is
-    accepted iff n-1 lies in its canonical orbit and no earlier child has
-    its canonical mask.  Extending one graph of every class of order n-1
-    so gives every class of order n exactly once (canonical augmentation,
-    McKay 1998): the canonical orbit fixes the class of G - (n-1), so only
-    one parent generates G.
+    A child is ``parent`` plus a vertex n-1 with some neighbourhood.  Its
+    canonical mask is the least edge mask over the vertex orders that keep
+    each cell of ``_equitable_cells`` in its block of positions, so
+    isomorphic graphs get the same one; the cost is bounded by the product
+    of the cells' factorials.  The orders that reach that mask form one
+    coset of Aut G, so their number is |Aut G|, and the vertices they put
+    last form one orbit: the canonical orbit.  The child is accepted iff
+    n-1 lies in its canonical orbit and no earlier child has its canonical
+    mask.  Extending one graph of every class of order n-1 so gives every
+    class of order n exactly once (canonical augmentation, McKay 1998): the
+    canonical orbit fixes the class of G - (n-1), so only one parent
+    generates G.
     """
     n = len(parent) + 1
     new = 1 << (n - 1)
@@ -457,18 +444,6 @@ def canonical_children(parent: Sequence[int]) -> Iterator[tuple[tuple[int, ...],
         if orbit & new and mask not in seen:
             seen.add(mask)
             yield adj, automorphisms
-
-
-def canonical_form(g: Graph) -> tuple[int, int]:
-    """Isomorphism-invariant key ``(n, mask)``; order <= 7 only.
-
-    ``mask`` is the canonical mask of ``canonical_label``: the least edge
-    mask among the cell-respecting relabelings, which need not be the least
-    over all n! of them.
-    """
-    if g.n > ENUM_MAX_ORDER:
-        raise BudgetError(f"canonical form supports n <= {ENUM_MAX_ORDER}, got {g.n}")
-    return (g.n, canonical_label(g.adj)[0])
 
 
 # -- twins ---------------------------------------------------------------

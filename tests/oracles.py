@@ -1,7 +1,8 @@
 """Definition-level brute-force oracles, independent of the closure engine.
 
-Everything here works from first principles on raw adjacency masks: forts by
-the |F ∩ N(v)| != 1 definition, ZIr-sets by explicit fort existence, and the
+Everything here works from first principles on raw adjacency masks: the
+closure by ascending sweeps of the color change rule, forts by the
+|F ∩ N(v)| != 1 definition, ZIr-sets by explicit fort existence, and the
 forcing numbers by fort-transversal duality.  No function in this module
 calls the package's closure, so oracle-vs-solver comparisons exercise two
 genuinely different routes.  The one exception is ``labeled_survey``, the
@@ -21,6 +22,20 @@ def bits_of(mask: int) -> list[int]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return out
+
+
+def brute_closure(adj: tuple[int, ...], blue: int) -> int:
+    """Apply the color change rule in ascending vertex order to a fixed point."""
+    changed = True
+    while changed:
+        changed = False
+        for v in range(len(adj)):
+            if blue >> v & 1:
+                white = adj[v] & ~blue
+                if white.bit_count() == 1:
+                    blue |= white
+                    changed = True
+    return blue
 
 
 def brute_forts(adj: tuple[int, ...], n: int) -> list[int]:

@@ -7,7 +7,8 @@ from pathlib import Path
 
 from zirkit.cli import main
 from zirkit.forcing import is_minimal_zfs
-from zirkit.graphs import Graph, enumerate_labeled_graphs, mask_of, to_graph6
+from zirkit.graphs import (Graph, canonical_children, enumerate_labeled_graphs, mask_of,
+                           to_graph6)
 from zirkit.families import generate
 from zirkit.profiles import (CHARACTERIZATION_CHECKS, CHECKS, SUBSET_CHECK_MAX_ORDER,
                              _ProfileFacts, parameter_profile)
@@ -56,6 +57,16 @@ def test_sparse_gnp_check_stream_is_pinned(capsys):
                  "--file", str(data / "sparse_gnp.g6")]) == 0
     assert capsys.readouterr().out.encode() == \
         (data / "compute_sparse_gnp.jsonl").read_bytes()
+
+
+def test_sparse_gnp_csv_stream_is_pinned(capsys):
+    # the same twelve graphs as CSV: the header, then one value row each
+    data = Path(__file__).parent / "data"
+    assert main(["compute", "--format", "csv",
+                 "--params", "zir,Z,Zbar,ZIR,gamma,gamma2,alpha,gammaP",
+                 "--file", str(data / "sparse_gnp.g6")]) == 0
+    assert capsys.readouterr().out.encode() == \
+        (data / "compute_sparse_gnp.csv").read_bytes()
 
 
 def test_small_order_witness_stream_is_pinned(tmp_path, capsys):
@@ -117,6 +128,12 @@ def _parity_graphs():
     rng = random.Random(20261018)
     for _ in range(50):
         yield Graph.from_adj(random_adj(rng.randint(7, 8), rng))
+    # and one graph of every isomorphism class of order 6 and 7
+    parents = [()]
+    for n in range(1, 8):
+        parents = [adj for parent in parents for adj, _ in canonical_children(parent)]
+        if n >= 6:
+            yield from map(Graph.from_adj, parents)
 
 
 def test_facts_records_agree():

@@ -286,6 +286,31 @@ def test_file_time_limit_exit_two(capsys, tmp_path, command):
     assert len(err.splitlines()) == 1 and "time limit" in err
 
 
+def test_compute_prints_finished_graphs_before_the_time_limit(capsys, tmp_path):
+    # D?{ takes a few ms; zir alone takes about 0.5 s on the G(18, 0.6)
+    # graph after it, so the limit trips inside the second graph
+    code, first, _ = run_cli(capsys, "compute", "--graph6", "D?{")
+    assert code == 0
+    path = tmp_path / "graphs.g6"
+    path.write_text("D?{\nQMtyyN\\PgvwJz|shYGZTlR||OUw\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "compute", "--file", str(path), "--max-order", "18",
+                             "--time-limit", "0.1")
+    assert code == 2 and out == first
+    assert len(err.splitlines()) == 1 and "time limit" in err
+
+
+def test_convert_edge_list_past_graph6_order(capsys, tmp_path):
+    # an edge list up to the 64-vertex cap needs no graph6 unless asked for
+    path = tmp_path / "p63.edges"
+    path.write_text("n 63\n" + "".join(f"{v} {v + 1}\n" for v in range(62)),
+                    encoding="utf-8")
+    code, out, _ = run_cli(capsys, "convert", "--edges", str(path), "--to", "edges")
+    assert code == 0
+    assert out.splitlines()[1:] == path.read_text(encoding="utf-8").splitlines()
+    code, out, err = run_cli(capsys, "convert", "--edges", str(path), "--to", "graph6")
+    assert code == 2 and not out and "62" in err
+
+
 @pytest.mark.parametrize("argv, edges", [
     (["survey", "--order", "3", "--checks", "bogus"], None),
     (["survey", "--order", "3", "--threads", "0"], None),

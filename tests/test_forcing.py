@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from zirkit.errors import BudgetError
 from zirkit.families import (complete_graph, cycle_graph, friendship_graph,
                              generate, h_rs_graph, path_graph, star_graph)
-from zirkit.forcing import (ClosureCache, _close, _close_add, closure,
+from zirkit.forcing import (ClosureCache, _close, closure,
                             closure_table, closure_with_chronicle,
                             enumerate_forts, enumerate_minimal_forts, is_fort,
                             is_minimal_zfs, is_z_irrelevant,
@@ -13,7 +13,7 @@ from zirkit.forcing import (ClosureCache, _close, _close_add, closure,
 from zirkit.graphs import Graph, mask_of
 from zirkit.irredundance import upper_zero_forcing_number
 
-from oracles import brute_forcing_params, brute_forts, brute_minimal_forts
+from oracles import brute_closure, brute_forcing_params, brute_forts, brute_minimal_forts
 from strategies import graphs
 
 
@@ -254,16 +254,18 @@ def test_witnesses_are_lexicographically_least():
 @settings(deadline=None)
 @given(graphs(8))
 def test_seeded_closure_matches_full_closure(g):
-    # the seeded kernel closes a closed set plus one outside vertex; the
-    # memo entry it leaves is the one a later plain lookup reads
-    clo = [_close(g.adj, m) for m in range(g.full + 1)]
+    # the kernel closes any set from all of it, and a closed set plus one
+    # outside vertex from that vertex alone; the memo entry the seeded
+    # route leaves is the one a later plain lookup reads
+    clo = [brute_closure(g.adj, m) for m in range(g.full + 1)]
+    assert [closure(g, m) for m in range(g.full + 1)] == clo
     for c in {c for c in clo if c != g.full}:
         for v in range(g.n):
             w = 1 << v
             if c & w:
                 continue
             want = clo[c | w]
-            assert _close_add(g.adj, c | w, w) == want, (g.adj, c, v)
+            assert _close(g.adj, c | w, w | g.adj[v] & c) == want, (g.adj, c, v)
             cache = ClosureCache(g)
             assert cache.add(c, w) == want
             assert cache.closure(c | w) == want and len(cache._memo) == 1
