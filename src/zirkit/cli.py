@@ -14,7 +14,7 @@ import sys
 
 from .errors import GraphFormatError, ZirkitError, check_deadline, deadline
 from .families import generate, parse_family_expr
-from .forcing import ClosureCache, enumerate_forts, enumerate_minimal_forts
+from .forcing import enumerate_forts, enumerate_minimal_forts
 from .graphs import Graph, bit_list, parse_graph6, to_graph6
 from .profiles import (DEFAULT_PROFILE_MAX_ORDER, PARAM_NAMES, check_bounds,
                        check_characterizations, parameter_profile, requested_params)
@@ -100,20 +100,22 @@ def _cmd_compute(args) -> int:
     failed = False
     for graph_id, g in graphs:
         check_deadline(at, "compute")
-        cache = ClosureCache(g)
         profile = parameter_profile(g, params=params, max_order=args.max_order,
-                                    graph_id=graph_id, cache=cache, at=at)
+                                    graph_id=graph_id, at=at)
         row = profile.to_dict(include_witnesses=args.witness)
         reports = []
         if args.check_bounds:
-            reports = check_bounds(profile, g, spec, cache) \
-                + check_characterizations(profile, g, spec, cache)
+            reports = check_bounds(profile, spec) + check_characterizations(profile, spec)
             failed = failed or any(r.status == "fail" for r in reports)
         if args.format == "jsonl":
             for out in [row] + [r.to_dict() for r in reports]:
                 print(json.dumps(out, sort_keys=True))
         else:
             writer.writerow([row["graph"], row["n"]] + [row.get(p, "") for p in params])
+            for r in reports:
+                if r.status == "fail":
+                    print(f"zirkit compute: check {r.check} failed on {r.scope}: {r.detail}",
+                          file=sys.stderr)
         sys.stdout.flush()
     return 1 if failed else 0
 

@@ -5,19 +5,19 @@ witnesses.  ``CHECKS`` is the one ordered registry of bounds and
 characterizations: each entry tests its hypothesis and its claim on a
 ``Facts`` record, which holds the graph-level fields and reads the
 set-level facts off a closure table.  Two subclasses supply the values:
-``_ProfileFacts`` from a profile the solvers filled (for ``check_bounds``
-and ``check_characterizations``; the join and corona bounds also read the
-factor graphs), and the survey's ``_GraphData`` from its subset tables; so
-the two value routes stay independent while each theorem is written once.
-Structural recognizers (path, star, clique-plus-isolated-vertices, and the
-complement decomposition behind the near-extreme zero forcing
-characterization) are pure graph predicates that those checks call on both
-routes.
+``ParamProfile``, whose values the solvers fill (``check_bounds`` and
+``check_characterizations`` read the profile itself; the join and corona
+bounds also read the factor graphs), and the survey's ``_GraphData`` from
+its subset tables; so the two value routes stay independent while each
+theorem is written once.  Structural recognizers (path, star,
+clique-plus-isolated-vertices, and the complement decomposition behind the
+near-extreme zero forcing characterization) are pure graph predicates that
+those checks call on both routes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Callable, Iterable
 
@@ -44,28 +44,66 @@ _SOLVERS: dict[str, Callable[[Graph, ClosureCache, dict[str, int]], tuple[int, i
     "alpha": lambda g, cache, values: independence_number(g),
     "gammaP": lambda g, cache, values: power_domination_number(g),
 }
-SOLVE_ORDER = tuple(_SOLVERS)
 DEFAULT_PROFILE_MAX_ORDER = 15
 FACTOR_MAX_ORDER = 13  # the join and corona bounds solve factors up to this order
 SUBSET_CHECK_MAX_ORDER = 10
-# the graph-level fields of a profile and of every facts record
-FLAGS = ("n", "min_degree", "max_degree", "has_edge", "connected", "isolated_free")
 
 
-@dataclass
-class ParamProfile:
-    """All computed parameters of one graph, with witnesses and flags."""
+class Facts:
+    """The facts record of one graph that every check reads.
 
-    graph_id: str
-    n: int
-    min_degree: int
-    max_degree: int
-    has_edge: bool
-    connected: bool
-    isolated_free: bool
-    values: dict[str, int] = field(default_factory=dict)
-    witnesses: dict[str, list[int]] = field(default_factory=dict)
-    omitted: list[str] = field(default_factory=list)
+    It holds ``graph`` and the graph-level fields (``n``, ``min_degree``,
+    ``max_degree``, ``has_edge``, ``connected``, ``isolated_free``), and
+    reads ``forces(s)``, ``minimal_zfs`` and ``abandons`` off ``clo``, the
+    closure table of every subset; a subclass supplies ``clo``, ``values``
+    and ``maximal_zir_sets`` (ascending masks).
+    """
+
+    def __init__(self, g: Graph):
+        degs = g.degrees()
+        self.graph, self.n = g, g.n
+        self.min_degree, self.max_degree = min(degs), max(degs)
+        self.has_edge = self.max_degree > 0
+        self.connected = g.is_connected()
+        self.isolated_free = all(g.adj)
+
+    def forces(self, s: int) -> bool:
+        return self.clo[s] == self.graph.full
+
+    @cached_property
+    def minimal_zfs(self) -> list[int]:
+        return minimal_zero_forcing_sets(self.clo)
+
+    @cached_property
+    def abandons(self) -> bool:
+        # graph_abandons_fort, from ZIR and the maximal sets: every ZIr-set
+        # of size ZIR is maximal
+        zir_upper = self.values["ZIR"]
+        return any(s.bit_count() == zir_upper and not self.forces(s)
+                   for s in self.maximal_zir_sets)
+
+
+class ParamProfile(Facts):
+    """All computed parameters of one graph, with witnesses: the facts
+    record its checks read.
+
+    ``cache`` is the memo of closures the solvers fill, and ``clo`` and
+    ``maximal_zir_sets`` (the solvers' walk over the ZIr-sets) go through
+    it; the closure table holds no ZIr-set, so ``minimal-zfs-equivalence``
+    compares two independent routes.  Only checks gated to
+    n <= ``SUBSET_CHECK_MAX_ORDER`` read ``clo``.  Only checks the survey
+    does not run read ``cache`` and ``product``, which is
+    ``(kind, left, right)`` for a join or corona and None otherwise.
+    """
+
+    def __init__(self, g: Graph, graph_id: str | None = None):
+        super().__init__(g)
+        self.graph_id = to_graph6(g) if graph_id is None else graph_id
+        self.cache = ClosureCache(g)
+        self.values: dict[str, int] = {}
+        self.witnesses: dict[str, list[int]] = {}
+        self.omitted: list[str] = []
+        self.product: tuple[str, Graph, Graph] | None = None
 
     def to_dict(self, include_witnesses: bool = True) -> dict:
         out = {
@@ -83,6 +121,25 @@ class ParamProfile:
         if self.omitted:
             out["omitted"] = list(self.omitted)
         return out
+
+    @cached_property
+    def clo(self) -> list[int]:
+        return closure_table(self.graph, self.cache)
+
+    @cached_property
+    def maximal_zir_sets(self) -> list[int]:
+        return maximal_zir_sets(self.graph, self.cache)
+
+    @cached_property
+    def corona_values(self) -> tuple[int, int, int, int] | None:
+        """ZIR(H ∨ K_1), ZIR(G), ZIR(H) and α(G) of the corona G∘H, or None
+        when the graph is no corona or a factor is beyond the budget."""
+        kind, left, right = self.product or ("", None, None)
+        if kind != "corona" or max(left.n, right.n + 1) > FACTOR_MAX_ORDER:
+            return None
+        return (upper_zir_number(join_graph(right, Graph(1)))[0],
+                upper_zir_number(left)[0], upper_zir_number(right)[0],
+                independence_number(left)[0])
 
 
 @dataclass
@@ -123,15 +180,15 @@ def requested_params(params: Iterable[str]) -> tuple[str, ...]:
 def parameter_profile(g: Graph, params: tuple[str, ...] | None = None,
                       max_order: int = DEFAULT_PROFILE_MAX_ORDER,
                       graph_id: str | None = None,
-                      cache: ClosureCache | None = None,
                       at: float | None = None) -> ParamProfile:
     """Compute the requested parameters (default: all) with witnesses.
 
     Above ``max_order`` the exact solvers are skipped and the requested
     parameters are listed in ``omitted`` instead of silently running an
-    open-ended search.  ``cache`` is the closure memo of ``g``; pass the
-    same one to ``check_bounds`` and ``check_characterizations``.  ``at``
-    is an ``errors.deadline`` reading, checked before each parameter.
+    open-ended search.  The profile keeps ``g`` and the closure memo its
+    solvers filled, and ``check_bounds`` and ``check_characterizations``
+    read both off it.  ``at`` is an ``errors.deadline`` reading, checked
+    before each parameter.
 
     The solvers run in the order of ``_SOLVERS``, along the paper's chain
     zir <= Z <= Zbar <= ZIR: Z's scan starts at zir (a minimum zero forcing
@@ -143,18 +200,15 @@ def parameter_profile(g: Graph, params: tuple[str, ...] | None = None,
     order, and ``ParamProfile.to_dict`` decides whether witnesses print.
     """
     wanted = PARAM_NAMES if params is None else requested_params(params)
-    facts = Facts(g)
-    profile = ParamProfile(graph_id if graph_id is not None else to_graph6(g),
-                           **{name: getattr(facts, name) for name in FLAGS})
+    profile = ParamProfile(g, graph_id)
     if g.n > max_order:
         profile.omitted = list(wanted)
         return profile
 
-    cache = cache or ClosureCache(g)
     for p, solve in _SOLVERS.items():
         if p in wanted:
             check_deadline(at, "compute")
-            profile.values[p], witness = solve(g, cache, profile.values)
+            profile.values[p], witness = solve(g, profile.cache, profile.values)
             profile.witnesses[p] = bit_list(witness)
     profile.values = {p: profile.values[p] for p in wanted}
     profile.witnesses = {p: profile.witnesses[p] for p in wanted}
@@ -271,77 +325,6 @@ def recognize_zn2_complement_form(g: Graph
 
 
 # -- the check registry ---------------------------------------------------
-
-
-class Facts:
-    """The facts record of one graph that every check reads.
-
-    It holds ``graph`` and the ``FLAGS`` fields, and reads ``forces(s)``,
-    ``minimal_zfs`` and ``abandons`` off ``clo``, the closure table of every
-    subset; a subclass supplies ``clo``, ``values`` and ``maximal_zir_sets``
-    (ascending masks).
-    """
-
-    def __init__(self, g: Graph):
-        degs = g.degrees()
-        self.graph, self.n = g, g.n
-        self.min_degree, self.max_degree = min(degs), max(degs)
-        self.has_edge = self.max_degree > 0
-        self.connected = g.is_connected()
-        self.isolated_free = all(g.adj)
-
-    def forces(self, s: int) -> bool:
-        return self.clo[s] == self.graph.full
-
-    @cached_property
-    def minimal_zfs(self) -> list[int]:
-        return minimal_zero_forcing_sets(self.clo)
-
-    @cached_property
-    def abandons(self) -> bool:
-        # graph_abandons_fort, from ZIR and the maximal sets: every ZIr-set
-        # of size ZIR is maximal
-        zir_upper = self.values["ZIR"]
-        return any(s.bit_count() == zir_upper and not self.forces(s)
-                   for s in self.maximal_zir_sets)
-
-
-class _ProfileFacts(Facts):
-    """The facts record of a profile, whose values the solvers supply.
-
-    ``maximal_zir_sets`` is the solvers' walk over the ZIr-sets, and ``clo``
-    is built through ``cache``, the memo of closures, which holds no
-    ZIr-set; so ``minimal-zfs-equivalence`` compares two independent
-    routes.  Only checks gated to n <= ``SUBSET_CHECK_MAX_ORDER`` read
-    ``clo``.  Only checks the survey does not run read ``cache`` and
-    ``product``, which is ``(kind, left, right)`` for a join or corona.
-    """
-
-    def __init__(self, profile: ParamProfile, g: Graph,
-                 product: tuple[str, Graph, Graph] | None,
-                 cache: ClosureCache | None = None):
-        super().__init__(g)
-        self.values, self.product = profile.values, product
-        self.cache = cache or ClosureCache(g)
-
-    @cached_property
-    def clo(self) -> list[int]:
-        return closure_table(self.graph, self.cache)
-
-    @cached_property
-    def maximal_zir_sets(self) -> list[int]:
-        return maximal_zir_sets(self.graph, self.cache)
-
-    @cached_property
-    def corona_values(self) -> tuple[int, int, int, int] | None:
-        """ZIR(H ∨ K_1), ZIR(G), ZIR(H) and α(G) of the corona G∘H, or None
-        when the graph is no corona or a factor is beyond the budget."""
-        kind, left, right = self.product or ("", None, None)
-        if kind != "corona" or max(left.n, right.n + 1) > FACTOR_MAX_ORDER:
-            return None
-        return (upper_zir_number(join_graph(right, Graph(1)))[0],
-                upper_zir_number(left)[0], upper_zir_number(right)[0],
-                independence_number(left)[0])
 
 
 @dataclass(frozen=True)
@@ -602,39 +585,36 @@ CHARACTERIZATION_CHECKS = (
 CHECKS = BOUND_CHECKS + CHARACTERIZATION_CHECKS
 
 
-def _run_checks(checks: tuple[Check, ...], profile: ParamProfile, g: Graph,
-                spec: FamilySpec | None, cache: ClosureCache | None) -> list[CheckReport]:
-    product = None
+def _run_checks(checks: tuple[Check, ...], profile: ParamProfile,
+                spec: FamilySpec | None) -> list[CheckReport]:
+    profile.product = None
     if spec is not None and spec.kind in ("join", "corona"):
-        product = (spec.kind, generate(spec.parts[0]), generate(spec.parts[1]))
-    f, scope = _ProfileFacts(profile, g, product, cache), profile.graph_id
+        profile.product = (spec.kind, generate(spec.parts[0]), generate(spec.parts[1]))
+    vars(profile).pop("corona_values", None)  # it reads the product
     reports = []
     for c in checks:
-        if not all(p in f.values for p in c.needs):
+        if not all(p in profile.values for p in c.needs):
             continue
-        outcome = c.evaluate(f)
+        outcome = c.evaluate(profile)
         if isinstance(outcome, tuple):
             ok, detail, counterexample = (outcome + (None,))[:3]
-            reports.append(CheckReport(c.name, scope, "pass" if ok else "fail", detail,
-                                       None if ok else counterexample))
+            reports.append(CheckReport(c.name, profile.graph_id, "pass" if ok else "fail",
+                                       detail, None if ok else counterexample))
         elif outcome:
-            reports.append(CheckReport(c.name, scope, "skip", outcome))
+            reports.append(CheckReport(c.name, profile.graph_id, "skip", outcome))
     return reports
 
 
-def check_bounds(profile: ParamProfile, g: Graph,
-                 spec: FamilySpec | None = None,
-                 cache: ClosureCache | None = None) -> list[CheckReport]:
+def check_bounds(profile: ParamProfile, spec: FamilySpec | None = None) -> list[CheckReport]:
     """Evaluate every applicable bound on one profile.
 
     Join and corona bounds only apply when ``spec`` describes the graph as a
     product, since they compare against parameters of the factors.
     """
-    return _run_checks(BOUND_CHECKS, profile, g, spec, cache)
+    return _run_checks(BOUND_CHECKS, profile, spec)
 
 
-def check_characterizations(profile: ParamProfile, g: Graph,
-                            spec: FamilySpec | None = None,
-                            cache: ClosureCache | None = None) -> list[CheckReport]:
+def check_characterizations(profile: ParamProfile,
+                            spec: FamilySpec | None = None) -> list[CheckReport]:
     """Check each structural characterization whose hypothesis applies."""
-    return _run_checks(CHARACTERIZATION_CHECKS, profile, g, spec, cache)
+    return _run_checks(CHARACTERIZATION_CHECKS, profile, spec)

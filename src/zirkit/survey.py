@@ -312,9 +312,10 @@ def survey(max_order: int,
     Each order is sharded over the classes of the order below.  One loop
     folds the shard results in shard order; ``threads`` > 1 only runs the
     shards of the orders past ``SURVEY_DEFAULT_MAX_ORDER`` in a pool of
-    that many workers.  Each shard, in either case, reads ``time_limit``
-    (seconds) before each parent and each child and raises ``BudgetError``
-    once it has passed; so does the example search.
+    that many workers, or of one per shard when there are fewer shards.
+    Each shard, in either case, reads ``time_limit`` (seconds) before each
+    parent and each child and raises ``BudgetError`` once it has passed; so
+    does the example search.
     """
     at = deadline(time_limit)
     if max_order < 1:
@@ -342,15 +343,17 @@ def survey(max_order: int,
     pool = None
     try:
         for n in orders:
-            # All orders within the default budget take about 80 ms in
-            # process.  A pool would save at most a fifth of that, for about
-            # 40 % more CPU time, and its forks, round trips and shared cores
-            # make the time of a call vary several times as much.
-            if threads > 1 and pool is None and n > SURVEY_DEFAULT_MAX_ORDER:
-                pool = concurrent.futures.ProcessPoolExecutor(threads)
             chunk = -(-len(parents) // (threads * 4))
             shards = [(n, parents[lo:lo + chunk], checks, connected_only, dedup, at)
                       for lo in range(0, len(parents), chunk)]
+            # All orders within the default budget take about 80 ms in
+            # process.  A pool would save at most a fifth of that, for about
+            # 40 % more CPU time, and its forks, round trips and shared cores
+            # make the time of a call vary several times as much.  A pool
+            # started by fork starts all its workers at once, so it gets no
+            # more of them than there are shards.
+            if threads > 1 and pool is None and n > SURVEY_DEFAULT_MAX_ORDER:
+                pool = concurrent.futures.ProcessPoolExecutor(min(threads, len(shards)))
             results = pool.map(_survey_shard, shards) if pool else map(_survey_shard, shards)
             parents = []
             for shard_tallies, shard_leader, children in results:

@@ -11,7 +11,7 @@ from zirkit.graphs import (Graph, canonical_children, enumerate_labeled_graphs, 
                            to_graph6)
 from zirkit.families import generate
 from zirkit.profiles import (CHARACTERIZATION_CHECKS, CHECKS, SUBSET_CHECK_MAX_ORDER,
-                             _ProfileFacts, parameter_profile)
+                             parameter_profile)
 from zirkit.survey import _CHECKS, SCAN_CHECKS, THEOREM_CHECKS, _GraphData
 
 from oracles import random_adj
@@ -141,15 +141,14 @@ def test_facts_records_agree():
     # survey and compute --check-bounds can diverge
     for g in _parity_graphs():
         table = _GraphData(g)
-        profile = parameter_profile(g)
-        solved = _ProfileFacts(profile, g, None)
+        solved = parameter_profile(g)
         where = g.adj
         for name in FLAGS:
             assert getattr(table, name) == getattr(solved, name), (name, where)
         for name, value in table.values.items():
             assert solved.values[name] == value, (name, where)
         assert table.abandons == solved.abandons, where
-        assert mask_of(profile.witnesses["Zbar"]) == table.zbar_witness, where
+        assert mask_of(solved.witnesses["Zbar"]) == table.zbar_witness, where
         # both records read forcing.minimal_zero_forcing_sets, so compare
         # them with the definition too
         assert table.minimal_zfs == solved.minimal_zfs, where
@@ -164,12 +163,12 @@ def test_facts_records_agree():
 
 
 def test_profile_checks_build_no_closure_table_above_the_subset_gate():
-    # the profile's facts build the 2^n closure table only for the checks
-    # gated to n <= SUBSET_CHECK_MAX_ORDER
-    left, right = generate("path:4"), generate("empty:2")
+    # the profile builds the 2^n closure table only for the checks gated to
+    # n <= SUBSET_CHECK_MAX_ORDER
     g = generate("corona(path:4,empty:2)")
     assert g.n == 12 > SUBSET_CHECK_MAX_ORDER
-    facts = _ProfileFacts(parameter_profile(g), g, ("corona", left, right))
+    profile = parameter_profile(g)
+    profile.product = ("corona", generate("path:4"), generate("empty:2"))
     for check in CHARACTERIZATION_CHECKS:
-        check.evaluate(facts)
-    assert "clo" not in vars(facts)
+        check.evaluate(profile)
+    assert "clo" not in vars(profile)

@@ -3,7 +3,9 @@ import json
 import pytest
 
 import zirkit
+from zirkit import cli
 from zirkit.cli import main
+from zirkit.profiles import CheckReport
 
 
 def run_cli(capsys, *argv):
@@ -61,6 +63,17 @@ def test_compute_check_bounds_flag(capsys):
     assert len(profile_rows) == 1 and check_rows
     assert {r["status"] for r in check_rows} <= {"pass", "skip"}
     assert any(r["check"] == "chain" for r in check_rows)
+
+
+def test_compute_csv_names_failed_checks(capsys, monkeypatch):
+    # CSV has no row for a check, so a failed one is named on stderr
+    failing = CheckReport("chain", "D?{", "fail", "zir=1 Z=2 Zbar=1 ZIR=2")
+    monkeypatch.setattr(cli, "check_bounds", lambda *args: [failing])
+    code, out, err = run_cli(capsys, "compute", "--check-bounds", "--format", "csv",
+                             "--graph6", "D?{")
+    assert code == 1
+    assert out.splitlines()[0].startswith("graph,n,zir,Z,Zbar,ZIR")
+    assert err == "zirkit compute: check chain failed on D?{: zir=1 Z=2 Zbar=1 ZIR=2\n"
 
 
 def test_module_entry_point():

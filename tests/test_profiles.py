@@ -174,7 +174,7 @@ def test_check_bounds_statuses():
     expr = "necklace:3"
     g = generate(expr)
     profile = parameter_profile(g, graph_id=expr)
-    reports = {r.check: r for r in check_bounds(profile, g, parse_family_expr(expr))}
+    reports = {r.check: r for r in check_bounds(profile, parse_family_expr(expr))}
     assert reports["chain"].status == "pass"
     assert reports["min-degree-3-half"].status == "pass"
     assert reports["cubic-range"].status == "pass"
@@ -186,7 +186,7 @@ def test_check_bounds_statuses():
 def test_check_bounds_gates_disconnected():
     g = generate("union(cycle:3,cycle:3)")
     profile = parameter_profile(g)
-    reports = {r.check: r for r in check_bounds(profile, g)}
+    reports = {r.check: r for r in check_bounds(profile)}
     assert reports["max-degree-ratio"].status == "skip"
     assert reports["domination-sandwich"].status == "pass"  # isolated-free holds
 
@@ -195,7 +195,7 @@ def test_cubic_upper_bound_tight_on_k4():
     g = generate("complete:4")
     profile = parameter_profile(g)
     assert profile.values["ZIR"] == 3  # equals 3n/4
-    reports = {r.check: r for r in check_bounds(profile, g)}
+    reports = {r.check: r for r in check_bounds(profile)}
     assert reports["cubic-range"].status == "pass"
 
 
@@ -205,7 +205,7 @@ def test_join_and_corona_bounds():
         spec = parse_family_expr(expr)
         g = generate(expr)
         profile = parameter_profile(g, graph_id=expr)
-        reports = check_bounds(profile, g, spec)
+        reports = check_bounds(profile, spec)
         failures = [r for r in reports if r.status == "fail"]
         assert not failures, failures
         names = {r.check for r in reports}
@@ -233,7 +233,7 @@ def test_product_check_paths(expr, check, status, detail):
     g = generate(expr)
     spec = parse_family_expr(expr)
     profile = parameter_profile(g, params=("ZIR",), graph_id=expr)
-    reports = check_bounds(profile, g, spec) + check_characterizations(profile, g, spec)
+    reports = check_bounds(profile, spec) + check_characterizations(profile, spec)
     found = {r.check: (r.status, r.detail) for r in reports}
     assert found[check] == (status, detail)
     if check == "corona-bounds":
@@ -245,12 +245,12 @@ def test_cut_vertex_bound_three_components():
     # each cycle vertex of C_4 ∘ 2K_1 cuts off its two leaves plus the rest
     g = generate("corona(cycle:4,empty:2)")
     profile = parameter_profile(g, params=("ZIR",), graph_id="corona(cycle:4,empty:2)")
-    reports = {r.check: r for r in check_bounds(profile, g)}
+    reports = {r.check: r for r in check_bounds(profile)}
     assert reports["cut-vertex"].status == "pass"
     # one leaf per vertex leaves only two components, so the bound is gated
     g = generate("pentasun")
     profile = parameter_profile(g, params=("ZIR",), graph_id="pentasun")
-    reports = {r.check: r for r in check_bounds(profile, g)}
+    reports = {r.check: r for r in check_bounds(profile)}
     assert reports["cut-vertex"].status == "skip"
 
 
@@ -259,7 +259,7 @@ def test_characterizations_on_examples():
     g = disjoint_union(generate("complete:5"), generate("empty:2"))
     profile = parameter_profile(g)
     assert profile.values["zir"] == 6 == profile.values["ZIR"]
-    reports = {r.check: r for r in check_characterizations(profile, g)}
+    reports = {r.check: r for r in check_characterizations(profile)}
     assert reports["extreme-n-minus-1"].status == "pass"
     assert reports["zir1-characterization"].status == "pass"
 
@@ -267,12 +267,12 @@ def test_characterizations_on_examples():
     g = generate(expr)
     profile = parameter_profile(g, graph_id=expr)
     reports = {r.check: r for r in
-               check_characterizations(profile, g, parse_family_expr(expr))}
+               check_characterizations(profile, parse_family_expr(expr))}
     assert reports["leaf-zir-set"].status == "pass"
 
     g = generate("friendship:3")
     profile = parameter_profile(g)
-    reports = {r.check: r for r in check_characterizations(profile, g)}
+    reports = {r.check: r for r in check_characterizations(profile)}
     assert reports["abandonment-identity"].status == "pass"
     assert profile.values["ZIR"] == profile.values["Zbar"] == 4
 
@@ -280,7 +280,7 @@ def test_characterizations_on_examples():
 def test_characterizations_hold_on_random_graphs(small_graphs, rng):
     for g in rng.sample(small_graphs, 40):
         profile = parameter_profile(g)
-        for report in check_characterizations(profile, g):
+        for report in check_characterizations(profile):
             assert report.status in ("pass", "skip"), (report.check, report.detail)
 
 

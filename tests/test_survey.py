@@ -76,6 +76,20 @@ def test_survey_default_orders_start_no_pool(monkeypatch):
     assert survey(6, threads=2).to_json_lines() == survey(6).to_json_lines()
 
 
+def test_survey_pool_starts_no_more_workers_than_shards(monkeypatch):
+    # a pool started by fork starts all its workers at once, and order 7 has
+    # at most one shard per order-6 class, of which there are 156
+    asked = []
+
+    def fake_pool(max_workers):
+        asked.append(max_workers)
+        raise RuntimeError("no pool started")
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", fake_pool)
+    with pytest.raises(RuntimeError, match="no pool started"):
+        survey(7, override_budget=True, threads=10_000)
+    assert len(asked) == 1 and asked[0] <= 156
+
+
 def test_survey_pool_time_limit():
     # orders <= 6 run in process in about 80 ms; the pool starts at order 7
     with pytest.raises(BudgetError, match="time limit"):
