@@ -56,25 +56,21 @@ def k_domination_number(g: Graph, k: int) -> tuple[int, int]:
     as (size, mask).
 
     Each size is walked in the lexicographic order of its sets, so the
-    witness is the first minimum k-dominating set.  The walk runs once per
-    graph and k; later calls read its witness back.
+    witness is the first minimum k-dominating set.
     """
     if k not in (1, 2):
         raise PreconditionError(f"k-domination implemented for k in {{1, 2}}, got {k}")
-    m = g._domination.get(k)
-    if m is None:
-        adj = g.adj
-        reach = [(0, 0)] * g.n
-        one = two = 0
-        for u in range(g.n - 1, -1, -1):
-            two |= one & adj[u]
-            one |= adj[u]
-            reach[u] = (one, two)
-        size = 0
-        while (m := _first_k_dominating(adj, reach, k, size, 0, 0, 0, 0)) is None:
-            size += 1
-        g._domination[k] = m
-    return m.bit_count(), m
+    adj = g.adj
+    reach = [(0, 0)] * g.n
+    one = two = 0
+    for u in range(g.n - 1, -1, -1):
+        two |= one & adj[u]
+        one |= adj[u]
+        reach[u] = (one, two)
+    size = 0
+    while (m := _first_k_dominating(adj, reach, k, size, 0, 0, 0, 0)) is None:
+        size += 1
+    return size, m
 
 
 def _grow_independent(adj: tuple[int, ...], cur: int, cand: int, best: int) -> int:

@@ -71,11 +71,7 @@ def _check_order(n: int) -> None:
 class Graph:
     """Immutable simple graph with per-vertex adjacency bitmasks."""
 
-    # _domination maps k to the mask of the graph's first minimum
-    # k-dominating set, as ``domination.k_domination_number`` finds it:
-    # several solvers and the profile ask for the same one, and the graph
-    # never changes
-    __slots__ = ("n", "adj", "full", "_domination")
+    __slots__ = ("n", "adj", "full")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         _check_order(n)
@@ -113,7 +109,6 @@ class Graph:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "adj", tuple(adj))
         object.__setattr__(self, "full", (1 << n) - 1)
-        object.__setattr__(self, "_domination", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")

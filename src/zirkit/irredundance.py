@@ -118,36 +118,19 @@ def _certify(g: Graph, members: int, cache: ClosureCache) -> int:
     return members
 
 
-def _zir_upper_bound(g: Graph) -> int:
-    """Cheap valid upper bounds on ZIR used for early exit."""
-    ub = g.n
-    if g.size() > 0:
-        ub = g.n - 1
-    if g.n >= 2 and g.is_connected():
-        gamma = k_domination_number(g, 1)[0]
-        dmax = g.max_degree()
-        ub = min(ub, g.n - gamma, (dmax * g.n) // (dmax + 1))
-    return ub
-
-
 def upper_zir_number(g: Graph, cache: ClosureCache | None = None) -> tuple[int, int]:
     """ZIR(G): maximum size of a ZIr-set, with its witness mask.
 
     The seed is the complement of a minimum 2-dominating set D, which is
     always a ZIr-set (D plus any one outside vertex is one of its private
-    forts).  Below ``_zir_upper_bound`` the lexicographically first ZIr-set
-    one larger replaces it until there is none; by heredity there is then
-    none larger either.  Any ZIr-set of maximum size is automatically
-    maximal.
+    forts).  The lexicographically first ZIr-set one larger replaces it
+    until there is none; by heredity there is then none larger either.  Any
+    ZIr-set of maximum size is automatically maximal.
     """
     cache = cache or ClosureCache(g)
     best = g.full & ~k_domination_number(g, 2)[1]
-    ub = _zir_upper_bound(g)
     verts = bit_list(g.full)
-    while best.bit_count() < ub:
-        got = _first_zir_set(best.bit_count() + 1, cache, None, verts)
-        if got is None:
-            break
+    while (got := _first_zir_set(best.bit_count() + 1, cache, None, verts)) is not None:
         best = got
     return best.bit_count(), _certify(g, best, cache)
 
@@ -159,14 +142,14 @@ def upper_zero_forcing_number(g: Graph, cache: ClosureCache | None = None,
     The minimal zero forcing sets are exactly the ZIr-sets that force: when
     s forces, a fort avoiding s - {x} contains x and is private to it.  So
     Zbar <= ZIR, and the sizes descend from ``upper`` (a known upper bound
-    on Zbar, such as ZIR(G)) or else from ``_zir_upper_bound``; the first
+    on Zbar) or else from ZIR(G), solved on the same cache; the first
     forcing ZIr-set found, lexicographically first within its size, is
     returned.  No size above a valid bound holds a minimal zero forcing set,
     so the witness is the same from either start.
     """
     cache = cache or ClosureCache(g)
     verts = bit_list(g.full)
-    for k in range(_zir_upper_bound(g) if upper is None else upper, 0, -1):
+    for k in range(upper_zir_number(g, cache)[0] if upper is None else upper, 0, -1):
         got = _first_zir_set(k, cache, lambda cl: cl == g.full, verts)
         if got is not None:
             return k, got

@@ -77,12 +77,17 @@ def test_compute_csv_names_failed_checks(capsys, monkeypatch):
 
 
 def test_module_entry_point():
+    import os
     import subprocess
     import sys
+    from pathlib import Path
+    # run the package under test, not whichever zirkit the interpreter finds
+    src = str(Path(zirkit.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "zirkit", "compute", "--family", "cycle:5",
          "--params", "Z"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert json.loads(proc.stdout.strip())["Z"] == 2
 

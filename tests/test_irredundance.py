@@ -11,11 +11,14 @@ from zirkit.families import (complete_bipartite_graph, complete_graph,
 from zirkit.forcing import (ClosureCache, closure, is_fort, is_minimal_zfs,
                             is_zero_forcing_set)
 from zirkit.graphs import Graph, bit_list, bits, disjoint_union, join, mask_of
+from zirkit import irredundance
 from zirkit.irredundance import (_cannot_stay_maximal, _certify, _grow, abandons_fort,
                                  graph_abandons_fort, has_private_fort, is_maximal_zir_set,
                                  is_zir_set, lower_zir_number, maximal_zir_sets,
                                  minimal_private_fort, upper_zero_forcing_number,
                                  upper_zir_number)
+
+from zirkit.survey import exact_params
 
 from oracles import brute_forts, brute_zir_params, private_fort_exists, random_adj
 
@@ -150,6 +153,19 @@ def test_zir_numbers_match_definition_oracle(small_graphs, rng):
         oracle = brute_zir_params(g.adj, g.n)
         assert lower_zir_number(g)[0] == oracle["zir"]
         assert upper_zir_number(g)[0] == oracle["ZIR"]
+
+
+def test_zir_takes_no_cap_from_gamma(monkeypatch):
+    # gamma is overstated as gamma2, so n - gamma reads as the seed's size;
+    # ZIR must climb past it all the same on graphs whose seed n - gamma2
+    # is below ZIR
+    real = irredundance.k_domination_number
+    monkeypatch.setattr(irredundance, "k_domination_number",
+                        lambda g, k: real(g, 2))
+    for expr in ("star:5", "complete:5", "friendship:3", "fig5", "fig7"):
+        g = generate(expr)
+        assert g.is_connected() and g.n - real(g, 2)[0] < exact_params(g)["ZIR"]
+        assert upper_zir_number(g)[0] == exact_params(g)["ZIR"], expr
 
 
 def test_zir_family_values():

@@ -287,3 +287,21 @@ def test_characterizations_hold_on_random_graphs(small_graphs, rng):
 def test_profile_graph_id_defaults_to_graph6():
     g = parse_graph6("D?{")
     assert parameter_profile(g, params=("Z",)).graph_id == "D?{"
+
+
+def test_solvers_leave_the_graph_as_built():
+    # no solver keeps state on the graph: after every parameter, the checks
+    # and both domination walks, each slot equals that of a fresh copy
+    for expr in ("cycle:6", "fig5", "friendship:3", "corona(cycle:4,empty:1)"):
+        g = generate(expr)
+        profile = parameter_profile(g)
+        check_bounds(profile)
+        check_characterizations(profile)
+        k_domination_number(g, 1)
+        k_domination_number(g, 2)
+        fresh = Graph.from_adj(g.adj)
+        for slot in Graph.__slots__:
+            assert getattr(g, slot) == getattr(fresh, slot), (expr, slot)
+        for name in ("n", "adj", "memo"):
+            with pytest.raises(AttributeError):
+                setattr(g, name, None)
