@@ -413,23 +413,53 @@ def canonical_children(parent: Sequence[int]) -> Iterator[tuple[tuple[int, ...],
     """The graphs that extend ``parent`` by one vertex, one per isomorphism
     class that this parent generates, each with its |Aut G|.
 
-    A child is ``parent`` plus a vertex n-1 with some neighbourhood.  Its
-    canonical mask is the least edge mask over the vertex orders that keep
-    each cell of ``_equitable_cells`` in its block of positions, so
-    isomorphic graphs get the same one; the cost is bounded by the product
-    of the cells' factorials.  The orders that reach that mask form one
-    coset of Aut G, so their number is |Aut G|, and the vertices they put
-    last form one orbit: the canonical orbit.  The child is accepted iff
+    A child is ``parent`` plus a vertex n-1 with some neighbourhood (its
+    hood).  Its canonical mask is the least edge mask over the vertex orders
+    that keep each cell of ``_equitable_cells`` in its block of positions,
+    so isomorphic graphs get the same one; the cost is bounded by the
+    product of the cells' factorials.  The orders that reach that mask form
+    one coset of Aut G, so their number is |Aut G|, and the vertices they
+    put last form one orbit: the canonical orbit.  The child is accepted iff
     n-1 lies in its canonical orbit and no earlier child has its canonical
     mask.  Extending one graph of every class of order n-1 so gives every
     class of order n exactly once (canonical augmentation, McKay 1998): the
     canonical orbit fixes the class of G - (n-1), so only one parent
     generates G.
+
+    Two kinds of hood are skipped before any refinement, and neither
+    changes what is yielded:
+
+    - A hood that leaves some vertex of the child with a larger degree than
+      n-1.  The first refinement round orders the cells by degree and later
+      rounds split cells in place, so the last cell, which holds the
+      canonical orbit, holds only vertices of maximum degree; such a child
+      is never accepted.
+    - A hood that holds b but not a, for twins a < b of the parent
+      (``twin_classes``).  Swapping twins is an automorphism of the parent,
+      so the swaps that move the hood's members of each twin class to its
+      lowest vertices map this child onto the child of that sorted hood,
+      fixing n-1.  The sorted hood is smaller, is skipped by neither test,
+      and acceptance is invariant under the isomorphism: if the sorted hood
+      was accepted, this child's mask is already seen; if not, this child
+      is not accepted either.  So every yielded child has a sorted hood,
+      and the yielded children and their order are unchanged.  ``seen``
+      still catches the automorphisms that are not twin swaps.
     """
     n = len(parent) + 1
     new = 1 << (n - 1)
+    top = max((row.bit_count() for row in parent), default=0)
+    at_degree = [0] * n  # the parent's vertices of each degree
+    for v, row in enumerate(parent):
+        at_degree[row.bit_count()] |= 1 << v
+    twins = twin_classes(Graph.from_adj(tuple(parent))) if parent else []
+    pairs = [(1 << a, 1 << b) for c in twins for a, b in zip(c, c[1:])]
     seen = set()
     for hood in range(new):
+        size = hood.bit_count()
+        if size < top or hood & at_degree[size]:
+            continue  # some vertex would outrank n-1 in degree
+        if any(hood & b and not hood & a for a, b in pairs):
+            continue  # a twin swap maps it onto an earlier hood
         adj = tuple(row | new if hood >> v & 1 else row
                     for v, row in enumerate(parent)) + (hood,)
         cells = _equitable_cells(adj)

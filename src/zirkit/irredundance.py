@@ -17,13 +17,12 @@ fast path is gated by an independent oracle rather than assumed.
 
 Every search grows ZIr-sets one vertex at a time with ``_grow``, which
 carries the closure of the set and of each member's remainder, so adding a
-vertex recloses only the members whose maximum private fort holds it; each
-of those closures closes a closed set plus the new vertex, by the seeded
-kernel behind ``ClosureCache.add``.  The fixed-size search
-``_first_zir_set`` serves ZIR, Zbar and abandonment; one lexicographic walk
-over the ZIr-sets (``_maximal_walk``) gives zir and the list of maximal
-ZIr-sets.  ``is_zir_set`` and ``is_maximal_zir_set`` stay on the plain
-definition, and the tests re-verify witnesses through them.
+vertex recloses each member's remainder closure with it: a closed set plus
+the new vertex, by the seeded kernel behind ``ClosureCache.add``.  The
+fixed-size search ``_first_zir_set`` serves ZIR, Zbar and abandonment; one
+lexicographic walk over the ZIr-sets (``_maximal_walk``) gives zir and the
+list of maximal ZIr-sets.  ``is_zir_set`` and ``is_maximal_zir_set`` stay
+on the plain definition, and the tests re-verify witnesses through them.
 
 For zir, once a maximal ZIr-set of size b is found, the walk skips a
 ZIr-set t whose subtree cannot hold a maximal ZIr-set smaller than b
@@ -165,19 +164,18 @@ def _grow(ct: int, members: _Members, w: int, add: Callable[[int, int], int]
 
     ``members`` pairs each member bit x of t with cl(t - x), and ct = cl(t).
     Returns the same pair for t + w when it is still a ZIr-set, else None.
-    Since cl(t - x + w) = cl(cl(t - x) | w), a member whose closure already
-    holds w (w lies outside its maximum private fort) keeps it; only the
-    others are reclosed.  Each of those closures closes a closed set plus
-    the one bit w outside it, so ``add`` is ``ClosureCache.add``.
+    Since cl(t - x + w) = cl(cl(t - x) | w), every member is reclosed with
+    w.  Each cl(t - x) lies inside ct, which does not hold w, so each of
+    those closures closes a closed set plus one bit outside it, and ``add``
+    is ``ClosureCache.add``.
     """
     if ct & w:
         return None
     grown = []
     for x, cx in members:
-        if not cx & w:
-            cx = add(cx, w)
-            if cx & x:
-                return None
+        cx = add(cx, w)
+        if cx & x:
+            return None
         grown.append((x, cx))
     grown.append((w, ct))
     return add(ct, w), tuple(grown)

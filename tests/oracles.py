@@ -7,7 +7,10 @@ forcing numbers by fort-transversal duality.  No function in this module
 calls the package's closure, so oracle-vs-solver comparisons exercise two
 genuinely different routes.  The one exception is ``labeled_survey``, the
 reference for the survey's walk: it reuses the survey's facts record and
-checks and differs only in visiting every labeled graph.
+checks and differs only in visiting every labeled graph.  Likewise
+``unpruned_canonical_children``, the reference for the class generator,
+reuses the package's refinement and least-order search and differs only in
+trying every neighbourhood of the new vertex.
 """
 
 from __future__ import annotations
@@ -236,6 +239,26 @@ def least_labeled_mask(n: int, edges) -> int:
             enumerate((i, j) for i in range(n) for j in range(i + 1, n))}
     return min(sum(slot[min(p[u], p[v]), max(p[u], p[v])] for u, v in edges)
                for p in permutations(range(n)))
+
+
+def unpruned_canonical_children(parent):
+    """``graphs.canonical_children`` without its degree and twin skips:
+    every neighbourhood of the new vertex is refined and searched."""
+    from zirkit.graphs import _equitable_cells, _least_orders
+
+    n = len(parent) + 1
+    new = 1 << (n - 1)
+    seen = set()
+    for hood in range(new):
+        adj = tuple(row | new if hood >> v & 1 else row
+                    for v, row in enumerate(parent)) + (hood,)
+        cells = _equitable_cells(adj)
+        if n - 1 not in cells[-1]:
+            continue
+        mask, automorphisms, orbit = _least_orders(adj, cells, 1)[0]
+        if orbit & new and mask not in seen:
+            seen.add(mask)
+            yield adj, automorphisms
 
 
 def labeled_survey(max_order: int, checks: tuple[str, ...],

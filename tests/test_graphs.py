@@ -5,9 +5,10 @@ import pytest
 from zirkit.errors import BudgetError, SizeCapError
 from zirkit.families import (complete_graph, cycle_graph, empty_graph,
                              fig5_graph, necklace_graph, path_graph)
-from zirkit.graphs import (Graph, _equitable_cells, _least_orders, complement, corona,
-                           disjoint_union, edge_slots, enumerate_labeled_graphs, join,
-                           least_labelings, twin_classes)
+from zirkit import graphs
+from zirkit.graphs import (Graph, _equitable_cells, _least_orders, canonical_children,
+                           complement, corona, disjoint_union, edge_slots,
+                           enumerate_labeled_graphs, join, least_labelings, twin_classes)
 
 from oracles import random_adj
 
@@ -133,6 +134,24 @@ def test_canonical_label_counts_automorphisms():
     assert canonical(empty_graph(5))[1] == 120
     star = Graph(4, [(0, 1), (0, 2), (0, 3)])
     assert canonical(star)[1:] == [6, 0b0001]
+
+
+@pytest.mark.parametrize("parent,classes", [(complete_graph(7), 1), (empty_graph(7), 8)],
+                         ids=["complete", "edgeless"])
+def test_twin_parents_refine_few_hoods(monkeypatch, parent, classes):
+    # all seven vertices are twins, so only the hoods {0, ..., k-1} are
+    # refined, and of those K7 keeps only the full hood, the one that gives
+    # the new vertex the largest degree; the children are K8, and K1,k plus
+    # 7-k isolated vertices for k = 0..7
+    calls = []
+
+    def counted(adj):
+        calls.append(adj)
+        return _equitable_cells(adj)
+
+    monkeypatch.setattr(graphs, "_equitable_cells", counted)
+    assert len(list(canonical_children(parent.adj))) == classes
+    assert len(calls) <= 8
 
 
 def test_components_and_connectivity():

@@ -14,7 +14,8 @@ from zirkit.survey import (_CHECKS, ALL_CHECKS, SCAN_CHECKS, _GraphData, exact_p
                            survey)
 
 from oracles import (brute_closure, brute_domination, brute_independence,
-                     brute_power_domination, labeled_survey, random_adj)
+                     brute_power_domination, labeled_survey, random_adj,
+                     unpruned_canonical_children)
 
 
 def test_survey_order_four_all_checks_clean():
@@ -135,21 +136,40 @@ def test_class_walk_matches_labeled_walk(connected_only, dedup):
                       threads=threads).to_json_lines() == expected
 
 
-A000088 = (1, 2, 4, 11, 34, 156, 1044)  # isomorphism classes of order 1, 2, ...
+A000088 = (1, 2, 4, 11, 34, 156, 1044, 12346)  # isomorphism classes of order 1, 2, ...
 
 
-def test_class_walk_visits_every_class_once():
+@pytest.fixture(scope="module")
+def class_walk():
+    """Per order n = 1, 2, ...: each class of order n-1 with its children."""
+    walk, parents = [], [()]
+    for _ in A000088:
+        walk.append([(parent, list(canonical_children(parent))) for parent in parents])
+        parents = [adj for _, children in walk[-1] for adj, _ in children]
+    return walk
+
+
+def test_class_walk_visits_every_class_once(class_walk):
     # extending one graph of every class of the order below gives every
     # class of order n once, and the weights n!/|Aut G| sum to the number
-    # of labeled graphs
-    parents = [()]
-    for n, classes in enumerate(A000088, 1):
-        children = [child for parent in parents for child in canonical_children(parent)]
-        parents = [adj for adj, _ in children]
-        assert len(parents) == classes
-        assert len({least_labelings(adj, 1)[0] for adj in parents}) == classes
+    # of labeled graphs; the least labelings of the 12 346 classes of
+    # order 8 would take about a minute, so they are compared below that
+    for n, (classes, extended) in enumerate(zip(A000088, class_walk), 1):
+        children = [child for _, kids in extended for child in kids]
+        assert len(children) == classes
+        if n <= 7:
+            assert len({least_labelings(adj, 1)[0] for adj, _ in children}) == classes
         assert sum(factorial(n) // automorphisms for _, automorphisms in children) \
             == 2 ** (n * (n - 1) // 2)
+
+
+def test_skipped_hoods_change_no_child(class_walk):
+    # the degree and twin skips drop only neighbourhoods whose child the
+    # full loop rejects or has already yielded, for every parent through
+    # order 7
+    for extended in class_walk:
+        for parent, children in extended:
+            assert children == list(unpruned_canonical_children(parent))
 
 
 def test_survey_scan_checks_have_no_findings_small():
