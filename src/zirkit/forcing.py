@@ -9,18 +9,22 @@ meets every fort, which is the duality the test suite exercises from both
 sides.  The upper zero forcing number Zbar is a ZIr-set search and lives
 in ``irredundance``.
 
-One kernel, ``_close``, computes every closure from a work list of the blue
-vertices that may force.  ``ClosureCache`` memoizes it in one memo keyed by
-the set closed; ``closure_table`` and the ZIr-set searches' extension step
-call ``add``, which closes a closed set plus one vertex from that vertex.
+Two kernels close sets, one per route, so the routes the tests compare
+share no closure code.  The solvers' ``_close`` closes one set from a work
+list of the blue vertices that may force, memoized by ``ClosureCache``,
+whose ``add`` closes a closed set plus one vertex from that vertex.  The
+table route's ``close_all_subsets`` closes all 2^n sets at once, one
+2^n-bit int per vertex (Knuth, TAOCP 4A, §7.1.3).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import Sequence
 
 from .errors import BudgetError, PreconditionError
-from .graphs import Graph, _first_subset, _masks_of_size, bits
+from .graphs import Graph, _first_subset, _masks_of_size, bit_list, bits
 
 FORT_ENUM_MAX_ORDER = 20
 
@@ -87,43 +91,47 @@ class ClosureCache:
         return got
 
 
-def closure_table(g: Graph, cache: ClosureCache | None = None) -> list[int]:
-    """The closure of every vertex set of g, indexed by its mask: 2^n entries.
+@lru_cache(maxsize=1)
+def subset_tables(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """2^n-bit ints over the sets m of n vertices: X_v for each vertex v,
+    whose bit m says v ∈ m, and L_k for k = 0..n, whose bit m says |m| = k."""
+    xs: list[int] = []
+    layers = [1]
+    for v in range(n):  # doubling: the sets without v, then those with it
+        w = 1 << v
+        xs = [x | x << w for x in xs] + [((1 << w) - 1) << w]
+        layers = [lo | hi << w for lo, hi in zip(layers + [0], [0] + layers)]
+    return tuple(xs), tuple(layers)
 
-    With ``cache`` the closures go through its memo, and the table's own
-    ones stay there for later lookups.
+
+def close_all_subsets(adj: tuple[int, ...], start: Sequence[int]) -> list[int]:
+    """Closures of 2^n sets at once: bit m of entry v says whether v lies in
+    the closure of {u : bit m of ``start[u]``}, which is m when start is X_v.
+
+    B_w |= B_u & ⋀_{y ∈ N(u) − w} B_y runs to a fixed point from a work
+    list of forcers swept in rounds.  A grown B_w puts w and its neighbours
+    other than u on it: where u forces w, u's other neighbours are blue.
     """
-    # cl(m) = cl(cl(p) ∪ {v}) for p = m minus its lowest vertex v; masks
-    # ascend so clo[p] is ready, the kernel closes the closed cl(p) plus v
-    # from v alone, and v ∈ cl(p) gives cl(m) = cl(p) with no closure at all
-    adj = g.adj
-    clo = [0] * (g.full + 1)
-    for m in range(1, g.full + 1):
-        p = m & (m - 1)
-        c = clo[p]
-        low = m ^ p
-        if c & low:
-            clo[m] = c
-        else:
-            clo[m] = cache.add(c, low) if cache else _close(
-                adj, c | low, low | adj[low.bit_length() - 1] & c)
-    return clo
-
-
-def minimal_zero_forcing_sets(clo: list[int]) -> list[int]:
-    """The minimal zero forcing sets, ascending, read off a ``closure_table``."""
-    full = len(clo) - 1
-    out = []
-    for m in [m for m, c in enumerate(clo) if c == full]:
-        mm = m
-        while mm:
-            low = mm & -mm
-            mm ^= low
-            if clo[m ^ low] == full:
-                break
-        else:
-            out.append(m)
-    return out
+    blue, todo, u = list(start), (1 << len(adj)) - 1, -1
+    while todo:
+        # sweep round after round: the next forcer on the list after u
+        ahead = todo >> u + 1 << u + 1 or todo
+        low = ahead & -ahead
+        todo ^= low
+        u = low.bit_length() - 1
+        ys = bit_list(adj[u])
+        # each w takes the AND over N(u) − w from a prefix and a suffix
+        before = [blue[u]]
+        for y in ys[:-1]:
+            before.append(before[-1] & blue[y])
+        after = -1
+        for w, first in zip(reversed(ys), reversed(before)):
+            grown = first & after & ~blue[w]
+            if grown:
+                blue[w] |= grown
+                todo |= (1 << w | adj[w]) & ~low
+            after &= blue[w]
+    return blue
 
 
 def closure(g: Graph, blue: int) -> int:

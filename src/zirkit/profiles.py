@@ -4,7 +4,7 @@ A profile gathers every exact parameter of one graph together with
 witnesses.  ``CHECKS`` is the one ordered registry of bounds and
 characterizations: each entry tests its hypothesis and its claim on a
 ``Facts`` record, which holds the graph-level fields and reads the
-set-level facts off a closure table.  Two subclasses supply the values:
+set-level facts off a forcing table.  Two subclasses supply the values:
 ``ParamProfile``, whose values the solvers fill (``check_bounds`` and
 ``check_characterizations`` read the profile itself; the join and corona
 bounds also read the factor graphs), and the survey's ``_GraphData`` from
@@ -18,14 +18,14 @@ those checks call on both routes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import and_, or_
 from typing import Any, Callable, Iterable
 
 from .domination import k_domination_number, independence_number, power_domination_number
 from .errors import PreconditionError, check_deadline
 from .families import FamilySpec, generate
-from .forcing import (ClosureCache, closure_table, minimal_zero_forcing_sets,
-                      zero_forcing_number)
+from .forcing import ClosureCache, close_all_subsets, subset_tables, zero_forcing_number
 from .graphs import (Graph, bit_list, bits, complement, join as join_graph,
                      mask_of, to_graph6)
 from .irredundance import (_first_zir_set, lower_zir_number, maximal_zir_sets,
@@ -54,9 +54,10 @@ class Facts:
 
     It holds ``graph`` and the graph-level fields (``n``, ``min_degree``,
     ``max_degree``, ``has_edge``, ``connected``, ``isolated_free``), and
-    reads ``forces(s)``, ``minimal_zfs`` and ``abandons`` off ``clo``, the
-    closure table of every subset; a subclass supplies ``clo``, ``values``
-    and ``maximal_zir_sets`` (ascending masks).
+    reads ``forces(s)``, ``minimal_zfs`` and ``abandons`` off
+    ``forcing_table``, whose bit m says whether m forces: the AND of the
+    ``closures`` that ``forcing.close_all_subsets`` builds on first use.
+    A subclass supplies ``values`` and ``maximal_zir_sets`` (ascending).
     """
 
     def __init__(self, g: Graph):
@@ -67,12 +68,27 @@ class Facts:
         self.connected = g.is_connected()
         self.isolated_free = all(g.adj)
 
+    @cached_property
+    def closures(self) -> list[int]:
+        return close_all_subsets(self.graph.adj, subset_tables(self.n)[0])
+
+    @cached_property
+    def forcing_table(self) -> int:
+        return reduce(and_, self.closures)
+
     def forces(self, s: int) -> bool:
-        return self.clo[s] == self.graph.full
+        return bool(self.forcing_table >> s & 1)
+
+    @cached_property
+    def minimal_table(self) -> int:
+        # m is minimal iff it forces and is no forcing set s plus a vertex x
+        f = self.forcing_table
+        return f & ~reduce(or_, ((f & ~x) << (1 << v)
+                                 for v, x in enumerate(subset_tables(self.n)[0])))
 
     @cached_property
     def minimal_zfs(self) -> list[int]:
-        return minimal_zero_forcing_sets(self.clo)
+        return bit_list(self.minimal_table)
 
     @cached_property
     def abandons(self) -> bool:
@@ -87,11 +103,11 @@ class ParamProfile(Facts):
     """All computed parameters of one graph, with witnesses: the facts
     record its checks read.
 
-    ``cache`` is the memo of closures the solvers fill, and ``clo`` and
-    ``maximal_zir_sets`` (the solvers' walk over the ZIr-sets) go through
-    it; the closure table holds no ZIr-set, so ``minimal-zfs-equivalence``
+    ``cache`` is the memo of closures the solvers fill, and
+    ``maximal_zir_sets`` (the solvers' walk over the ZIr-sets) goes through
+    it; the forcing table holds no ZIr-set, so ``minimal-zfs-equivalence``
     compares two independent routes.  Only checks gated to
-    n <= ``SUBSET_CHECK_MAX_ORDER`` read ``clo``.  Only checks the survey
+    n <= ``SUBSET_CHECK_MAX_ORDER`` build that table.  Only checks the survey
     does not run read ``cache`` and ``product``, which is
     ``(kind, left, right)`` for a join or corona and None otherwise.
     """
@@ -121,10 +137,6 @@ class ParamProfile(Facts):
         if self.omitted:
             out["omitted"] = list(self.omitted)
         return out
-
-    @cached_property
-    def clo(self) -> list[int]:
-        return closure_table(self.graph, self.cache)
 
     @cached_property
     def maximal_zir_sets(self) -> list[int]:

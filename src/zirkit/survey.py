@@ -17,11 +17,11 @@ report reads as a walk over every labeled graph in edge-mask order would.
 
 Every parameter here is recomputed from per-graph tables over all subsets
 by its definition (for example ZIR is the literal maximum over maximal
-ZIr-sets): the closure table, then one pass over the subsets that fills the
-ZIr table and gives gamma, gamma2, alpha and gammaP by a mask DP.  No
-solver is called and no theorem bound prunes anything, so the survey is an
-independent route from the pruned solver searches; the test suite
-cross-checks the two.
+ZIr-sets): ``forcing.close_all_subsets`` closes every subset at once, and
+each table (forcing, ZIr, dominating, independent, power dominating) is a
+few operations on 2^n-bit ints.  No solver is called and no theorem bound
+prunes anything, so the survey is an independent route from the pruned
+solver searches; the test suite cross-checks the two.
 ``_GraphData`` is the survey's ``profiles.Facts`` record, with its values
 from the subset tables: the theorems shared with ``compute --check-bounds``
 are evaluated by the predicates of ``profiles.CHECKS``, and only the
@@ -41,16 +41,19 @@ from __future__ import annotations
 
 import concurrent.futures
 from dataclasses import dataclass, field
+from functools import cached_property, reduce
 from math import factorial
+from operator import and_, or_
 
 from .errors import BudgetError, PreconditionError, check_deadline, deadline
-from .forcing import closure_table
-from .graphs import (Graph, adj_from_edge_mask, bit_list, canonical_children, edge_slots,
+from .forcing import close_all_subsets, subset_tables
+from .graphs import (Graph, adj_from_edge_mask, bit_list, bits, canonical_children, edge_slots,
                      least_labelings, mask_of, to_graph6, twin_classes)
 from .profiles import CHECKS, Check, CheckReport, Facts
 
 SURVEY_DEFAULT_MAX_ORDER = 6
 SURVEY_HARD_MAX_ORDER = 7
+EXACT_PARAMS_MAX_ORDER = 22
 _COUNTEREXAMPLE_CAP = 3
 _LEADER_EXAMPLE_CAP = 3
 
@@ -78,97 +81,67 @@ class SurveyReport:
 # -- per-graph computation -------------------------------------------------
 
 
-class _GraphData(Facts):
-    """The facts record of one graph, answered by subset tables.
+def _least(table: int, members: tuple[int, ...]) -> int:
+    """The lexicographically least of the equal-size sets in ``table``: it
+    holds each vertex, in ascending order, that a set still left holds."""
+    for x in members:
+        if table & x:
+            table &= x
+    return table.bit_length() - 1
 
-    It answers everything the shared checks of ``profiles.CHECKS`` read,
-    plus what the survey-only checks need.  After the closure table, one
-    pass over all 2^n subsets fills the ZIr table and finds
-    gamma, gamma2, alpha and gammaP by a mask DP; every subset is visited,
-    with no solver and no bound pruning.
+
+class _GraphData(Facts):
+    """The facts record of one graph, answered by tables over all subsets.
+
+    Each table is a 2^n-bit int whose bit m answers for the set m, a few
+    whole-int operations on ``Facts.closures`` and the tables X_v and L_k
+    of ``forcing.subset_tables``: every subset is decided, with no solver
+    and no bound pruning.
     """
 
     def __init__(self, g: Graph):
         super().__init__(g)
-        self.clo = closure_table(g)
-        self._tables()
+        n, adj, (xs, layers), every = g.n, g.adj, subset_tables(g.n), (1 << (1 << g.n)) - 1
+        # m is a ZIr-set iff no member x lies in the closure of m - x, and
+        # maximal iff no m + y is one
+        zir = every & ~reduce(or_, (
+            (b & ~x) << (1 << v) for v, (b, x) in enumerate(zip(self.closures, xs))))
+        self.maximal_table = zir & ~reduce(
+            or_, ((zir & x) >> (1 << y) for y, x in enumerate(xs)))
+        # v is dominated by m iff v ∈ m or a neighbour is, twice iff v ∈ m or
+        # two neighbours are: one- and two-bit counters over the neighbours;
+        # m is independent iff no member has a neighbour in m
+        once, twice, clash = [], [], 0
+        for v in range(n):
+            one = two = 0
+            for u in bits(adj[v]):
+                two |= one & xs[u]
+                one |= xs[u]
+            once.append(xs[v] | one)
+            twice.append(xs[v] | two)
+            clash |= xs[v] & one
+        # N[m] holds v iff m dominates v, so the kernel started at the
+        # domination tables closes every N[m]
+        power = reduce(and_, close_all_subsets(adj, once))
 
-    def _tables(self) -> None:
-        # one pass over the masks in ascending order; each entry extends the
-        # entry of p = m minus its lowest vertex v, whose neighbourhood is a:
-        # c1[m] holds the vertices with a neighbour in m, c2[m] those with
-        # two, so m k-dominates iff every vertex outside m lies in ck[m],
-        # and m power-dominates iff its closed neighbourhood m | c1[m] forces
-        n, full, adj, clo = self.n, self.graph.full, self.graph.adj, self.clo
-        zirt = [False] * (full + 1)
-        c1 = [0] * (full + 1)
-        c2 = [0] * (full + 1)
-        ind = [False] * (full + 1)
-        zirt[0] = ind[0] = True
-        gamma = gamma2 = gamma_p = n
-        alpha = 0
-        for m in range(1, full + 1):
-            p = m & (m - 1)
-            a = adj[(m ^ p).bit_length() - 1]
-            if zirt[p]:  # ZIr-sets are hereditary
-                mm = m
-                while mm:
-                    low = mm & -mm
-                    mm ^= low
-                    if clo[m ^ low] & low:
-                        break
-                else:
-                    zirt[m] = True
-            size = m.bit_count()
-            cp = c1[p]
-            c1[m] = cp | a
-            c2[m] = c2[p] | (cp & a)
-            out = full ^ m
-            if size < gamma and not out & ~c1[m]:
-                gamma = size
-            if size < gamma2 and not out & ~c2[m]:
-                gamma2 = size
-            if size < gamma_p and clo[m | c1[m]] == full:
-                gamma_p = size
-            if ind[p] and not a & p:
-                ind[m] = True
-                if size > alpha:
-                    alpha = size
-        self.zirt = zirt
+        def sizes(table: int) -> list[int]:
+            return [k for k, layer in enumerate(layers) if table & layer]
 
-        maximal = []
-        for m in range(full + 1):
-            if not zirt[m]:
-                continue
-            out = full & ~m
-            is_max = True
-            while out:
-                low = out & -out
-                out ^= low
-                if zirt[m | low]:
-                    is_max = False
-                    break
-            if is_max:
-                maximal.append(m)
-        self.maximal_zir_sets = maximal
+        maximal = sizes(self.maximal_table)
+        self.values = values = {
+            "zir": maximal[0], "ZIR": maximal[-1],
+            "Z": sizes(self.forcing_table)[0], "Zbar": sizes(self.minimal_table)[-1],
+            "gamma": sizes(reduce(and_, once))[0], "gamma2": sizes(reduce(and_, twice))[0],
+            "alpha": sizes(every & ~clash)[-1], "gammaP": sizes(power)[0],
+        }
+        # every minimum zero forcing set is minimal, so both witnesses are the
+        # first minimal one of their size, by (size, lexicographic)
+        self.z_witness = _least(self.minimal_table & layers[values["Z"]], xs)
+        self.zbar_witness = _least(self.minimal_table & layers[values["Zbar"]], xs)
 
-        values: dict[str, int] = {}
-        values["zir"] = min(m.bit_count() for m in maximal)
-        values["ZIR"] = max(m.bit_count() for m in maximal)
-
-        # every minimum zero forcing set is minimal, so both witnesses are
-        # the first minimal one of their size, by (size, lexicographic)
-        self.z_witness = min(self.minimal_zfs, key=lambda m: (m.bit_count(), bit_list(m)))
-        values["Z"] = self.z_witness.bit_count()
-        values["Zbar"] = max(m.bit_count() for m in self.minimal_zfs)
-        self.zbar_witness = min((m for m in self.minimal_zfs
-                                 if m.bit_count() == values["Zbar"]), key=bit_list)
-
-        values["gamma"] = gamma
-        values["gamma2"] = gamma2
-        values["alpha"] = alpha
-        values["gammaP"] = gamma_p
-        self.values = values
+    @cached_property
+    def maximal_zir_sets(self) -> list[int]:
+        return bit_list(self.maximal_table)
 
 
 # -- survey-only checks; the shared theorems live in profiles.CHECKS ---------
@@ -251,9 +224,9 @@ def _survey_shard(args: tuple) -> tuple[dict, tuple, list]:
     of order n-1; returns mergeable tallies, the leader and the classes.
 
     Tallies count each class n!/|Aut G| times, once under ``dedup``;
-    classes are adjacency tuples.
+    classes are adjacency tuples, returned only if ``more`` orders follow.
     """
-    n, parents, checks, connected_only, dedup, at = args
+    n, parents, checks, connected_only, dedup, more, at = args
     run = [(name, _CHECKS[name]) for name in checks]
     tallies = dict.fromkeys(checks, (0, 0, ()))
     leader: tuple[int | None, tuple] = (None, ())
@@ -263,7 +236,8 @@ def _survey_shard(args: tuple) -> tuple[dict, tuple, list]:
         check_deadline(at, "survey")
         for adj, automorphisms in canonical_children(parent):
             check_deadline(at, "survey")
-            children.append(adj)
+            if more:
+                children.append(adj)
             g = Graph.from_adj(adj)
             if connected_only and not g.is_connected():
                 continue
@@ -344,8 +318,8 @@ def survey(max_order: int,
     try:
         for n in orders:
             chunk = -(-len(parents) // (threads * 4))
-            shards = [(n, parents[lo:lo + chunk], checks, connected_only, dedup, at)
-                      for lo in range(0, len(parents), chunk)]
+            shards = [(n, parents[lo:lo + chunk], checks, connected_only, dedup,
+                       n < max_order, at) for lo in range(0, len(parents), chunk)]
             # All orders within the default budget take about 100-110 ms in
             # process on 2 cores.  A pool saved no time there, took up to
             # about 55 % more CPU time, and its forks, round trips and
@@ -405,9 +379,14 @@ def _report(report: SurveyReport, tallies: dict, leaders: dict) -> SurveyReport:
 
 
 def exact_params(g: Graph) -> dict[str, int]:
-    """Definition-level parameter computation via full closure tables.
+    """Definition-level parameter computation from tables over all subsets.
 
     Exposed so tests can cross-check the pruned solver searches against the
-    survey's independent route.
+    survey's independent route.  Each table takes 2^n bits: at order
+    ``EXACT_PARAMS_MAX_ORDER`` = 22, G(22, p) with p = 0.2-0.8 peaked at
+    87-94 MB resident (17 MB the interpreter's) in 0.7-1.5 s on one core,
+    each vertex more doubles both, and above it ``BudgetError`` comes first.
     """
+    if g.n > EXACT_PARAMS_MAX_ORDER:
+        raise BudgetError(f"exact_params supports n <= {EXACT_PARAMS_MAX_ORDER}, got {g.n}")
     return dict(_GraphData(g).values)

@@ -149,8 +149,8 @@ def test_facts_records_agree():
             assert solved.values[name] == value, (name, where)
         assert table.abandons == solved.abandons, where
         assert mask_of(solved.witnesses["Zbar"]) == table.zbar_witness, where
-        # both records read forcing.minimal_zero_forcing_sets, so compare
-        # them with the definition too
+        # both records read Facts.minimal_zfs off the all-subsets forcing
+        # table, so compare them with the definition too
         assert table.minimal_zfs == solved.minimal_zfs, where
         assert table.minimal_zfs == [s for s in range(g.full + 1)
                                      if is_minimal_zfs(g, s)], where
@@ -163,12 +163,12 @@ def test_facts_records_agree():
 
 
 def test_profile_checks_build_no_closure_table_above_the_subset_gate():
-    # the profile builds the 2^n closure table only for the checks gated to
-    # n <= SUBSET_CHECK_MAX_ORDER
+    # the profile builds the 2^n-bit closure and forcing tables only for the
+    # checks gated to n <= SUBSET_CHECK_MAX_ORDER
     g = generate("corona(path:4,empty:2)")
     assert g.n == 12 > SUBSET_CHECK_MAX_ORDER
     profile = parameter_profile(g)
     profile.product = ("corona", generate("path:4"), generate("empty:2"))
     for check in CHARACTERIZATION_CHECKS:
         check.evaluate(profile)
-    assert "clo" not in vars(profile)
+    assert not {"closures", "forcing_table", "minimal_table"} & set(vars(profile))

@@ -4,13 +4,13 @@ from hypothesis import given, settings
 from zirkit.errors import BudgetError
 from zirkit.families import (complete_graph, cycle_graph, friendship_graph,
                              generate, h_rs_graph, path_graph, star_graph)
-from zirkit.forcing import (ClosureCache, _close, closure,
-                            closure_table, closure_with_chronicle,
+from zirkit.forcing import (ClosureCache, _close, close_all_subsets, closure,
+                            closure_with_chronicle,
                             enumerate_forts, enumerate_minimal_forts, is_fort,
                             is_minimal_zfs, is_z_irrelevant,
                             is_zero_forcing_set, max_fort_avoiding,
-                            zero_forcing_number)
-from zirkit.graphs import Graph, mask_of
+                            subset_tables, zero_forcing_number)
+from zirkit.graphs import Graph, bits, mask_of
 from zirkit.irredundance import upper_zero_forcing_number
 
 from oracles import brute_closure, brute_forcing_params, brute_forts, brute_minimal_forts
@@ -269,5 +269,28 @@ def test_seeded_closure_matches_full_closure(g):
             cache = ClosureCache(g)
             assert cache.add(c, w) == want
             assert cache.closure(c | w) == want and len(cache._memo) == 1
-    assert closure_table(g) == clo
-    assert closure_table(g, ClosureCache(g)) == clo
+
+
+def _set_at(tables: list[int], m: int) -> int:
+    """The vertex set that bit m of per-vertex tables describes."""
+    return mask_of(v for v, t in enumerate(tables) if t >> m & 1)
+
+
+@settings(deadline=None)
+@given(graphs(8))
+def test_all_subsets_kernel_matches_closure(g):
+    # bit m of member table v says v ∈ m and of layer k says |m| = k; the
+    # bit-sliced kernel closes every set at once, from the sets themselves
+    # and from their closed neighbourhoods N[m], the start power domination
+    # closes
+    members, layers = subset_tables(g.n)
+    assert [_set_at(members, m) for m in range(g.full + 1)] == list(range(g.full + 1))
+    assert [_set_at(layers, m) for m in range(g.full + 1)] == \
+        [1 << m.bit_count() for m in range(g.full + 1)]
+    hoods = [m | mask_of(u for v in bits(m) for u in bits(g.adj[v]))
+             for m in range(g.full + 1)]
+    hood_start = [mask_of(m for m, h in enumerate(hoods) if h >> v & 1) for v in range(g.n)]
+    for start, sets in ((members, range(g.full + 1)), (hood_start, hoods)):
+        closed = close_all_subsets(g.adj, start)
+        for m, s in enumerate(sets):
+            assert _set_at(closed, m) == brute_closure(g.adj, s), (g.adj, m)

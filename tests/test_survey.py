@@ -1,4 +1,6 @@
 import concurrent.futures
+import hashlib
+import importlib
 import random
 import time
 from math import factorial
@@ -6,6 +8,7 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from zirkit.cli import main
 from zirkit.errors import BudgetError, PreconditionError
 from zirkit.families import generate
 from zirkit.graphs import Graph, bits, canonical_children, least_labelings, parse_graph6
@@ -16,6 +19,8 @@ from zirkit.survey import (_CHECKS, ALL_CHECKS, SCAN_CHECKS, _GraphData, exact_p
 from oracles import (brute_closure, brute_domination, brute_independence,
                      brute_power_domination, labeled_survey, random_adj,
                      unpruned_canonical_children)
+
+survey_module = importlib.import_module("zirkit.survey")  # the package's survey is the function
 
 
 def test_survey_order_four_all_checks_clean():
@@ -89,6 +94,32 @@ def test_survey_pool_starts_no_more_workers_than_shards(monkeypatch):
     with pytest.raises(RuntimeError, match="no pool started"):
         survey(7, override_budget=True, threads=10_000)
     assert len(asked) == 1 and asked[0] <= 156
+
+
+def test_top_order_shards_return_no_children(monkeypatch):
+    # the classes a shard finds are the next order's parents, so the top
+    # order's shards send none back to the fold
+    found = {}
+    shard = survey_module._survey_shard
+
+    def spy(args):
+        out = shard(args)
+        found[args[0]] = found.get(args[0], 0) + len(out[2])
+        return out
+    monkeypatch.setattr(survey_module, "_survey_shard", spy)
+    survey(4, checks=("chain",))
+    assert found == {1: 1, 2: 2, 3: 4, 4: 0}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_order_8_survey_stream_is_pinned(monkeypatch, capsys, threads):
+    # the order-8 survey past the shipped cap of 7: about 8 s at one thread
+    # and 5 s at two on 2 cores
+    monkeypatch.setattr(survey_module, "SURVEY_HARD_MAX_ORDER", 8)
+    main(["survey", "--order", "8", "--override-budget", "--threads", threads])
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == \
+        "94bb72821a04ab1ead4eda46925e6344fb16b26498b03dfdeeb1345a278b9e0c"
 
 
 def test_survey_pool_time_limit():
@@ -212,22 +243,43 @@ def test_all_checks_registry_is_consistent():
 
 
 def test_graph_tables_match_definitions(small_graphs):
-    # the survey's one pass over the subsets against the definitions: the
-    # closure of every mask, ZIr-ness member by member with no pruning, and
-    # gamma, gamma2, alpha and gammaP by the all-subset oracles
+    # the survey's tables over all subsets against the definitions: the
+    # closure of every mask, the maximal ZIr-sets by ZIr-ness member by
+    # member, the minimal zero forcing sets by removal, and gamma, gamma2,
+    # alpha and gammaP by the all-subset oracles; each witness is the least
+    # minimal zero forcing set of its size by sorted vertex list
     rng = random.Random(20261018)
     larger = [Graph.from_adj(random_adj(rng.randint(7, 9), rng)) for _ in range(30)]
     for g in small_graphs + larger:
         d = _GraphData(g)
         adj = g.adj
-        for m in range(g.full + 1):
-            assert d.clo[m] == brute_closure(adj, m), (g.adj, m)
-            assert d.zirt[m] == all(not brute_closure(adj, m ^ 1 << x) >> x & 1
-                                    for x in bits(m)), (g.adj, m)
+        clo = [brute_closure(adj, m) for m in range(g.full + 1)]
+        for v, closed in enumerate(d.closures):
+            assert [closed >> m & 1 for m in range(g.full + 1)] == \
+                [c >> v & 1 for c in clo], (g.adj, v)
+        zir = [all(not clo[m ^ 1 << x] >> x & 1 for x in bits(m)) for m in range(g.full + 1)]
+        assert d.maximal_zir_sets == [m for m in range(g.full + 1) if zir[m] and not any(
+            zir[m | 1 << y] for y in bits(g.full & ~m))], g.adj
+        minimal = [m for m in range(g.full + 1) if clo[m] == g.full and not any(
+            clo[m ^ 1 << x] == g.full for x in bits(m))]
+        assert d.minimal_zfs == minimal, g.adj
+        for witness, pick in ((d.z_witness, min), (d.zbar_witness, max)):
+            size = pick(m.bit_count() for m in minimal)
+            assert witness == min((m for m in minimal if m.bit_count() == size),
+                                  key=lambda m: list(bits(m))), g.adj
         assert (d.values["gamma"], d.values["gamma2"], d.values["alpha"],
                 d.values["gammaP"]) == (
             brute_domination(adj, g.n, 1), brute_domination(adj, g.n, 2),
             brute_independence(adj, g.n), brute_power_domination(adj, g.n)), g.adj
+
+
+def test_exact_params_refuses_orders_past_its_memory_bound():
+    # the tables of order 23 would take about twice order 22's 94 MB and
+    # 3 s; the refusal comes first
+    start = time.monotonic()
+    with pytest.raises(BudgetError, match="n <= 22"):
+        exact_params(generate("path:23"))
+    assert time.monotonic() - start < 1
 
 
 @settings(deadline=None, max_examples=25)
