@@ -324,58 +324,67 @@ def enumerate_labeled_graphs(n: int, connected_only: bool = False) -> Iterator[G
         yield g
 
 
-def _equitable_cells(adj: Sequence[int]) -> list[list[int]]:
+def _equitable_cells(adj: Sequence[int], last: int | None = None) -> list[list[int]] | None:
     """The coarsest equitable partition refining the degree partition, as
-    cells ordered by invariant signatures.
+    cells ordered by invariant signatures; or None, when ``last`` is given,
+    as soon as that vertex leaves the last cell.
 
     Each round gives every vertex the signature (its cell, its number of
     neighbours in each cell) and renumbers the cells by sorted signature,
     until no cell splits.  The cells and their order depend only on the
-    graph, so every automorphism maps each cell onto itself.
+    graph, so every automorphism maps each cell onto itself.  A round sorts
+    by the old cell first, so a cell only splits in place: a vertex that has
+    left the last cell never comes back, and the early None is the final
+    answer to "does ``last`` lie in the last cell".
     """
     n = len(adj)
     cell = [0] * n
-    count = 1
+    members = [(1 << n) - 1]
     while True:
-        members = [0] * count
-        for v in range(n):
-            members[cell[v]] |= 1 << v
-        sigs = [(cell[v], tuple((adj[v] & m).bit_count() for m in members))
-                for v in range(n)]
+        counts = [[(row & m).bit_count() for row in adj] for m in members]
+        sigs = list(zip(cell, *counts))
         ranked = sorted(set(sigs))
-        if len(ranked) == count:
-            break
+        if len(ranked) == len(members):
+            return [bit_list(m) for m in members]
         rank = {s: i for i, s in enumerate(ranked)}
         cell = [rank[s] for s in sigs]
-        count = len(ranked)
-    cells: list[list[int]] = [[] for _ in range(count)]
-    for v in range(n):
-        cells[cell[v]].append(v)
-    return cells
+        if last is not None and cell[last] != len(ranked) - 1:
+            return None
+        members = [0] * len(ranked)
+        for v, c in enumerate(cell):
+            members[c] |= 1 << v
 
 
 def _least_orders(adj: Sequence[int], cells: list[list[int]], cap: int) -> list[list[int]]:
     """The ``cap`` least edge masks (``edge_slots`` order) over the vertex
     orders that keep every cell of ``cells``, in turn, in its block of
     positions; each as ``[mask, orders that reach it, mask of the vertices
-    those orders put last]``, ascending.
+    those orders put last]``, ascending.  Every automorphism must map each
+    cell onto itself, as those of ``_equitable_cells`` do.
 
     Positions are filled from n-1 down: placing position p fixes the slots
     (p, q) for q > p, which are the next most significant bits, so an order
     whose high bits already exceed the ``cap``-th least mask's is dropped
-    there.  Orders that tie are all visited.
+    there.  Of the free twins (``_twin_masks``) of a cell only the least is
+    placed, and its subtree counts once for each of them: swapping two free
+    twins is an automorphism that fixes every placed vertex, so it maps the
+    orders below one onto those below the other with the same masks.  For
+    the same reason a vertex put last stands for its whole twin class in
+    the last mask.  Orders that tie otherwise are all visited.
     """
     n = len(adj)
+    twins = _twin_masks(adj)
+    lower = [t & ((1 << v) - 1) for v, t in enumerate(twins)]  # each vertex's lesser twins
     at = [c for c in cells for _ in c]  # the cell of each position
     offset = [p * (2 * n - p - 1) // 2 for p in range(n)]  # slot index of (p, p + 1)
     where = [0] * n  # position of each placed vertex
     found: list[list[int]] = []
 
-    def place(p: int, free: int, high: int) -> None:
+    def place(p: int, free: int, high: int, ways: int, last: int) -> None:
         shift = offset[p]
         rows = []
         for v in at[p]:
-            if free >> v & 1:
+            if free >> v & 1 and not lower[v] & free:
                 row = 0
                 for u in bits(adj[v] & ~free):
                     row |= 1 << (where[u] - p - 1)
@@ -385,22 +394,23 @@ def _least_orders(adj: Sequence[int], cells: list[list[int]], cap: int) -> list[
             mask = high | row << shift
             if len(found) == cap and mask >> shift > found[-1][0] >> shift:
                 return  # rows are sorted, so every later one is worse too
+            count = ways * (twins[v] & free).bit_count()
+            orbit = last or twins[v]  # last is 0 only at position n-1
             where[v] = p
             if p:
-                place(p - 1, free ^ 1 << v, mask)
+                place(p - 1, free ^ 1 << v, mask, count, orbit)
                 continue
-            last = 1 << where.index(n - 1)
             for entry in found:
                 if entry[0] == mask:
-                    entry[1] += 1
-                    entry[2] |= last
+                    entry[1] += count
+                    entry[2] |= orbit
                     break
             else:
-                found.append([mask, 1, last])
+                found.append([mask, count, orbit])
                 found.sort()
                 del found[cap:]
 
-    place(n - 1, (1 << n) - 1, 0)
+    place(n - 1, (1 << n) - 1, 0, 1, 0)
     return found
 
 
@@ -416,26 +426,27 @@ def canonical_children(parent: Sequence[int]) -> Iterator[tuple[tuple[int, ...],
     A child is ``parent`` plus a vertex n-1 with some neighbourhood (its
     hood).  Its canonical mask is the least edge mask over the vertex orders
     that keep each cell of ``_equitable_cells`` in its block of positions,
-    so isomorphic graphs get the same one; the cost is bounded by the
-    product of the cells' factorials.  The orders that reach that mask form
-    one coset of Aut G, so their number is |Aut G|, and the vertices they
-    put last form one orbit: the canonical orbit.  The child is accepted iff
-    n-1 lies in its canonical orbit and no earlier child has its canonical
-    mask.  Extending one graph of every class of order n-1 so gives every
-    class of order n exactly once (canonical augmentation, McKay 1998): the
-    canonical orbit fixes the class of G - (n-1), so only one parent
-    generates G.
+    so isomorphic graphs get the same one.  The orders that reach that mask
+    form one coset of Aut G, so their number is |Aut G|, and the vertices
+    they put last form one orbit: the canonical orbit.  ``_least_orders``
+    finds both without walking the coset's twin swaps: swapping two twins
+    not yet placed fixes the placed prefix, so it searches one of them and
+    counts it for all.  The child is accepted iff n-1 lies in its canonical
+    orbit and no earlier child has its canonical mask.  Extending one graph
+    of every class of order n-1 so gives every class of order n exactly
+    once (canonical augmentation, McKay 1998): the canonical orbit fixes
+    the class of G - (n-1), so only one parent generates G.
 
-    Two kinds of hood are skipped before any refinement, and neither
-    changes what is yielded:
+    The canonical orbit lies in the last cell, so refinement stops as soon
+    as n-1 leaves it.  Two kinds of hood are skipped before any refinement,
+    and neither changes what is yielded:
 
     - A hood that leaves some vertex of the child with a larger degree than
       n-1.  The first refinement round orders the cells by degree and later
-      rounds split cells in place, so the last cell, which holds the
-      canonical orbit, holds only vertices of maximum degree; such a child
-      is never accepted.
+      rounds split cells in place, so the last cell holds only vertices of
+      maximum degree; such a child is never accepted.
     - A hood that holds b but not a, for twins a < b of the parent
-      (``twin_classes``).  Swapping twins is an automorphism of the parent,
+      (``_twin_masks``).  Swapping twins is an automorphism of the parent,
       so the swaps that move the hood's members of each twin class to its
       lowest vertices map this child onto the child of that sorted hood,
       fixing n-1.  The sorted hood is smaller, is skipped by neither test,
@@ -451,8 +462,10 @@ def canonical_children(parent: Sequence[int]) -> Iterator[tuple[tuple[int, ...],
     at_degree = [0] * n  # the parent's vertices of each degree
     for v, row in enumerate(parent):
         at_degree[row.bit_count()] |= 1 << v
-    twins = twin_classes(Graph.from_adj(tuple(parent))) if parent else []
-    pairs = [(1 << a, 1 << b) for c in twins for a, b in zip(c, c[1:])]
+    # each parent vertex with the next twin above it: t & -(2 << v) drops
+    # the twins up to v
+    pairs = [(1 << v, up & -up) for v, t in enumerate(_twin_masks(parent))
+             if (up := t & -(2 << v))]
     seen = set()
     for hood in range(new):
         size = hood.bit_count()
@@ -462,8 +475,8 @@ def canonical_children(parent: Sequence[int]) -> Iterator[tuple[tuple[int, ...],
             continue  # a twin swap maps it onto an earlier hood
         adj = tuple(row | new if hood >> v & 1 else row
                     for v, row in enumerate(parent)) + (hood,)
-        cells = _equitable_cells(adj)
-        if n - 1 not in cells[-1]:  # the canonical orbit lies in the last cell
+        cells = _equitable_cells(adj, n - 1)
+        if cells is None:  # n-1 left the last cell, which holds the canonical orbit
             continue
         mask, automorphisms, orbit = _least_orders(adj, cells, 1)[0]
         if orbit & new and mask not in seen:
@@ -474,28 +487,29 @@ def canonical_children(parent: Sequence[int]) -> Iterator[tuple[tuple[int, ...],
 # -- twins ---------------------------------------------------------------
 
 
-def twin_classes(g: Graph) -> list[tuple[int, ...]]:
-    """Partition the vertices into maximal twin classes.
+def _twin_masks(adj: Sequence[int]) -> list[int]:
+    """Each vertex's maximal twin class, as a mask that holds the vertex.
 
     A class collects vertices with equal open neighborhoods (independent
-    twins) or equal closed neighborhoods (adjacent twins); a vertex can have
-    twins of at most one kind, so the partition is well defined.  Singleton
-    classes are included.  Classes are ordered by their least vertex.
+    twins) or equal closed neighborhoods (adjacent twins).  A vertex can
+    have twins of at most one kind, so the classes partition the vertices;
+    a vertex without twins is a class of its own.  Swapping two members of
+    a class is an automorphism.
     """
-    open_groups: dict[int, list[int]] = {}
-    for v in range(g.n):
-        open_groups.setdefault(g.adj[v], []).append(v)
-    classes = []
-    rest = []
-    for group in open_groups.values():
-        if len(group) >= 2:
-            classes.append(tuple(group))
-        else:
-            rest.extend(group)
-    closed_groups: dict[int, list[int]] = {}
-    for v in rest:
-        closed_groups.setdefault(g.adj[v] | (1 << v), []).append(v)
-    for group in closed_groups.values():
-        classes.append(tuple(group))
-    classes.sort(key=lambda c: c[0])
-    return classes
+    open_groups: dict[int, int] = {}
+    closed_groups: dict[int, int] = {}
+    for v, row in enumerate(adj):
+        open_groups[row] = open_groups.get(row, 0) | 1 << v
+        closed = row | 1 << v
+        closed_groups[closed] = closed_groups.get(closed, 0) | 1 << v
+    out = []
+    for v, row in enumerate(adj):
+        group = open_groups[row]
+        out.append(group if group & (group - 1) else closed_groups[row | 1 << v])
+    return out
+
+
+def twin_classes(g: Graph) -> list[tuple[int, ...]]:
+    """Partition the vertices into maximal twin classes (``_twin_masks``),
+    singletons included, ordered by their least vertex."""
+    return [tuple(bits(m)) for m in dict.fromkeys(_twin_masks(g.adj))]

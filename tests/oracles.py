@@ -7,10 +7,13 @@ forcing numbers by fort-transversal duality.  No function in this module
 calls the package's closure, so oracle-vs-solver comparisons exercise two
 genuinely different routes.  The one exception is ``labeled_survey``, the
 reference for the survey's walk: it reuses the survey's facts record and
-checks and differs only in visiting every labeled graph.  Likewise
+checks and differs only in visiting every labeled graph.
 ``unpruned_canonical_children``, the reference for the class generator,
-reuses the package's refinement and least-order search and differs only in
-trying every neighbourhood of the new vertex.
+tries every neighbourhood of the new vertex with ``reference_equitable_cells``
+and ``reference_least_orders``: copies of the package's refinement and
+least-order search from before their twin pruning and early exit (only the
+names, the annotations and the bit iterator differ), which visit every
+vertex order that ties for the least mask.
 """
 
 from __future__ import annotations
@@ -241,24 +244,109 @@ def least_labeled_mask(n: int, edges) -> int:
                for p in permutations(range(n)))
 
 
-def unpruned_canonical_children(parent):
-    """``graphs.canonical_children`` without its degree and twin skips:
-    every neighbourhood of the new vertex is refined and searched."""
-    from zirkit.graphs import _equitable_cells, _least_orders
+def reference_equitable_cells(adj):
+    """The coarsest equitable partition refining the degree partition, as
+    cells ordered by invariant signatures.
 
+    Each round gives every vertex the signature (its cell, its number of
+    neighbours in each cell) and renumbers the cells by sorted signature,
+    until no cell splits.  The cells and their order depend only on the
+    graph, so every automorphism maps each cell onto itself.
+    """
+    n = len(adj)
+    cell = [0] * n
+    count = 1
+    while True:
+        members = [0] * count
+        for v in range(n):
+            members[cell[v]] |= 1 << v
+        sigs = [(cell[v], tuple((adj[v] & m).bit_count() for m in members))
+                for v in range(n)]
+        ranked = sorted(set(sigs))
+        if len(ranked) == count:
+            break
+        rank = {s: i for i, s in enumerate(ranked)}
+        cell = [rank[s] for s in sigs]
+        count = len(ranked)
+    cells = [[] for _ in range(count)]
+    for v in range(n):
+        cells[cell[v]].append(v)
+    return cells
+
+
+def reference_least_orders(adj, cells, cap):
+    """The ``cap`` least edge masks (``edge_slots`` order) over the vertex
+    orders that keep every cell of ``cells``, in turn, in its block of
+    positions; each as ``[mask, orders that reach it, mask of the vertices
+    those orders put last]``, ascending.
+
+    Positions are filled from n-1 down: placing position p fixes the slots
+    (p, q) for q > p, which are the next most significant bits, so an order
+    whose high bits already exceed the ``cap``-th least mask's is dropped
+    there.  Orders that tie are all visited.
+    """
+    n = len(adj)
+    at = [c for c in cells for _ in c]  # the cell of each position
+    offset = [p * (2 * n - p - 1) // 2 for p in range(n)]  # slot index of (p, p + 1)
+    where = [0] * n  # position of each placed vertex
+    found = []
+
+    def place(p, free, high):
+        shift = offset[p]
+        rows = []
+        for v in at[p]:
+            if free >> v & 1:
+                row = 0
+                for u in bits_of(adj[v] & ~free):
+                    row |= 1 << (where[u] - p - 1)
+                rows.append((row, v))
+        rows.sort()
+        for row, v in rows:
+            mask = high | row << shift
+            if len(found) == cap and mask >> shift > found[-1][0] >> shift:
+                return  # rows are sorted, so every later one is worse too
+            where[v] = p
+            if p:
+                place(p - 1, free ^ 1 << v, mask)
+                continue
+            last = 1 << where.index(n - 1)
+            for entry in found:
+                if entry[0] == mask:
+                    entry[1] += 1
+                    entry[2] |= last
+                    break
+            else:
+                found.append([mask, 1, last])
+                found.sort()
+                del found[cap:]
+
+    place(n - 1, (1 << n) - 1, 0)
+    return found
+
+
+def unpruned_canonical_children(parent):
+    """``graphs.canonical_children`` without its degree and twin skips, its
+    early refinement exit and its twin pruning: every neighbourhood of the
+    new vertex is refined in full and searched over every tying order."""
     n = len(parent) + 1
     new = 1 << (n - 1)
     seen = set()
-    for hood in range(new):
-        adj = tuple(row | new if hood >> v & 1 else row
-                    for v, row in enumerate(parent)) + (hood,)
-        cells = _equitable_cells(adj)
+    for adj in every_hood(parent):
+        cells = reference_equitable_cells(adj)
         if n - 1 not in cells[-1]:
             continue
-        mask, automorphisms, orbit = _least_orders(adj, cells, 1)[0]
+        mask, automorphisms, orbit = reference_least_orders(adj, cells, 1)[0]
         if orbit & new and mask not in seen:
             seen.add(mask)
             yield adj, automorphisms
+
+
+def every_hood(parent):
+    """Each child of ``parent`` by one new vertex, over all 2^n neighbourhoods."""
+    new = 1 << len(parent)
+    for hood in range(new):
+        yield tuple(row | new if hood >> v & 1 else row
+                    for v, row in enumerate(parent)) + (hood,)
 
 
 def labeled_survey(max_order: int, checks: tuple[str, ...],

@@ -1,16 +1,19 @@
 from itertools import permutations
+from math import factorial
 
 import pytest
 
 from zirkit.errors import BudgetError, SizeCapError
 from zirkit.families import (complete_graph, cycle_graph, empty_graph,
-                             fig5_graph, necklace_graph, path_graph)
+                             fig5_graph, necklace_graph, path_graph, star_graph)
 from zirkit import graphs
 from zirkit.graphs import (Graph, _equitable_cells, _least_orders, canonical_children,
                            complement, corona, disjoint_union, edge_slots,
-                           enumerate_labeled_graphs, join, least_labelings, twin_classes)
+                           enumerate_labeled_graphs, join, least_labelings, mask_of,
+                           twin_classes)
 
-from oracles import random_adj
+from oracles import (every_hood, random_adj, reference_equitable_cells,
+                     reference_least_orders, unpruned_canonical_children)
 
 
 def test_graph_rejects_loops_and_bad_edges():
@@ -145,13 +148,69 @@ def test_twin_parents_refine_few_hoods(monkeypatch, parent, classes):
     # 7-k isolated vertices for k = 0..7
     calls = []
 
-    def counted(adj):
+    def counted(adj, last=None):
         calls.append(adj)
-        return _equitable_cells(adj)
+        return _equitable_cells(adj, last)
 
     monkeypatch.setattr(graphs, "_equitable_cells", counted)
     assert len(list(canonical_children(parent.adj))) == classes
     assert len(calls) <= 8
+
+
+def reference_classes(order):
+    """One graph of each isomorphism class of ``order``, by the reference
+    generator (every hood, full refinement, every tying order)."""
+    classes = [()]
+    for _ in range(order):
+        classes = [adj for parent in classes for adj, _ in unpruned_canonical_children(parent)]
+    return classes
+
+
+def assert_search_matches_reference(adj):
+    # the same cells, an early exit exactly when n-1 misses the last cell,
+    # the same [mask, |Aut|, orbit] at cap 1 and the same least labelings
+    # at cap 3 as the search that visits every tying order
+    n = len(adj)
+    cells = reference_equitable_cells(adj)
+    assert _equitable_cells(adj) == cells, adj
+    assert _equitable_cells(adj, n - 1) == (cells if n - 1 in cells[-1] else None), adj
+    assert _least_orders(adj, cells, 1) == reference_least_orders(adj, cells, 1), adj
+    assert least_labelings(adj, 3) == \
+        [mask for mask, _, _ in reference_least_orders(adj, [list(range(n))], 3)], adj
+
+
+def test_search_matches_reference_on_every_hood_through_order_6():
+    # the hoods of every class of order 0 to 5: about 1 s
+    hoods = [adj for order in range(6) for parent in reference_classes(order)
+             for adj in every_hood(parent)]
+    assert len(hoods) == 1307
+    for adj in hoods:
+        assert_search_matches_reference(adj)
+
+
+@pytest.mark.slow
+def test_search_matches_reference_on_every_order_7_hood():
+    # the 64 hoods of each of the 156 classes of order 6: about 16 s
+    hoods = [adj for parent in reference_classes(6) for adj in every_hood(parent)]
+    assert len(hoods) == 9984
+    for adj in hoods:
+        assert_search_matches_reference(adj)
+
+
+@pytest.mark.parametrize("g,automorphisms", [
+    (complete_graph(12), factorial(12)),
+    (empty_graph(12), factorial(12)),
+    (join(complete_graph(5), empty_graph(5)), factorial(5) ** 2),
+    (join(join(empty_graph(4), empty_graph(4)), empty_graph(4)), factorial(4) ** 3 * factorial(3)),
+    (star_graph(11), factorial(11)),
+], ids=["K12", "12K1", "K5+5K1", "K4,4,4", "K1,11"])
+def test_automorphism_counts_past_the_tie_walk(g, automorphisms):
+    # far more tying orders than the reference could visit; each group acts
+    # transitively on every cell, so the canonical orbit is the last cell;
+    # the orders that reach the least labeling are a coset of Aut G too
+    cells = _equitable_cells(g.adj)
+    assert _least_orders(g.adj, cells, 1)[0][1:] == [automorphisms, mask_of(cells[-1])]
+    assert _least_orders(g.adj, [list(range(g.n))], 1)[0][1] == automorphisms
 
 
 def test_components_and_connectivity():
