@@ -320,10 +320,10 @@ def survey(max_order: int,
             chunk = -(-len(parents) // (threads * 4))
             shards = [(n, parents[lo:lo + chunk], checks, connected_only, dedup,
                        n < max_order, at) for lo in range(0, len(parents), chunk)]
-            # All orders within the default budget take about 100-110 ms in
-            # process on 2 cores.  A pool saved no time there, took up to
-            # about 55 % more CPU time, and its forks, round trips and
-            # shared cores make the time of a call vary more.  A pool
+            # All orders within the default budget take about 75-85 ms in
+            # process on 2 cores.  A pool saved no time there even at
+            # 100-110 ms, took up to about 55 % more CPU time, and its forks,
+            # round trips and shared cores make the time of a call vary more.  A pool
             # started by fork starts all its workers at once, so it gets no
             # more of them than there are shards.
             if threads > 1 and pool is None and n > SURVEY_DEFAULT_MAX_ORDER:

@@ -190,7 +190,7 @@ def test_search_matches_reference_on_every_hood_through_order_6():
 
 @pytest.mark.slow
 def test_search_matches_reference_on_every_order_7_hood():
-    # the 64 hoods of each of the 156 classes of order 6: about 16 s
+    # the 64 hoods of each of the 156 classes of order 6: about 11 s
     hoods = [adj for parent in reference_classes(6) for adj in every_hood(parent)]
     assert len(hoods) == 9984
     for adj in hoods:

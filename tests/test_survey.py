@@ -114,8 +114,8 @@ def test_top_order_shards_return_no_children(monkeypatch):
 @pytest.mark.slow
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_order_8_survey_stream_is_pinned(monkeypatch, capsys, threads):
-    # the order-8 survey past the shipped cap of 7: about 8 s at one thread
-    # and 5 s at two on 2 cores
+    # the order-8 survey past the shipped cap of 7: about 6 s at one thread
+    # and 4 s at two on 2 cores
     monkeypatch.setattr(survey_module, "SURVEY_HARD_MAX_ORDER", 8)
     main(["survey", "--order", "8", "--override-budget", "--threads", threads])
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == \
@@ -184,7 +184,7 @@ def test_class_walk_visits_every_class_once(class_walk):
     # extending one graph of every class of the order below gives every
     # class of order n once, and the weights n!/|Aut G| sum to the number
     # of labeled graphs; the least labelings of the 12 346 classes of
-    # order 8 would take about a minute, so they are compared below that
+    # order 8 would take about 7 s, so they are compared below that
     for n, (classes, extended) in enumerate(zip(A000088, class_walk), 1):
         children = [child for _, kids in extended for child in kids]
         assert len(children) == classes
