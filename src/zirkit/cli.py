@@ -18,7 +18,7 @@ from .forcing import enumerate_forts, enumerate_minimal_forts
 from .graphs import Graph, bit_list, parse_graph6, to_graph6
 from .profiles import (DEFAULT_PROFILE_MAX_ORDER, PARAM_NAMES, check_bounds,
                        check_characterizations, parameter_profile, requested_params)
-from .survey import ALL_CHECKS, survey
+from .survey import ALL_CHECKS, SURVEY_HARD_MAX_ORDER, survey
 from .tables import family_table
 
 
@@ -229,8 +229,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dedup", action="store_true",
                    help="count each isomorphism class once, not its labelings")
     p.add_argument("--threads", type=int, default=1)
+    top = SURVEY_HARD_MAX_ORDER
     p.add_argument("--override-budget", action="store_true",
-                   help="allow order 7 (2^21 graphs)")
+                   help=f"allow order {top} (2^{top * (top - 1) // 2} graphs)")
     p.add_argument("--format", choices=("jsonl", "text"), default="jsonl")
     p.set_defaults(func=_cmd_survey)
 

@@ -1,9 +1,11 @@
 """Exact domination, 2-domination, independence, and power domination.
 
-All solvers scan ascending by cardinality with lexicographic tie-break, so
-witnesses are deterministic.  An isolated vertex can never be k-dominated
-from outside, so it belongs to every k-dominating witness; that falls out of
-the definition with no special casing.
+Each witness is the first set of its size in lexicographic order: gamma,
+gamma2 and gammaP scan ascending by size, and alpha's branch-and-bound
+visits the independent sets in that order, keeping only a strictly larger
+one.  An isolated vertex can never be k-dominated from outside, so it
+belongs to every k-dominating witness; that falls out of the definition
+with no special casing.
 
 gamma and gamma2 walk the sets of each size as prefixes, in the order of
 ``graphs._masks_of_size``, carrying the vertices with at least one and two
@@ -75,7 +77,7 @@ def k_domination_number(g: Graph, k: int) -> tuple[int, int]:
 
 def _grow_independent(adj: tuple[int, ...], cur: int, cand: int, best: int) -> int:
     """The larger of ``best`` and the largest independent set extending
-    ``cur`` by vertices of ``cand``; a set replaces the incumbent only when
+    ``cur`` by vertices of ``cand``; a set replaces ``best`` only when
     strictly larger, so the first found in branch order wins a tie.
 
     Plain recursion, not a nested closure, so no reference cycle outlives
@@ -95,19 +97,9 @@ def _grow_independent(adj: tuple[int, ...], cur: int, cand: int, best: int) -> i
 
 
 def independence_number(g: Graph) -> tuple[int, int]:
-    """Maximum independent set size with a deterministic witness."""
-    adj = g.adj
-
-    # greedy incumbent by ascending index
-    best = 0
-    cand = g.full
-    while cand:
-        low = cand & -cand
-        v = low.bit_length() - 1
-        best |= low
-        cand &= ~(adj[v] | low)
-
-    best = _grow_independent(adj, 0, g.full, best)
+    """Maximum independent set size, with the lexicographically first
+    maximum independent set as its witness."""
+    best = _grow_independent(g.adj, 0, g.full, 0)
     return best.bit_count(), best
 
 

@@ -19,10 +19,11 @@ Every search grows ZIr-sets one vertex at a time with ``_grow``, which
 carries the closure of the set and of each member's remainder, so adding a
 vertex recloses each member's remainder closure with it: a closed set plus
 the new vertex, by the seeded kernel behind ``ClosureCache.add``.  The
-fixed-size search ``_first_zir_set`` serves ZIR, Zbar and abandonment; one
-lexicographic walk over the ZIr-sets (``_maximal_walk``) gives zir and the
-list of maximal ZIr-sets.  ``is_zir_set`` and ``is_maximal_zir_set`` stay
-on the plain definition, and the tests re-verify witnesses through them.
+fixed-size search ``_first_zir_set`` serves ZIR (climbing from the empty
+set), Zbar and abandonment; one lexicographic walk over the ZIr-sets
+(``_maximal_walk``) gives zir and the list of maximal ZIr-sets.
+``is_zir_set`` and ``is_maximal_zir_set`` stay on the plain definition, and
+the tests re-verify witnesses through them.
 
 For zir, once a maximal ZIr-set of size b is found, the walk skips a
 ZIr-set t whose subtree cannot hold a maximal ZIr-set smaller than b
@@ -44,7 +45,6 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .domination import k_domination_number
 from .errors import PreconditionError
 from .forcing import ClosureCache, max_fort_avoiding
 from .graphs import Graph, bit_list, bits
@@ -120,14 +120,13 @@ def _certify(g: Graph, members: int, cache: ClosureCache) -> int:
 def upper_zir_number(g: Graph, cache: ClosureCache | None = None) -> tuple[int, int]:
     """ZIR(G): maximum size of a ZIr-set, with its witness mask.
 
-    The seed is the complement of a minimum 2-dominating set D, which is
-    always a ZIr-set (D plus any one outside vertex is one of its private
-    forts).  The lexicographically first ZIr-set one larger replaces it
-    until there is none; by heredity there is then none larger either.  Any
-    ZIr-set of maximum size is automatically maximal.
+    Climbs from the empty set: the lexicographically first ZIr-set one
+    larger replaces the last until there is none; by heredity there is then
+    none larger either.  Any ZIr-set of maximum size is automatically
+    maximal.
     """
     cache = cache or ClosureCache(g)
-    best = g.full & ~k_domination_number(g, 2)[1]
+    best = 0
     verts = bit_list(g.full)
     while (got := _first_zir_set(best.bit_count() + 1, cache, None, verts)) is not None:
         best = got

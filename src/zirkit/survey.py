@@ -298,7 +298,8 @@ def survey(max_order: int,
     if max_order > limit:
         raise BudgetError(
             f"survey order {max_order} exceeds the budget of {limit}"
-            + ("" if override_budget else " (pass the override to allow 7)"))
+            + ("" if override_budget
+               else f" (pass the override to allow {SURVEY_HARD_MAX_ORDER})"))
     if threads < 1:
         raise PreconditionError(f"survey threads must be at least 1, got {threads}")
     if checks is None:

@@ -2,17 +2,18 @@
 
 import concurrent.futures
 import hashlib
+import json
 import random
 from pathlib import Path
 
 from zirkit.cli import main
-from zirkit.forcing import is_minimal_zfs
+from zirkit.forcing import is_minimal_zfs, subset_tables
 from zirkit.graphs import (Graph, canonical_children, enumerate_labeled_graphs, mask_of,
                            to_graph6)
 from zirkit.families import generate
 from zirkit.profiles import (CHARACTERIZATION_CHECKS, CHECKS, SUBSET_CHECK_MAX_ORDER,
                              parameter_profile)
-from zirkit.survey import _CHECKS, SCAN_CHECKS, THEOREM_CHECKS, _GraphData
+from zirkit.survey import _CHECKS, SCAN_CHECKS, THEOREM_CHECKS, _GraphData, _least
 
 from oracles import random_adj
 
@@ -50,8 +51,8 @@ def test_dense_gnp_check_stream_is_pinned(capsys):
 
 def test_sparse_gnp_check_stream_is_pinned(capsys):
     # twelve G(n, p) graphs, n = 12-15 and p = 0.2 or 0.35, some with
-    # isolated vertices: Zbar and the gamma2 seed of ZIR carry the solve
-    # there; values, witnesses and checks byte for byte
+    # isolated vertices: Zbar and ZIR's climb carry the solve there;
+    # values, witnesses and checks byte for byte
     data = Path(__file__).parent / "data"
     assert main(["compute", "--witness", "--check-bounds",
                  "--file", str(data / "sparse_gnp.g6")]) == 0
@@ -71,13 +72,22 @@ def test_sparse_gnp_csv_stream_is_pinned(capsys):
 
 def test_small_order_witness_stream_is_pinned(tmp_path, capsys):
     # every labeled graph of order <= 5: values, witnesses and check stream,
-    # byte for byte, so a refactor of the solvers cannot move a witness
+    # byte for byte, so a refactor of the solvers cannot move a witness; the
+    # same stream with each row's witnesses dropped has a digest of its own,
+    # so a change that moves only witnesses shows as one
     path = tmp_path / "small.g6"
     path.write_text("".join(to_graph6(g) + "\n"
                             for n in range(1, 6) for g in enumerate_labeled_graphs(n)))
     assert main(["compute", "--witness", "--check-bounds", "--file", str(path)]) == 0
-    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-    assert digest == "b332572b639c97470ea26412cb80d86d20d3eaddd0e70375f8960b0688afb61b"
+    out = capsys.readouterr().out
+    rows = [json.loads(line) for line in out.splitlines()]
+    for row in rows:
+        row.pop("witnesses", None)
+    bare = "\n".join(json.dumps(row, sort_keys=True) for row in rows) + "\n"
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "8b228fed7910d807ba1c912c5dd1e42732485cdf4dd8a25df96a8aeab7540bb4"
+    assert hashlib.sha256(bare.encode()).hexdigest() == \
+        "d9a4255204b4c8535a151e42a17c29849a6e5efd3dc7a239ce33b1ba5c733135"
 
 
 def _stdout_digest(capsys, argv):
@@ -143,11 +153,18 @@ def test_facts_records_agree():
         table = _GraphData(g)
         solved = parameter_profile(g)
         where = g.adj
+        xs, layers = subset_tables(g.n)
         for name in FLAGS:
             assert getattr(table, name) == getattr(solved, name), (name, where)
         for name, value in table.values.items():
             assert solved.values[name] == value, (name, where)
         assert table.abandons == solved.abandons, where
+        # every solver witness is the least set of its size, so the table
+        # route's least set of that size is the same one
+        for name in ("zir", "ZIR"):
+            least = _least(table.maximal_table & layers[table.values[name]], xs)
+            assert mask_of(solved.witnesses[name]) == least, (name, where)
+        assert mask_of(solved.witnesses["Z"]) == table.z_witness, where
         assert mask_of(solved.witnesses["Zbar"]) == table.zbar_witness, where
         # both records read Facts.minimal_zfs off the all-subsets forcing
         # table, so compare them with the definition too

@@ -1,8 +1,11 @@
 import random
+from functools import reduce
+from operator import or_
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from zirkit import domination, irredundance
 from zirkit.errors import PreconditionError
 from zirkit.families import (complete_bipartite_graph, complete_graph,
                              cycle_graph, empty_graph, fig3_graph, fig7_graph,
@@ -11,16 +14,15 @@ from zirkit.families import (complete_bipartite_graph, complete_graph,
 from zirkit.forcing import (ClosureCache, closure, is_fort, is_minimal_zfs,
                             is_zero_forcing_set)
 from zirkit.graphs import Graph, bit_list, bits, disjoint_union, join, mask_of
-from zirkit import irredundance
 from zirkit.irredundance import (_cannot_stay_maximal, _certify, _grow, abandons_fort,
                                  graph_abandons_fort, has_private_fort, is_maximal_zir_set,
                                  is_zir_set, lower_zir_number, maximal_zir_sets,
-                                 minimal_private_fort, upper_zero_forcing_number,
-                                 upper_zir_number)
-
+                                 minimal_private_fort, upper_zir_number)
+from zirkit.profiles import _SOLVERS, parameter_profile
 from zirkit.survey import exact_params
 
-from oracles import brute_forts, brute_zir_params, private_fort_exists, random_adj
+from oracles import (brute_closure, brute_forts, brute_zir_params, private_fort_exists,
+                     random_adj)
 
 
 def test_private_fort_requires_membership():
@@ -155,16 +157,16 @@ def test_zir_numbers_match_definition_oracle(small_graphs, rng):
         assert upper_zir_number(g)[0] == oracle["ZIR"]
 
 
-def test_zir_takes_no_cap_from_gamma(monkeypatch):
-    # gamma is overstated as gamma2, so n - gamma reads as the seed's size;
-    # ZIR must climb past it all the same on graphs whose seed n - gamma2
-    # is below ZIR
-    real = irredundance.k_domination_number
-    monkeypatch.setattr(irredundance, "k_domination_number",
-                        lambda g, k: real(g, 2))
+def test_zir_reads_no_domination(monkeypatch):
+    # ZIR climbs from the empty set, so the domination sandwich it is
+    # checked against gives it neither a start nor a cap
+    def refuse(g, k):
+        raise AssertionError("ZIR read a domination number")
+
+    monkeypatch.setattr(domination, "k_domination_number", refuse)
+    assert not hasattr(irredundance, "k_domination_number")
     for expr in ("star:5", "complete:5", "friendship:3", "fig5", "fig7"):
         g = generate(expr)
-        assert g.is_connected() and g.n - real(g, 2)[0] < exact_params(g)["ZIR"]
         assert upper_zir_number(g)[0] == exact_params(g)["ZIR"], expr
 
 
@@ -325,29 +327,45 @@ def _gnp_graphs(count, orders, seed):
 
 
 def _first_witnesses(g):
-    """(zir, ZIR, Zbar) witnesses by a scan of every subset in (size,
-    lexicographic) order, on the definitions alone."""
+    """Each parameter's witness by a scan of every subset in (size,
+    lexicographic) order, on the definitions alone: the first set that meets
+    a minimum parameter's definition, and the first set of the top size that
+    meets a maximum parameter's."""
     cache = ClosureCache(g)
-    order = sorted(range(g.full + 1), key=lambda s: (s.bit_count(), bit_list(s)))
-    zir = next(s for s in order if is_maximal_zir_set(g, s, cache))
-    zir_sets = [s for s in order if is_zir_set(g, s, cache)]
-    top = zir_sets[-1].bit_count()
-    # ZIR starts from the complement of the first minimum 2-dominating set
-    # and keeps it when nothing larger exists
-    seed = g.full & ~next(s for s in order if all(
-        (g.adj[v] & s).bit_count() >= 2 for v in bits(g.full & ~s)))
-    upper = seed if seed.bit_count() == top else next(
-        s for s in zir_sets if s.bit_count() == top)
-    minimal = [s for s in order if is_minimal_zfs(g, s, cache)]
-    zbar = next(s for s in minimal if s.bit_count() == minimal[-1].bit_count())
-    return zir, upper, zbar
+    adj, full = g.adj, g.full
+    order = sorted(range(full + 1), key=lambda s: (s.bit_count(), bit_list(s)))
+
+    def dominates(s, k):
+        return all((adj[v] & s).bit_count() >= k for v in bits(full & ~s))
+
+    def power_dominates(s):
+        return brute_closure(adj, reduce(or_, (adj[v] for v in bits(s)), s)) == full
+
+    definitions = {
+        "zir": (min, lambda s: is_maximal_zir_set(g, s, cache)),
+        "Z": (min, lambda s: brute_closure(adj, s) == full),
+        "Zbar": (max, lambda s: is_minimal_zfs(g, s, cache)),
+        "ZIR": (max, lambda s: is_zir_set(g, s, cache)),
+        "gamma": (min, lambda s: dominates(s, 1)),
+        "gamma2": (min, lambda s: dominates(s, 2)),
+        "alpha": (max, lambda s: not any(adj[v] & s for v in bits(s))),
+        "gammaP": (min, power_dominates),
+    }
+    first = {}
+    for name, (pick, holds) in definitions.items():
+        sets = [s for s in order if holds(s)]
+        size = pick(s.bit_count() for s in sets)
+        first[name] = bit_list(next(s for s in sets if s.bit_count() == size))
+    return first
 
 
 def test_witnesses_are_the_first_in_search_order(small_graphs):
+    # every solver, alone and in the profile's chain, returns the first set
+    # of its size that meets its parameter's definition
     for g in small_graphs + _gnp_graphs(40, range(8, 12), 20261018):
-        got = (lower_zir_number(g)[1], upper_zir_number(g)[1],
-               upper_zero_forcing_number(g)[1])
-        assert got == _first_witnesses(g), g.adj
+        alone = {p: bit_list(solve(g, ClosureCache(g), {})[1])
+                 for p, solve in _SOLVERS.items()}
+        assert parameter_profile(g).witnesses == alone == _first_witnesses(g), g.adj
 
 
 @st.composite

@@ -39,6 +39,16 @@ def test_survey_budget_enforced():
         survey(8, override_budget=True)
 
 
+def test_budget_hint_reads_the_hard_cap(monkeypatch):
+    # the hint names the cap the override allows, so raising the cap is a
+    # one-constant edit
+    with pytest.raises(BudgetError, match=r"budget of 6 \(pass the override to allow 7\)$"):
+        survey(7)
+    monkeypatch.setattr(survey_module, "SURVEY_HARD_MAX_ORDER", 8)
+    with pytest.raises(BudgetError, match=r"budget of 6 \(pass the override to allow 8\)$"):
+        survey(7)
+
+
 def test_survey_unknown_check_rejected():
     with pytest.raises(PreconditionError):
         survey(3, checks=("no-such-check",))
