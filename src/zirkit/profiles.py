@@ -4,15 +4,17 @@ A profile gathers every exact parameter of one graph together with
 witnesses.  ``CHECKS`` is the one ordered registry of bounds and
 characterizations: each entry tests its hypothesis and its claim on a
 ``Facts`` record, which holds the graph-level fields and reads the
-set-level facts off a forcing table.  Two subclasses supply the values:
-``ParamProfile``, whose values the solvers fill (``check_bounds`` and
+set-level facts as whole-int operations on 2^n-bit subset tables.  Two
+subclasses supply the values and the maximal ZIr-set table:
+``ParamProfile`` from the solvers (``check_bounds`` and
 ``check_characterizations`` read the profile itself; the join and corona
 bounds also read the factor graphs), and the survey's ``_GraphData`` from
 its subset tables; so the two value routes stay independent while each
 theorem is written once.  Structural recognizers (path, star,
 clique-plus-isolated-vertices, and the complement decomposition behind the
 near-extreme zero forcing characterization) are pure graph predicates that
-those checks call on both routes.
+those checks call on both routes; the decomposition walks the complement's
+adjacency rows without building the complement graph, once per record.
 """
 
 from __future__ import annotations
@@ -26,8 +28,7 @@ from .domination import k_domination_number, independence_number, power_dominati
 from .errors import PreconditionError, check_deadline
 from .families import FamilySpec, generate
 from .forcing import ClosureCache, close_all_subsets, subset_tables, zero_forcing_number
-from .graphs import (Graph, bit_list, bits, complement, join as join_graph,
-                     mask_of, to_graph6)
+from .graphs import Graph, bit_list, bits, join as join_graph, mask_of, to_graph6
 from .irredundance import (_first_zir_set, lower_zir_number, maximal_zir_sets,
                            upper_zero_forcing_number, upper_zir_number)
 
@@ -54,10 +55,14 @@ class Facts:
 
     It holds ``graph`` and the graph-level fields (``n``, ``min_degree``,
     ``max_degree``, ``has_edge``, ``connected``, ``isolated_free``), and
-    reads ``forces(s)``, ``minimal_zfs`` and ``abandons`` off
-    ``forcing_table``, whose bit m says whether m forces: the AND of the
-    ``closures`` that ``forcing.close_all_subsets`` builds on first use.
-    A subclass supplies ``values`` and ``maximal_zir_sets`` (ascending).
+    the subset tables the checks compare: 2^n-bit ints whose bit m answers
+    for the set m.  ``forcing_table`` (m forces) is the AND of the
+    ``closures`` that ``forcing.close_all_subsets`` builds on first use,
+    and ``minimal_table`` (m is a minimal zero forcing set) and
+    ``abandons`` read it.  A subclass supplies ``values`` and
+    ``maximal_table`` (m is a maximal ZIr-set).  ``zn2_form`` is the
+    graph's ``recognize_zn2_complement_form``, found once for both checks
+    that read it.
     """
 
     def __init__(self, g: Graph):
@@ -76,9 +81,6 @@ class Facts:
     def forcing_table(self) -> int:
         return reduce(and_, self.closures)
 
-    def forces(self, s: int) -> bool:
-        return bool(self.forcing_table >> s & 1)
-
     @cached_property
     def minimal_table(self) -> int:
         # m is minimal iff it forces and is no forcing set s plus a vertex x
@@ -87,16 +89,15 @@ class Facts:
                                  for v, x in enumerate(subset_tables(self.n)[0])))
 
     @cached_property
-    def minimal_zfs(self) -> list[int]:
-        return bit_list(self.minimal_table)
+    def abandons(self) -> bool:
+        # graph_abandons_fort: every ZIr-set of size ZIR is maximal, so the
+        # graph abandons a fort iff a maximal one of that size does not force
+        return bool(self.maximal_table & subset_tables(self.n)[1][self.values["ZIR"]]
+                    & ~self.forcing_table)
 
     @cached_property
-    def abandons(self) -> bool:
-        # graph_abandons_fort, from ZIR and the maximal sets: every ZIr-set
-        # of size ZIR is maximal
-        zir_upper = self.values["ZIR"]
-        return any(s.bit_count() == zir_upper and not self.forces(s)
-                   for s in self.maximal_zir_sets)
+    def zn2_form(self) -> tuple[bool, ComplementDecomposition | None, bool]:
+        return recognize_zn2_complement_form(self.graph)
 
 
 class ParamProfile(Facts):
@@ -104,12 +105,12 @@ class ParamProfile(Facts):
     record its checks read.
 
     ``cache`` is the memo of closures the solvers fill, and
-    ``maximal_zir_sets`` (the solvers' walk over the ZIr-sets) goes through
-    it; the forcing table holds no ZIr-set, so ``minimal-zfs-equivalence``
-    compares two independent routes.  Only checks gated to
-    n <= ``SUBSET_CHECK_MAX_ORDER`` build that table.  Only checks the survey
-    does not run read ``cache`` and ``product``, which is
-    ``(kind, left, right)`` for a join or corona and None otherwise.
+    ``maximal_table`` ORs in the sets of the solvers' walk over the
+    ZIr-sets, which goes through it; the forcing table holds no ZIr-set, so
+    ``minimal-zfs-equivalence`` compares two independent routes.  Only
+    checks gated to n <= ``SUBSET_CHECK_MAX_ORDER`` build these tables.
+    Only checks the survey does not run read ``cache`` and ``product``,
+    which is ``(kind, left, right)`` for a join or corona and None otherwise.
     """
 
     def __init__(self, g: Graph, graph_id: str | None = None):
@@ -139,8 +140,8 @@ class ParamProfile(Facts):
         return out
 
     @cached_property
-    def maximal_zir_sets(self) -> list[int]:
-        return maximal_zir_sets(self.graph, self.cache)
+    def maximal_table(self) -> int:
+        return reduce(or_, (1 << s for s in maximal_zir_sets(self.graph, self.cache)), 0)
 
     @cached_property
     def corona_values(self) -> tuple[int, int, int, int] | None:
@@ -197,9 +198,9 @@ def parameter_profile(g: Graph, params: tuple[str, ...] | None = None,
 
     Above ``max_order`` the exact solvers are skipped and the requested
     parameters are listed in ``omitted`` instead of silently running an
-    open-ended search.  The profile keeps ``g`` and the closure memo its
-    solvers filled, and ``check_bounds`` and ``check_characterizations``
-    read both off it.  ``at`` is an ``errors.deadline`` reading, checked
+    open-ended search; ``max_order`` below 1 is a ``PreconditionError``.
+    The profile keeps ``g`` and the closure memo its solvers filled, and
+    ``check_bounds`` and ``check_characterizations`` read both off it.  ``at`` is an ``errors.deadline`` reading, checked
     before each parameter.
 
     The solvers run in the order of ``_SOLVERS``, along the paper's chain
@@ -211,6 +212,8 @@ def parameter_profile(g: Graph, params: tuple[str, ...] | None = None,
     from the solvers alone; ``values`` and ``witnesses`` keep the requested
     order, and ``ParamProfile.to_dict`` decides whether witnesses print.
     """
+    if max_order < 1:
+        raise PreconditionError(f"max order must be at least 1, got {max_order}")
     wanted = PARAM_NAMES if params is None else requested_params(params)
     profile = ParamProfile(g, graph_id)
     if g.n > max_order:
@@ -290,19 +293,25 @@ def recognize_zn2_complement_form(g: Graph
     Singleton and K_2 components count as bipartite pieces (0,1) and (1,1),
     and all (0,*) pieces merge into one.
     """
-    c = complement(g)
-    universal = mask_of(v for v in range(c.n) if c.adj[v] == c.full & ~(1 << v))
-    # the complement with each universal vertex cut off into its own component
-    cut = Graph.from_adj([0 if (universal >> v) & 1 else row & ~universal
-                          for v, row in enumerate(c.adj)])
-    inner = cut.adj
+    # the complement's universal vertices are g's isolated ones; cut off
+    # into components of their own, they leave the complement of g on the
+    # rest, whose rows these are
+    universal = mask_of(v for v, row in enumerate(g.adj) if not row)
+    rest = g.full & ~universal
+    inner = [rest & ~row & ~(1 << v) for v, row in enumerate(g.adj)]
 
     complete_sizes: list[int] = []
     bipartite: list[tuple[int, int]] = []
     pooled_empty = 0
-    for comp in cut.components():
-        if comp & universal:
-            continue
+    while rest:
+        comp = todo = rest & -rest
+        while todo:  # the component of rest's least vertex, by a work list
+            low = todo & -todo
+            todo ^= low
+            grown = inner[low.bit_length() - 1] & ~comp
+            comp |= grown
+            todo |= grown
+        rest &= ~comp
         size = comp.bit_count()
         if size == 1:
             pooled_empty += 1
@@ -427,7 +436,7 @@ def _extreme_n_minus_1(f):
 def _zir_n_minus_2_form(f):
     if f.n < 3:
         return ""
-    _, decomp, lower_form = recognize_zn2_complement_form(f.graph)
+    _, decomp, lower_form = f.zn2_form
     zir_lower = f.values["zir"]
     return ((zir_lower == f.n - 2) == lower_form,
             f"zir={zir_lower} n-2={f.n - 2} recognizer={lower_form}",
@@ -437,7 +446,7 @@ def _zir_n_minus_2_form(f):
 def _z_n_minus_2_form(f):
     if f.n < 3:
         return ""
-    matches, _, _ = recognize_zn2_complement_form(f.graph)
+    matches = f.zn2_form[0]
     z = f.values["Z"]
     return (z >= f.n - 2) == matches, f"Z={z} n-2={f.n - 2} recognizer={matches}"
 
@@ -452,13 +461,13 @@ def _minimal_zfs_equivalence(f):
     """Minimal zero forcing sets are exactly the maximal ZIr-sets that force."""
     if f.n > SUBSET_CHECK_MAX_ORDER:
         return f"subset sweep limited to n <= {SUBSET_CHECK_MAX_ORDER}"
-    minimal = set(f.minimal_zfs)
-    forcing_maximal = {s for s in f.maximal_zir_sets if f.forces(s)}
+    minimal, forcing_maximal = f.minimal_table, f.maximal_table & f.forcing_table
     if minimal == forcing_maximal:
         return True, "all subsets agree"
-    s = min(minimal ^ forcing_maximal)
-    return (False, f"set {bit_list(s)} minimal-zfs={s in minimal} "
-            f"maximal-zir-and-zfs={s in forcing_maximal}", {"set": bit_list(s)})
+    diff = minimal ^ forcing_maximal
+    s = (diff & -diff).bit_length() - 1  # the least set on one side only
+    return (False, f"set {bit_list(s)} minimal-zfs={bool(minimal >> s & 1)} "
+            f"maximal-zir-and-zfs={bool(forcing_maximal >> s & 1)}", {"set": bit_list(s)})
 
 
 def _leaf_zir_set(f):

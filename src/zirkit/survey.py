@@ -25,8 +25,11 @@ solver searches; the test suite cross-checks the two.
 ``_GraphData`` is the survey's ``profiles.Facts`` record, with its values
 from the subset tables: the theorems shared with ``compute --check-bounds``
 are evaluated by the predicates of ``profiles.CHECKS``, and only the
-survey's own theorems and scans live here.  The scans read nothing but
-``values``, so they run on either facts record.
+survey's own theorems and scans live here.  Every check reads tables and
+adjacency rows, never a list of sets: ``zir-complement-dominating`` is n
+ANDs of the member tables under the maximal ZIr-set table, and ``twins``
+reads ``graphs._twin_masks``.  The scans read nothing but ``values``, so
+they run on either facts record.
 ``THEOREM_CHECKS``, ``SCAN_CHECKS`` and ``ALL_CHECKS`` list the survey names
 of these registries.
 
@@ -41,14 +44,14 @@ from __future__ import annotations
 
 import concurrent.futures
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import reduce
 from math import factorial
 from operator import and_, or_
 
 from .errors import BudgetError, PreconditionError, check_deadline, deadline
 from .forcing import close_all_subsets, subset_tables
-from .graphs import (Graph, adj_from_edge_mask, bit_list, bits, canonical_children, edge_slots,
-                     least_labelings, mask_of, to_graph6, twin_classes)
+from .graphs import (Graph, _twin_masks, adj_from_edge_mask, bit_list, bits, canonical_children,
+                     edge_slots, least_labelings, to_graph6)
 from .profiles import CHECKS, Check, CheckReport, Facts
 
 SURVEY_DEFAULT_MAX_ORDER = 6
@@ -139,10 +142,6 @@ class _GraphData(Facts):
         self.z_witness = _least(self.minimal_table & layers[values["Z"]], xs)
         self.zbar_witness = _least(self.minimal_table & layers[values["Zbar"]], xs)
 
-    @cached_property
-    def maximal_zir_sets(self) -> list[int]:
-        return bit_list(self.maximal_table)
-
 
 # -- survey-only checks; the shared theorems live in profiles.CHECKS ---------
 
@@ -150,26 +149,31 @@ class _GraphData(Facts):
 def _complement_dominating(d):
     if not d.isolated_free:
         return ""
-    adj, full = d.graph.adj, d.graph.full
-    for m in d.maximal_zir_sets:
-        comp = full & ~m
-        for v in range(d.n):
-            if not (comp >> v) & 1 and not adj[v] & comp:
-                return False, f"complement of maximal ZIr-set {bit_list(m)} misses {v}"
-    return True, ""
+    xs = subset_tables(d.n)[0]
+    # the complement of m misses v iff v and all its neighbours lie in m
+    misses = []
+    for x, row in zip(xs, d.graph.adj):
+        for u in bits(row):
+            x &= xs[u]
+        misses.append(x)
+    bad = d.maximal_table & reduce(or_, misses)
+    if not bad:
+        return True, ""
+    m = (bad & -bad).bit_length() - 1
+    v = next(v for v, table in enumerate(misses) if table >> m & 1)
+    return False, f"complement of maximal ZIr-set {bit_list(m)} misses {v}"
 
 
 def _twins(d):
-    classes = [c for c in twin_classes(d.graph) if len(c) >= 2]
+    classes = [m for m in dict.fromkeys(_twin_masks(d.graph.adj)) if m & (m - 1)]
     if not classes:
         return ""
     for cls in classes:
-        cls_mask = mask_of(cls)
-        need = len(cls) - 1
+        need = cls.bit_count() - 1
         for name, witness in (("Z", d.z_witness), ("Zbar", d.zbar_witness)):
-            if (witness & cls_mask).bit_count() < need:
+            if (witness & cls).bit_count() < need:
                 return False, (f"{name} witness {bit_list(witness)} has fewer than "
-                               f"{need} of twin class {list(cls)}")
+                               f"{need} of twin class {bit_list(cls)}")
     return True, ""
 
 

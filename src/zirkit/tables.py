@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import ceil
 
-from .errors import BudgetError, check_deadline, deadline
+from .errors import BudgetError, PreconditionError, check_deadline, deadline
 from .families import FamilySpec, generate, parse_family_expr
 from .forcing import zero_forcing_number
 from .graphs import Graph, to_graph6
@@ -209,8 +209,11 @@ def family_table(specs: tuple[str, ...] | None = None,
                  max_order: int = DEFAULT_PROFILE_MAX_ORDER,
                  time_limit: float | None = None) -> list[TableRow]:
     """Instantiate each spec, solve the parameters with closed forms, diff;
-    a spec above ``max_order`` is a ``BudgetError``, not a mismatch."""
+    a spec above ``max_order`` is a ``BudgetError``, not a mismatch, and
+    ``max_order`` below 1 a ``PreconditionError``."""
     at = deadline(time_limit)
+    if max_order < 1:
+        raise PreconditionError(f"max order must be at least 1, got {max_order}")
     rows: list[TableRow] = []
     for text in (specs if specs is not None else DEFAULT_TABLE_SPECS):
         check_deadline(at, "family table")

@@ -14,6 +14,13 @@ and ``reference_least_orders``: copies of the package's refinement and
 least-order search from before their twin pruning and early exit (only the
 names, the annotations and the bit iterator differ), which visit every
 vertex order that ties for the least mask.
+
+``reference_minimal_zfs_equivalence``, ``reference_complement_dominating``,
+``reference_twins``, ``reference_abandons`` and
+``reference_zn2_complement_form`` are the package's checks and complement
+recognizer from before they became whole-int operations on the subset
+tables and adjacency rows: they walk lists of sets and build graphs, and
+read the same facts record as the checks they mirror.
 """
 
 from __future__ import annotations
@@ -390,3 +397,105 @@ def labeled_survey(max_order: int, checks: tuple[str, ...],
     report = SurveyReport(max_order=max_order, connected_only=connected_only,
                           dedup=dedup, checks=checks)
     return _report(report, tallies, leaders)
+
+
+# -- the survey checks as list-level walks --------------------------------
+
+
+def reference_minimal_zfs_equivalence(f):
+    """``minimal-zfs-equivalence`` over Python sets of masks."""
+    from zirkit.profiles import SUBSET_CHECK_MAX_ORDER
+    if f.n > SUBSET_CHECK_MAX_ORDER:
+        return f"subset sweep limited to n <= {SUBSET_CHECK_MAX_ORDER}"
+    minimal = set(bits_of(f.minimal_table))
+    forcing_maximal = {s for s in bits_of(f.maximal_table) if f.forcing_table >> s & 1}
+    if minimal == forcing_maximal:
+        return True, "all subsets agree"
+    s = min(minimal ^ forcing_maximal)
+    return (False, f"set {bits_of(s)} minimal-zfs={s in minimal} "
+            f"maximal-zir-and-zfs={s in forcing_maximal}", {"set": bits_of(s)})
+
+
+def reference_complement_dominating(d):
+    """``zir-complement-dominating``, maximal set by maximal set and vertex
+    by vertex."""
+    if not d.isolated_free:
+        return ""
+    adj, full = d.graph.adj, d.graph.full
+    for m in bits_of(d.maximal_table):
+        comp = full & ~m
+        for v in range(d.n):
+            if not (comp >> v) & 1 and not adj[v] & comp:
+                return False, f"complement of maximal ZIr-set {bits_of(m)} misses {v}"
+    return True, ""
+
+
+def reference_twins(d):
+    """``twins`` over ``graphs.twin_classes``."""
+    from zirkit.graphs import twin_classes
+    classes = [c for c in twin_classes(d.graph) if len(c) >= 2]
+    if not classes:
+        return ""
+    for cls in classes:
+        cls_mask = sum(1 << v for v in cls)
+        need = len(cls) - 1
+        for name, witness in (("Z", d.z_witness), ("Zbar", d.zbar_witness)):
+            if (witness & cls_mask).bit_count() < need:
+                return False, (f"{name} witness {bits_of(witness)} has fewer than "
+                               f"{need} of twin class {list(cls)}")
+    return True, ""
+
+
+def reference_abandons(f):
+    """``Facts.abandons``: some maximal ZIr-set of size ZIR does not force."""
+    target = f.values["ZIR"]
+    return any(s.bit_count() == target and not f.forcing_table >> s & 1
+               for s in bits_of(f.maximal_table))
+
+
+def reference_zn2_complement_form(g):
+    """``profiles.recognize_zn2_complement_form`` on the complement graph,
+    with its universal vertices cut off, split by ``Graph.components``."""
+    from zirkit.graphs import Graph, complement
+    from zirkit.profiles import ComplementDecomposition
+    c = complement(g)
+    universal = sum(1 << v for v in range(c.n) if c.adj[v] == c.full & ~(1 << v))
+    cut = Graph.from_adj([0 if (universal >> v) & 1 else row & ~universal
+                          for v, row in enumerate(c.adj)])
+    inner = cut.adj
+
+    complete_sizes: list[int] = []
+    bipartite: list[tuple[int, int]] = []
+    pooled_empty = 0
+    for comp in cut.components():
+        if comp & universal:
+            continue
+        size = comp.bit_count()
+        if size == 1:
+            pooled_empty += 1
+            continue
+        if all(inner[u] == comp & ~(1 << u) for u in bits_of(comp)):
+            if size == 2:
+                bipartite.append((1, 1))
+            else:
+                complete_sizes.append(size)
+            continue
+        side = inner[(comp & -comp).bit_length() - 1]
+        other = comp & ~side
+        if any(inner[u] != (other if (side >> u) & 1 else side) for u in bits_of(comp)):
+            return False, None, False
+        q, p = sorted((side.bit_count(), other.bit_count()))
+        bipartite.append((q, p))
+
+    bipartite.sort(key=lambda qp: (-qp[0], -qp[1]))
+    if pooled_empty:
+        bipartite.append((0, pooled_empty))
+    decomp = ComplementDecomposition(
+        complete_sizes=tuple(sorted(complete_sizes, reverse=True)),
+        bipartite_parts=tuple(bipartite),
+        universal_count=universal.bit_count(),
+    )
+    t, k = len(decomp.complete_sizes), len(decomp.bipartite_parts)
+    lower_form = (t == 0 and k >= 1
+                  and (bipartite[0][0] >= 2 or (bipartite[0][0] == 1 and k >= 2)))
+    return True, decomp, lower_form

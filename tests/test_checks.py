@@ -8,8 +8,8 @@ from pathlib import Path
 
 from zirkit.cli import main
 from zirkit.forcing import is_minimal_zfs, subset_tables
-from zirkit.graphs import (Graph, canonical_children, enumerate_labeled_graphs, mask_of,
-                           to_graph6)
+from zirkit.graphs import (Graph, bit_list, canonical_children, enumerate_labeled_graphs,
+                           mask_of, to_graph6)
 from zirkit.families import generate
 from zirkit.profiles import (CHARACTERIZATION_CHECKS, CHECKS, SUBSET_CHECK_MAX_ORDER,
                              parameter_profile)
@@ -106,6 +106,13 @@ def test_survey_order_six_stream_is_pinned(capsys):
         "07052b57a65564a881e1d9473174b5d9401734fbc54ba81e5aa53776885a49a3"
 
 
+def test_survey_order_six_dedup_connected_stream_is_pinned(capsys):
+    # each class counts once, so every check's tallies weigh classes alike
+    assert _stdout_digest(capsys, ["survey", "--order", "6", "--dedup",
+                                   "--connected-only"]) == \
+        "318b037f9e07cd6d9165d6440a47be15f80c801c929cb4cd09716a38eb77941c"
+
+
 def test_survey_order_seven_pool_stream_is_pinned(capsys, monkeypatch):
     # order 7 is the first order whose shards go to the worker pool
     started = []
@@ -166,14 +173,13 @@ def test_facts_records_agree():
             assert mask_of(solved.witnesses[name]) == least, (name, where)
         assert mask_of(solved.witnesses["Z"]) == table.z_witness, where
         assert mask_of(solved.witnesses["Zbar"]) == table.zbar_witness, where
-        # both records read Facts.minimal_zfs off the all-subsets forcing
+        # both records read Facts.minimal_table off the all-subsets forcing
         # table, so compare them with the definition too
-        assert table.minimal_zfs == solved.minimal_zfs, where
-        assert table.minimal_zfs == [s for s in range(g.full + 1)
-                                     if is_minimal_zfs(g, s)], where
-        assert table.maximal_zir_sets == solved.maximal_zir_sets, where
-        for s in range(g.full + 1):
-            assert table.forces(s) == solved.forces(s), (s, where)
+        assert table.minimal_table == solved.minimal_table, where
+        assert bit_list(table.minimal_table) == [s for s in range(g.full + 1)
+                                                 if is_minimal_zfs(g, s)], where
+        assert table.forcing_table == solved.forcing_table, where
+        assert table.maximal_table == solved.maximal_table, where
         for check in SHARED + SCANS:
             # the same skip reason, or the same outcome and detail
             assert check.evaluate(table) == check.evaluate(solved), (check.name, where)
@@ -188,4 +194,5 @@ def test_profile_checks_build_no_closure_table_above_the_subset_gate():
     profile.product = ("corona", generate("path:4"), generate("empty:2"))
     for check in CHARACTERIZATION_CHECKS:
         check.evaluate(profile)
-    assert not {"closures", "forcing_table", "minimal_table"} & set(vars(profile))
+    assert not {"closures", "forcing_table", "minimal_table", "maximal_table"} \
+        & set(vars(profile))

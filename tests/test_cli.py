@@ -166,13 +166,14 @@ def test_survey_budget_exit_two(capsys):
 
 
 def test_survey_order7_with_override_accepted():
-    # only checks argument validation, not a full run
+    # only checks argument validation, not a full run: with the override,
+    # order 7 passes the budget and then meets the zero time limit
     from zirkit.survey import survey
     from zirkit.errors import BudgetError
-    try:
+    with pytest.raises(BudgetError, match="override"):
         survey(7, checks=("chain",), override_budget=False)
-    except BudgetError as exc:
-        assert "override" in str(exc)
+    with pytest.raises(BudgetError, match="survey exceeded the time limit"):
+        survey(7, checks=("chain",), override_budget=True, time_limit=0)
 
 
 def test_convert_round_trip(capsys, tmp_path):
@@ -288,6 +289,17 @@ def test_bad_time_limit_exit_two(capsys, argv, limit):
     code, out, err = run_cli(capsys, *argv, "--time-limit", limit)
     assert code == 2 and not out
     assert len(err.splitlines()) == 1 and "time limit must be" in err
+
+
+@pytest.mark.parametrize("order", ["0", "-1"])
+@pytest.mark.parametrize("argv", [["compute", "--graph6", "A_"],
+                                  ["table", "--specs", "cycle:5"]], ids=["compute", "table"])
+def test_max_order_below_one_exit_two(capsys, argv, order):
+    # below 1 every graph would be over the budget: compute would print
+    # rows with every parameter omitted, and table would refuse every spec
+    code, out, err = run_cli(capsys, *argv, "--max-order", order)
+    assert code == 2 and not out
+    assert err == f"zirkit {argv[0]}: max order must be at least 1, got {order}\n"
 
 
 def test_infinite_time_limit_is_no_limit(capsys):

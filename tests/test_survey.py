@@ -11,14 +11,17 @@ from hypothesis import given, settings, strategies as st
 from zirkit.cli import main
 from zirkit.errors import BudgetError, PreconditionError
 from zirkit.families import generate
-from zirkit.graphs import Graph, bits, canonical_children, least_labelings, parse_graph6
-from zirkit.profiles import Check, parameter_profile
+from zirkit.graphs import (Graph, bit_list, bits, canonical_children, least_labelings,
+                           parse_graph6)
+from zirkit.profiles import CHECKS, Check, parameter_profile
 from zirkit.survey import (_CHECKS, ALL_CHECKS, SCAN_CHECKS, _GraphData, exact_params,
                            survey)
 
 from oracles import (brute_closure, brute_domination, brute_independence,
                      brute_power_domination, labeled_survey, random_adj,
-                     unpruned_canonical_children)
+                     reference_abandons, reference_complement_dominating,
+                     reference_minimal_zfs_equivalence, reference_twins,
+                     reference_zn2_complement_form, unpruned_canonical_children)
 
 survey_module = importlib.import_module("zirkit.survey")  # the package's survey is the function
 
@@ -213,6 +216,95 @@ def test_skipped_hoods_change_no_child(class_walk):
             assert children == list(unpruned_canonical_children(parent))
 
 
+def _against_references(f):
+    # each whole-int check and the list-level walk it replaced give the
+    # same verdict, detail and counterexample on the facts record f
+    g = f.graph
+    assert f.zn2_form == reference_zn2_complement_form(g), g.adj
+    assert f.abandons == reference_abandons(f), g.adj
+    pairs = [("minimal-zfs-equivalence", reference_minimal_zfs_equivalence)]
+    if isinstance(f, _GraphData):
+        pairs += [("zir-complement-dominating", reference_complement_dominating),
+                  ("twins", reference_twins)]
+    for name, reference in pairs:
+        assert _CHECKS[name].evaluate(f) == reference(f), (name, g.adj)
+
+
+def test_table_checks_match_list_level_references(class_walk):
+    for extended in class_walk[:7]:  # every class through order 7
+        for _, children in extended:
+            for adj, _ in children:
+                _against_references(_GraphData(Graph.from_adj(adj)))
+
+
+def _doctored(g, **fields):
+    """Both facts records of g with ``fields`` replaced before any check
+    reads them: each value is a function of the record."""
+    records = [_GraphData(g), parameter_profile(g)]
+    for f in records:
+        for name, value in fields.items():
+            setattr(f, name, value(f))
+    return records
+
+
+def test_doctored_facts_reach_every_failure_branch_as_the_references_do():
+    c5 = generate("cycle:5")
+    full, hood = 0b11111, 0b01110  # all of C5, and N[2] = {1, 2, 3}
+    equivalence = _CHECKS["minimal-zfs-equivalence"]
+    # extra maximal sets: both force without being minimal, and each one's
+    # complement misses a vertex; the least set is reported
+    for f in _doctored(c5, maximal_table=lambda f: f.maximal_table | 1 << full | 1 << hood):
+        _against_references(f)
+        assert equivalence.evaluate(f) == (
+            False, "set [1, 2, 3] minimal-zfs=False maximal-zir-and-zfs=True",
+            {"set": [1, 2, 3]})
+        if isinstance(f, _GraphData):
+            assert _CHECKS["zir-complement-dominating"].evaluate(f) == (
+                False, "complement of maximal ZIr-set [1, 2, 3] misses 2")
+    # a missing one: a minimal zero forcing set that is no longer maximal
+    z = _GraphData(c5).z_witness
+    for f in _doctored(c5, maximal_table=lambda f: f.maximal_table & ~(1 << z)):
+        _against_references(f)
+        assert equivalence.evaluate(f)[:2] == (
+            False, f"set {bit_list(z)} minimal-zfs=True maximal-zir-and-zfs=False")
+    # abandonment, both ways: a non-forcing set of size ZIR added where no
+    # fort is abandoned, and every such set taken away where one is
+    fig5 = _GraphData(generate("fig5"))
+    assert not fig5.abandons
+    stray = next(m for m in range(fig5.graph.full + 1)
+                 if m.bit_count() == fig5.values["ZIR"] and not fig5.forcing_table >> m & 1)
+    for f in _doctored(fig5.graph, maximal_table=lambda f: f.maximal_table | 1 << stray):
+        _against_references(f)
+        assert f.abandons
+    c6 = generate("cycle:6")
+    assert _GraphData(c6).abandons
+    for f in _doctored(c6, maximal_table=lambda f: f.maximal_table & f.forcing_table):
+        _against_references(f)
+        assert not f.abandons
+    # twins: a witness that leaves out a twin class, Z's first, then Zbar's
+    star = generate("star:4")
+    for field, name in (("z_witness", "Z"), ("zbar_witness", "Zbar")):
+        d = _doctored(star, **{field: lambda f: 0})[0]
+        _against_references(d)
+        assert _CHECKS["twins"].evaluate(d) == (
+            False, f"{name} witness [] has fewer than 3 of twin class [1, 2, 3, 4]")
+    # the complement forms: values doctored against the recognizer, on a
+    # graph with and one without the form
+    for expr in ("fig5", "path:4"):
+        g = generate(expr)
+        matches, decomp, lower = reference_zn2_complement_form(g)
+        for f in _doctored(g, values=lambda f: {**f.values, "zir": g.n - 2 - lower,
+                                                "Z": g.n - 2 - matches}):
+            _against_references(f)
+            zir_form = _CHECKS["zir-n-minus-2-form"].evaluate(f)
+            assert zir_form == (False, f"zir={g.n - 2 - lower} n-2={g.n - 2} "
+                                f"recognizer={lower}",
+                                {"decomposition": decomp.to_dict() if decomp else None})
+            z_form = next(c for c in CHECKS if c.name == "z-n-minus-2-form").evaluate(f)
+            assert z_form == (False, f"Z={g.n - 2 - matches} n-2={g.n - 2} "
+                              f"recognizer={matches}")
+
+
 def test_survey_scan_checks_have_no_findings_small():
     report = survey(5, checks=SCAN_CHECKS)
     assert [r for r in report.reports if r.status == "finding"] == []
@@ -268,11 +360,11 @@ def test_graph_tables_match_definitions(small_graphs):
             assert [closed >> m & 1 for m in range(g.full + 1)] == \
                 [c >> v & 1 for c in clo], (g.adj, v)
         zir = [all(not clo[m ^ 1 << x] >> x & 1 for x in bits(m)) for m in range(g.full + 1)]
-        assert d.maximal_zir_sets == [m for m in range(g.full + 1) if zir[m] and not any(
+        assert bit_list(d.maximal_table) == [m for m in range(g.full + 1) if zir[m] and not any(
             zir[m | 1 << y] for y in bits(g.full & ~m))], g.adj
         minimal = [m for m in range(g.full + 1) if clo[m] == g.full and not any(
             clo[m ^ 1 << x] == g.full for x in bits(m))]
-        assert d.minimal_zfs == minimal, g.adj
+        assert bit_list(d.minimal_table) == minimal, g.adj
         for witness, pick in ((d.z_witness, min), (d.zbar_witness, max)):
             size = pick(m.bit_count() for m in minimal)
             assert witness == min((m for m in minimal if m.bit_count() == size),
