@@ -111,7 +111,10 @@ def close_all_subsets(adj: tuple[int, ...], start: Sequence[int]) -> list[int]:
     B_w |= B_u & ⋀_{y ∈ N(u) − w} B_y runs to a fixed point from a work
     list of forcers swept in rounds.  A grown B_w puts w and its neighbours
     other than u on it: where u forces w, u's other neighbours are blue.
+    The neighbour lists and those wake-up masks are built once per call.
     """
+    rows = [bit_list(row) for row in adj]
+    wake = [row | 1 << w for w, row in enumerate(adj)]
     blue, todo, u = list(start), (1 << len(adj)) - 1, -1
     while todo:
         # sweep round after round: the next forcer on the list after u
@@ -119,18 +122,23 @@ def close_all_subsets(adj: tuple[int, ...], start: Sequence[int]) -> list[int]:
         low = ahead & -ahead
         todo ^= low
         u = low.bit_length() - 1
-        ys = bit_list(adj[u])
+        ys = rows[u]
         # each w takes the AND over N(u) − w from a prefix and a suffix
-        before = [blue[u]]
-        for y in ys[:-1]:
-            before.append(before[-1] & blue[y])
+        first = blue[u]
+        before = [first]
+        for y in ys:
+            first &= blue[y]
+            before.append(first)
+        before.pop()
         after = -1
-        for w, first in zip(reversed(ys), reversed(before)):
-            grown = first & after & ~blue[w]
+        for w in reversed(ys):
+            bw = blue[w]
+            grown = before.pop() & after & ~bw
             if grown:
-                blue[w] |= grown
-                todo |= (1 << w | adj[w]) & ~low
-            after &= blue[w]
+                bw |= grown
+                blue[w] = bw
+                todo |= wake[w] & ~low
+            after &= bw
     return blue
 
 

@@ -31,7 +31,13 @@ def bits(mask: int) -> Iterator[int]:
 
 
 def bit_list(mask: int) -> list[int]:
-    return list(bits(mask))
+    """The set bit positions of ``mask`` in increasing order, as a list."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def mask_of(vertices: Iterable[int]) -> int:
@@ -99,6 +105,12 @@ class Graph:
             for u in bits(row):
                 if not (adj[u] >> v) & 1:
                     raise ValueError(f"asymmetric adjacency between {u} and {v}")
+        return cls._of_rows(adj)
+
+    @classmethod
+    def _of_rows(cls, adj: Sequence[int]) -> "Graph":
+        """Build from adjacency rows already known to be symmetric and
+        loop-free, such as those of a generator, without checking them."""
         g = cls.__new__(cls)
         g._init(adj)
         return g
@@ -170,7 +182,15 @@ class Graph:
         return comps
 
     def is_connected(self) -> bool:
-        return len(self.components()) == 1
+        """True iff vertex 0's component, grown from a work list, is everything."""
+        comp = todo = 1
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            grown = self.adj[low.bit_length() - 1] & ~comp
+            comp |= grown
+            todo |= grown
+        return comp == self.full
 
     def isolated_vertices(self) -> int:
         return mask_of(v for v in range(self.n) if not self.adj[v])
@@ -355,12 +375,20 @@ def _equitable_cells(adj: Sequence[int], last: int | None = None) -> list[list[i
             members[c] |= 1 << v
 
 
-def _least_orders(adj: Sequence[int], cells: list[list[int]], cap: int) -> list[list[int]]:
+def _least_orders(adj: Sequence[int], cells: list[list[int]], cap: int,
+                  found: list[list[int]] | None = None,
+                  twins: list[int] | None = None) -> list[list[int]]:
     """The ``cap`` least edge masks (``edge_slots`` order) over the vertex
     orders that keep every cell of ``cells``, in turn, in its block of
     positions; each as ``[mask, orders that reach it, mask of the vertices
     those orders put last]``, ascending.  Every automorphism must map each
     cell onto itself, as those of ``_equitable_cells`` do.
+
+    ``found`` may already hold the entries of graphs of the same order not
+    isomorphic to this one: it is extended in place and returned, so the
+    search over several graphs keeps the ``cap`` least masks of them all,
+    and each graph's search is bounded by the masks of those before it.
+    ``twins`` is the graph's ``_twin_masks``, computed if not given.
 
     Positions are filled from n-1 down: placing position p fixes the slots
     (p, q) for q > p, which are the next most significant bits, so an order
@@ -373,22 +401,24 @@ def _least_orders(adj: Sequence[int], cells: list[list[int]], cap: int) -> list[
     the last mask.  Orders that tie otherwise are all visited.
     """
     n = len(adj)
-    twins = _twin_masks(adj)
+    twins = twins or _twin_masks(adj)
     lower = [t & ((1 << v) - 1) for v, t in enumerate(twins)]  # each vertex's lesser twins
     at = [c for c in cells for _ in c]  # the cell of each position
     offset = [p * (2 * n - p - 1) // 2 for p in range(n)]  # slot index of (p, p + 1)
-    where = [0] * n  # position of each placed vertex
-    found: list[list[int]] = []
+    where = [0] * n  # the bit of each placed vertex's position
+    found = [] if found is None else found
 
     def place(p: int, free: int, high: int, ways: int, last: int) -> None:
         shift = offset[p]
         rows = []
         for v in at[p]:
             if free >> v & 1 and not lower[v] & free:
-                row = 0
-                for u in bits(adj[v] & ~free):
-                    row |= 1 << (where[u] - p - 1)
-                rows.append((row, v))
+                row, placed = 0, adj[v] & ~free
+                while placed:
+                    low = placed & -placed
+                    row |= where[low.bit_length() - 1]
+                    placed ^= low
+                rows.append((row >> p + 1, v))
         rows.sort()
         for row, v in rows:
             mask = high | row << shift
@@ -396,7 +426,7 @@ def _least_orders(adj: Sequence[int], cells: list[list[int]], cap: int) -> list[
                 return  # rows are sorted, so every later one is worse too
             count = ways * (twins[v] & free).bit_count()
             orbit = last or twins[v]  # last is 0 only at position n-1
-            where[v] = p
+            where[v] = 1 << p
             if p:
                 place(p - 1, free ^ 1 << v, mask, count, orbit)
                 continue
@@ -462,10 +492,11 @@ def canonical_children(parent: Sequence[int]) -> Iterator[tuple[tuple[int, ...],
     at_degree = [0] * n  # the parent's vertices of each degree
     for v, row in enumerate(parent):
         at_degree[row.bit_count()] |= 1 << v
+    twins = _twin_masks(parent)
+    twins_of = _hood_twins(parent, twins)
     # each parent vertex with the next twin above it: t & -(2 << v) drops
     # the twins up to v
-    pairs = [(1 << v, up & -up) for v, t in enumerate(_twin_masks(parent))
-             if (up := t & -(2 << v))]
+    pairs = [(1 << v, up & -up) for v, t in enumerate(twins) if (up := t & -(2 << v))]
     seen = set()
     for hood in range(new):
         size = hood.bit_count()
@@ -478,7 +509,7 @@ def canonical_children(parent: Sequence[int]) -> Iterator[tuple[tuple[int, ...],
         cells = _equitable_cells(adj, n - 1)
         if cells is None:  # n-1 left the last cell, which holds the canonical orbit
             continue
-        mask, automorphisms, orbit = _least_orders(adj, cells, 1)[0]
+        mask, automorphisms, orbit = _least_orders(adj, cells, 1, twins=twins_of(hood))[0]
         if orbit & new and mask not in seen:
             seen.add(mask)
             yield adj, automorphisms
@@ -507,6 +538,37 @@ def _twin_masks(adj: Sequence[int]) -> list[int]:
         group = open_groups[row]
         out.append(group if group & (group - 1) else closed_groups[row | 1 << v])
     return out
+
+
+def _hood_twins(parent: Sequence[int], twins: list[int]) -> Callable[[int], list[int]]:
+    """The ``_twin_masks`` of each child of ``parent``, as a function of the
+    new vertex's neighbourhood (hood), given the parent's ``twins``.
+
+    A hood adds the new vertex to the neighbourhoods of its members only,
+    so two parent vertices are twins in the child iff they are twins in the
+    parent and the hood holds both or neither: each parent class splits
+    along the hood.  The new vertex's open twins are the parent vertices
+    whose open neighbourhood is the hood, and its adjacent twins those whose
+    closed one is.  At most one of these is nonempty (an open twin u of the
+    new vertex would be a neighbour of a closed twin w, so u would lie in
+    N[w], the hood, which an open twin avoids), and it is the whole piece of
+    each of its members' split classes, which the new vertex joins.
+    """
+    new = 1 << len(parent)
+    mates: dict[int, int] = {}  # the parent vertices of each open or closed neighbourhood
+    for v, row in enumerate(parent):
+        for nbhd in (row, row | 1 << v):
+            mates[nbhd] = mates.get(nbhd, 0) | 1 << v
+
+    def child(hood: int) -> list[int]:
+        out = [t & hood if hood >> v & 1 else t & ~hood for v, t in enumerate(twins)]
+        joined = mates.get(hood, 0)
+        for v in bits(joined):
+            out[v] |= new
+        out.append(joined | new)
+        return out
+
+    return child
 
 
 def twin_classes(g: Graph) -> list[tuple[int, ...]]:

@@ -54,7 +54,9 @@ class Facts:
     """The facts record of one graph that every check reads.
 
     It holds ``graph`` and the graph-level fields (``n``, ``min_degree``,
-    ``max_degree``, ``has_edge``, ``connected``, ``isolated_free``), and
+    ``max_degree``, ``size`` (edges), ``isolated`` (isolated vertices),
+    ``has_edge``, ``connected``, ``isolated_free``); a caller that has
+    already tested connectivity passes it in.  It also holds
     the subset tables the checks compare: 2^n-bit ints whose bit m answers
     for the set m.  ``forcing_table`` (m forces) is the AND of the
     ``closures`` that ``forcing.close_all_subsets`` builds on first use,
@@ -65,13 +67,14 @@ class Facts:
     that read it.
     """
 
-    def __init__(self, g: Graph):
+    def __init__(self, g: Graph, connected: bool | None = None):
         degs = g.degrees()
         self.graph, self.n = g, g.n
         self.min_degree, self.max_degree = min(degs), max(degs)
+        self.size, self.isolated = sum(degs) // 2, degs.count(0)
         self.has_edge = self.max_degree > 0
-        self.connected = g.is_connected()
-        self.isolated_free = all(g.adj)
+        self.connected = g.is_connected() if connected is None else connected
+        self.isolated_free = not self.isolated
 
     @cached_property
     def closures(self) -> list[int]:
@@ -427,7 +430,11 @@ def _extreme_n(f):
 def _extreme_n_minus_1(f):
     if f.n < 2:
         return ""
-    shape = is_clique_plus_isolated(f.graph)
+    # is_clique_plus_isolated off the record: the Delta + 1 vertices with an
+    # edge all reach degree Delta iff the degrees sum to Delta(Delta + 1),
+    # and then each sees every other one
+    dmax = f.max_degree
+    shape = dmax > 0 and f.n - f.isolated == dmax + 1 and 2 * f.size == dmax * (dmax + 1)
     flags = [f.values[p] == f.n - 1 for p in ("zir", "Z", "Zbar", "ZIR")]
     return (all(flag == shape for flag in flags),
             f"values-at-n-1={flags} clique-plus-isolated={shape}")
@@ -452,7 +459,10 @@ def _z_n_minus_2_form(f):
 
 
 def _zir1(f):
-    shape = is_path_graph(f.graph) or is_star_graph(f.graph)
+    # is_path_graph or is_star_graph off the record: a tree, as both are,
+    # is a path iff Delta <= 2 and a star iff Delta = n - 1
+    shape = f.connected and f.size == f.n - 1 and (f.max_degree <= 2
+                                                    or f.max_degree == f.n - 1)
     zir_lower = f.values["zir"]
     return (zir_lower == 1) == shape, f"zir={zir_lower} path-or-star={shape}"
 

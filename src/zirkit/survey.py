@@ -13,7 +13,11 @@ order n once, with its automorphism count.  Each class stands for its
 n!/|Aut G| labelings in the counts (for itself alone under dedup), so a
 check's verdict and skip must not depend on the labels.  The examples are
 the least labeled edge masks of the violating or leading classes, so the
-report reads as a walk over every labeled graph in edge-mask order would.
+report reads as a walk over every labeled graph in edge-mask order would;
+one least-labeling search runs over the classes of a report row (one
+check, or the leaderboard, at one order) in turn, bounded by the masks it
+has already found.  Each class is built from the generator's
+rows unchecked, and its connectivity is tested once.
 
 Every parameter here is recomputed from per-graph tables over all subsets
 by its definition (for example ZIR is the literal maximum over maximal
@@ -35,9 +39,11 @@ of these registries.
 
 Each order is sharded over the classes of the order below; one loop folds
 the shard results in shard order, so the output is identical for any
-thread count.  The orders within the default budget run in process at any
-thread count; more than one thread starts a worker pool for the orders
-past it.
+thread count.  A shard keeps integer counts and a list of violating
+classes per check.  The default budget is order ``SURVEY_DEFAULT_MAX_ORDER``
+(6) and the override's ``SURVEY_HARD_MAX_ORDER`` (8).  The orders within
+the default budget run in process at any thread count; more than one
+thread starts a worker pool for the orders past it.
 """
 
 from __future__ import annotations
@@ -50,12 +56,12 @@ from operator import and_, or_
 
 from .errors import BudgetError, PreconditionError, check_deadline, deadline
 from .forcing import close_all_subsets, subset_tables
-from .graphs import (Graph, _twin_masks, adj_from_edge_mask, bit_list, bits, canonical_children,
-                     edge_slots, least_labelings, to_graph6)
+from .graphs import (Graph, _least_orders, _twin_masks, adj_from_edge_mask, bit_list, bits,
+                     canonical_children, edge_slots, to_graph6)
 from .profiles import CHECKS, Check, CheckReport, Facts
 
 SURVEY_DEFAULT_MAX_ORDER = 6
-SURVEY_HARD_MAX_ORDER = 7
+SURVEY_HARD_MAX_ORDER = 8
 EXACT_PARAMS_MAX_ORDER = 22
 _COUNTEREXAMPLE_CAP = 3
 _LEADER_EXAMPLE_CAP = 3
@@ -93,6 +99,22 @@ def _least(table: int, members: tuple[int, ...]) -> int:
     return table.bit_length() - 1
 
 
+def _smallest(table: int, layers: tuple[int, ...]) -> int:
+    """The least size k of a set in ``table``, by a scan up the layers L_k."""
+    k = 0
+    while not table & layers[k]:
+        k += 1
+    return k
+
+
+def _largest(table: int, layers: tuple[int, ...]) -> int:
+    """The largest size k of a set in ``table``, by a scan down the layers."""
+    k = len(layers) - 1
+    while not table & layers[k]:
+        k -= 1
+    return k
+
+
 class _GraphData(Facts):
     """The facts record of one graph, answered by tables over all subsets.
 
@@ -102,8 +124,8 @@ class _GraphData(Facts):
     and no bound pruning.
     """
 
-    def __init__(self, g: Graph):
-        super().__init__(g)
+    def __init__(self, g: Graph, connected: bool | None = None):
+        super().__init__(g, connected)
         n, adj, (xs, layers), every = g.n, g.adj, subset_tables(g.n), (1 << (1 << g.n)) - 1
         # m is a ZIr-set iff no member x lies in the closure of m - x, and
         # maximal iff no m + y is one
@@ -117,7 +139,7 @@ class _GraphData(Facts):
         once, twice, clash = [], [], 0
         for v in range(n):
             one = two = 0
-            for u in bits(adj[v]):
+            for u in bit_list(adj[v]):
                 two |= one & xs[u]
                 one |= xs[u]
             once.append(xs[v] | one)
@@ -126,16 +148,14 @@ class _GraphData(Facts):
         # N[m] holds v iff m dominates v, so the kernel started at the
         # domination tables closes every N[m]
         power = reduce(and_, close_all_subsets(adj, once))
-
-        def sizes(table: int) -> list[int]:
-            return [k for k, layer in enumerate(layers) if table & layer]
-
-        maximal = sizes(self.maximal_table)
+        maximal = self.maximal_table
         self.values = values = {
-            "zir": maximal[0], "ZIR": maximal[-1],
-            "Z": sizes(self.forcing_table)[0], "Zbar": sizes(self.minimal_table)[-1],
-            "gamma": sizes(reduce(and_, once))[0], "gamma2": sizes(reduce(and_, twice))[0],
-            "alpha": sizes(every & ~clash)[-1], "gammaP": sizes(power)[0],
+            "zir": _smallest(maximal, layers), "ZIR": _largest(maximal, layers),
+            "Z": _smallest(self.forcing_table, layers),
+            "Zbar": _largest(self.minimal_table, layers),
+            "gamma": _smallest(reduce(and_, once), layers),
+            "gamma2": _smallest(reduce(and_, twice), layers),
+            "alpha": _largest(every & ~clash, layers), "gammaP": _smallest(power, layers),
         }
         # every minimum zero forcing set is minimal, so both witnesses are the
         # first minimal one of their size, by (size, lexicographic)
@@ -207,33 +227,30 @@ THEOREM_CHECKS = tuple(name for name in _CHECKS if name not in SCAN_CHECKS)
 ALL_CHECKS = tuple(_CHECKS)
 
 
-def _keep_least(leader: tuple, value: int | None, classes: tuple) -> tuple:
-    """Fold ``(value, classes)`` into ``leader``, the least value so far with
-    every class that reaches it."""
-    best, kept = leader
+def _keep_least(leader: list, value: int | None, classes: list) -> None:
+    """Fold ``(value, classes)`` into ``leader``, ``[the least value so far,
+    every class that reaches it]``."""
+    best = leader[0]
     if value is None or (best is not None and value > best):
-        return leader
+        return
     if best is None or value < best:
-        return value, classes
-    return best, kept + classes
+        leader[:] = value, list(classes)
+    else:
+        leader[1] += classes
 
 
-def _tally(acc: tuple, part: tuple) -> tuple:
-    """Fold two ``(checked, violations, violating classes)`` tallies."""
-    return acc[0] + part[0], acc[1] + part[1], acc[2] + part[2]
-
-
-def _survey_shard(args: tuple) -> tuple[dict, tuple, list]:
+def _survey_shard(args: tuple) -> tuple[dict, list, list]:
     """Evaluate the classes of order n whose parents are the given classes
     of order n-1; returns mergeable tallies, the leader and the classes.
 
-    Tallies count each class n!/|Aut G| times, once under ``dedup``;
-    classes are adjacency tuples, returned only if ``more`` orders follow.
+    A tally is ``[checked, violations, violating classes]``, counting each
+    class n!/|Aut G| times, once under ``dedup``; classes are adjacency
+    tuples, returned only if ``more`` orders follow.
     """
     n, parents, checks, connected_only, dedup, more, at = args
-    run = [(name, _CHECKS[name]) for name in checks]
-    tallies = dict.fromkeys(checks, (0, 0, ()))
-    leader: tuple[int | None, tuple] = (None, ())
+    tallies = {name: [0, 0, []] for name in checks}
+    run = [(_CHECKS[name].evaluate, tallies[name]) for name in checks]
+    leader: list = [None, []]
     children = []
     labelings = factorial(n)
     for parent in parents:
@@ -242,31 +259,46 @@ def _survey_shard(args: tuple) -> tuple[dict, tuple, list]:
             check_deadline(at, "survey")
             if more:
                 children.append(adj)
-            g = Graph.from_adj(adj)
-            if connected_only and not g.is_connected():
+            g = Graph._of_rows(adj)  # the generator built each row pair
+            connected = g.is_connected()
+            if connected_only and not connected:
                 continue
-            d = _GraphData(g)
+            d = _GraphData(g, connected)
             weight = 1 if dedup else labelings // automorphisms
-            for name, check in run:
-                outcome = check.evaluate(d)
+            for evaluate, tally in run:
+                outcome = evaluate(d)
                 if isinstance(outcome, tuple):
-                    part = (weight, 0, ()) if outcome[0] else (weight, weight, (adj,))
-                    tallies[name] = _tally(tallies[name], part)
-            if d.connected:
-                leader = _keep_least(leader, d.values["ZIR"], (adj,))
+                    tally[0] += weight
+                    if not outcome[0]:
+                        tally[1] += weight
+                        tally[2].append(adj)
+            if connected:
+                _keep_least(leader, d.values["ZIR"], [adj])
     return tallies, leader, children
 
 
-def _first_labelings(n: int, classes: tuple, dedup: bool, cap: int, at) -> list[Graph]:
-    """The first ``cap`` labeled graphs of ``classes`` in the labeled walk's
-    order: ascending edge mask over all their labelings, or over each
-    class's least labeling under ``dedup``."""
-    masks = []
+def _first_labelings(n: int, classes: list, dedup: bool, cap: int, at) -> list[Graph]:
+    """The first ``cap`` labeled graphs of ``classes``, pairwise
+    non-isomorphic, in the labeled walk's order: ascending edge mask over
+    all their labelings, or over each class's least labeling under
+    ``dedup``.
+
+    One ``_least_orders`` search runs over the classes in turn, so the
+    masks found so far bound the search of each next class: the ``cap``
+    least under all labelings, or under ``dedup`` the ``cap``-th least
+    class minimum, which a class's own least mask must beat to count.
+    """
+    found: list[list[int]] = []
+    one_cell = [list(range(n))]
     for adj in classes:
         check_deadline(at, "survey")
-        masks.extend(least_labelings(adj, 1 if dedup else cap))
+        if dedup:
+            least = _least_orders(adj, one_cell, 1, found[cap - 1:])
+            found = sorted(found[:cap - 1] + least)
+        else:
+            _least_orders(adj, one_cell, cap, found)
     slots = edge_slots(n)
-    return [Graph.from_adj(adj_from_edge_mask(n, m, slots)) for m in sorted(masks)[:cap]]
+    return [Graph._of_rows(adj_from_edge_mask(n, m, slots)) for m, _, _ in found]
 
 
 def survey(max_order: int,
@@ -316,8 +348,8 @@ def survey(max_order: int,
         raise PreconditionError("no survey check selected")
 
     orders = range(1, max_order + 1)
-    tallies = {n: dict.fromkeys(checks, (0, 0, ())) for n in orders}
-    leaders = {n: (None, ()) for n in orders}
+    tallies = {n: {c: [0, 0, []] for c in checks} for n in orders}
+    leaders = {n: [None, []] for n in orders}
     parents: list[tuple[int, ...]] = [()]  # the one class of order 0
     pool = None
     try:
@@ -336,8 +368,12 @@ def survey(max_order: int,
             results = pool.map(_survey_shard, shards) if pool else map(_survey_shard, shards)
             parents = []
             for shard_tallies, shard_leader, children in results:
-                tallies[n] = {c: _tally(t, shard_tallies[c]) for c, t in tallies[n].items()}
-                leaders[n] = _keep_least(leaders[n], *shard_leader)
+                for c, tally in tallies[n].items():
+                    checked, violations, classes = shard_tallies[c]
+                    tally[0] += checked
+                    tally[1] += violations
+                    tally[2] += classes
+                _keep_least(leaders[n], *shard_leader)
                 parents.extend(children)
     finally:
         if pool:

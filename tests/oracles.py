@@ -446,6 +446,25 @@ def reference_twins(d):
     return True, ""
 
 
+def reference_zir1(f):
+    """``zir1-characterization`` by the public path and star recognizers."""
+    from zirkit.profiles import is_path_graph, is_star_graph
+    shape = is_path_graph(f.graph) or is_star_graph(f.graph)
+    zir_lower = f.values["zir"]
+    return (zir_lower == 1) == shape, f"zir={zir_lower} path-or-star={shape}"
+
+
+def reference_extreme_n_minus_1(f):
+    """``extreme-n-minus-1`` by the public clique-plus-isolated recognizer."""
+    from zirkit.profiles import is_clique_plus_isolated
+    if f.n < 2:
+        return ""
+    shape = is_clique_plus_isolated(f.graph)
+    flags = [f.values[p] == f.n - 1 for p in ("zir", "Z", "Zbar", "ZIR")]
+    return (all(flag == shape for flag in flags),
+            f"values-at-n-1={flags} clique-plus-isolated={shape}")
+
+
 def reference_abandons(f):
     """``Facts.abandons``: some maximal ZIr-set of size ZIR does not force."""
     target = f.values["ZIR"]

@@ -261,8 +261,9 @@ def test_time_limit_exceeded_exit_two(capsys):
 
 
 def test_time_limit_exceeded_with_pool_exit_two(capsys):
-    # the pool starts at order 7, after about 80 ms in process
-    code, _, err = run_cli(capsys, "survey", "--order", "7", "--override-budget",
+    # the pool starts at order 7, after about 50 ms in process, and runs
+    # orders 7 and 8 for about 3 s
+    code, _, err = run_cli(capsys, "survey", "--order", "8", "--override-budget",
                            "--threads", "2", "--time-limit", "0.15")
     assert code == 2 and "time limit" in err
     assert len(err.splitlines()) == 1 and "Traceback" not in err

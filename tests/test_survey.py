@@ -11,17 +11,18 @@ from hypothesis import given, settings, strategies as st
 from zirkit.cli import main
 from zirkit.errors import BudgetError, PreconditionError
 from zirkit.families import generate
-from zirkit.graphs import (Graph, bit_list, bits, canonical_children, least_labelings,
-                           parse_graph6)
+from zirkit.graphs import (Graph, bit_list, bits, canonical_children, edge_slots,
+                           least_labelings, parse_graph6)
 from zirkit.profiles import CHECKS, Check, parameter_profile
-from zirkit.survey import (_CHECKS, ALL_CHECKS, SCAN_CHECKS, _GraphData, exact_params,
-                           survey)
+from zirkit.survey import (_CHECKS, ALL_CHECKS, SCAN_CHECKS, _first_labelings, _GraphData,
+                           exact_params, survey)
 
 from oracles import (brute_closure, brute_domination, brute_independence,
                      brute_power_domination, labeled_survey, random_adj,
                      reference_abandons, reference_complement_dominating,
-                     reference_minimal_zfs_equivalence, reference_twins,
-                     reference_zn2_complement_form, unpruned_canonical_children)
+                     reference_extreme_n_minus_1, reference_minimal_zfs_equivalence,
+                     reference_twins, reference_zir1, reference_zn2_complement_form,
+                     unpruned_canonical_children)
 
 survey_module = importlib.import_module("zirkit.survey")  # the package's survey is the function
 
@@ -39,16 +40,16 @@ def test_survey_budget_enforced():
     with pytest.raises(BudgetError):
         survey(7)
     with pytest.raises(BudgetError):
-        survey(8, override_budget=True)
+        survey(9, override_budget=True)
 
 
 def test_budget_hint_reads_the_hard_cap(monkeypatch):
     # the hint names the cap the override allows, so raising the cap is a
     # one-constant edit
-    with pytest.raises(BudgetError, match=r"budget of 6 \(pass the override to allow 7\)$"):
-        survey(7)
-    monkeypatch.setattr(survey_module, "SURVEY_HARD_MAX_ORDER", 8)
     with pytest.raises(BudgetError, match=r"budget of 6 \(pass the override to allow 8\)$"):
+        survey(7)
+    monkeypatch.setattr(survey_module, "SURVEY_HARD_MAX_ORDER", 9)
+    with pytest.raises(BudgetError, match=r"budget of 6 \(pass the override to allow 9\)$"):
         survey(7)
 
 
@@ -126,28 +127,28 @@ def test_top_order_shards_return_no_children(monkeypatch):
 
 @pytest.mark.slow
 @pytest.mark.parametrize("threads", ["1", "2"])
-def test_order_8_survey_stream_is_pinned(monkeypatch, capsys, threads):
-    # the order-8 survey past the shipped cap of 7: about 6 s at one thread
-    # and 4 s at two on 2 cores
-    monkeypatch.setattr(survey_module, "SURVEY_HARD_MAX_ORDER", 8)
+def test_order_8_survey_stream_is_pinned(capsys, threads):
+    # the order-8 survey at the override's cap: about 6 s at one thread and
+    # 4 s at two on 2 cores
     main(["survey", "--order", "8", "--override-budget", "--threads", threads])
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == \
         "94bb72821a04ab1ead4eda46925e6344fb16b26498b03dfdeeb1345a278b9e0c"
 
 
 def test_survey_pool_time_limit():
-    # orders <= 6 run in process in about 80 ms; the pool starts at order 7
+    # orders <= 6 run in process in about 50 ms; the pool starts at order 7
+    # and runs orders 7 and 8 for about 3 s
     with pytest.raises(BudgetError, match="time limit"):
-        survey(7, override_budget=True, threads=2, time_limit=0.15)
+        survey(8, override_budget=True, threads=2, time_limit=0.15)
 
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_survey_time_limit_holds_at_any_thread_count(threads):
     # every shard reads the deadline before each parent and each child, in
-    # a worker too; the order-7 walk takes about a second
+    # a worker too; the walk through order 8 takes 3-5 s
     start = time.monotonic()
     with pytest.raises(BudgetError, match="time limit"):
-        survey(7, override_budget=True, threads=threads, time_limit=0.3)
+        survey(8, override_budget=True, threads=threads, time_limit=0.3)
     assert time.monotonic() - start < 1.3
 
 
@@ -207,6 +208,28 @@ def test_class_walk_visits_every_class_once(class_walk):
             == 2 ** (n * (n - 1) // 2)
 
 
+def _edge_mask(g):
+    return sum(1 << e for e, (i, j) in enumerate(edge_slots(g.n)) if g.adj[i] >> j & 1)
+
+
+def test_shared_search_finds_the_least_labelings_of_all_classes(class_walk):
+    # one search over a row's classes, each bounded by the masks before it,
+    # keeps what the per-class searches keep: the cap least masks of the
+    # union, or under dedup the cap least class minima; in walk order, in
+    # reverse and in a shuffled order over every class through order 6
+    rng = random.Random(25)
+    for n, extended in enumerate(class_walk[:6], 1):
+        classes = [adj for _, children in extended for adj, _ in children]
+        shuffled = rng.sample(classes, len(classes))
+        for cap in (1, 2, 3):
+            for dedup in (False, True):
+                expected = sorted(m for adj in classes
+                                  for m in least_labelings(adj, 1 if dedup else cap))[:cap]
+                for row in (classes, classes[::-1], shuffled):
+                    got = [_edge_mask(g) for g in _first_labelings(n, row, dedup, cap, None)]
+                    assert got == expected, (n, cap, dedup)
+
+
 def test_skipped_hoods_change_no_child(class_walk):
     # the degree and twin skips drop only neighbourhoods whose child the
     # full loop rejects or has already yielded, for every parent through
@@ -235,6 +258,20 @@ def test_table_checks_match_list_level_references(class_walk):
         for _, children in extended:
             for adj, _ in children:
                 _against_references(_GraphData(Graph.from_adj(adj)))
+
+
+def test_shape_checks_read_the_record_as_the_recognizers_do(class_walk):
+    # zir1-characterization and extreme-n-minus-1 read degrees, edges and
+    # connectivity off the record; the recognizers' verdict and detail
+    # (which names the shape) agree on every class through order 7
+    pairs = [("zir1-characterization", reference_zir1),
+             ("extreme-n-minus-1", reference_extreme_n_minus_1)]
+    for extended in class_walk[:7]:
+        for _, children in extended:
+            for adj, _ in children:
+                d = _GraphData(Graph.from_adj(adj))
+                for name, reference in pairs:
+                    assert _CHECKS[name].evaluate(d) == reference(d), (name, adj)
 
 
 def _doctored(g, **fields):
@@ -315,6 +352,15 @@ def test_survey_leaderboard_present():
     boards = [r for r in report.reports if r.check == "min-ZIR-leaderboard"]
     assert len(boards) == 3
     assert boards[0].stats["min_ZIR"] == 1
+
+
+@pytest.mark.slow
+def test_exact_params_equal_solver_profile_on_every_order_8_class(class_walk):
+    # the solver and table routes over the 12 346 classes of order 8
+    for _, children in class_walk[7]:
+        for adj, _ in children:
+            g = Graph.from_adj(adj)
+            assert exact_params(g) == parameter_profile(g).values, adj
 
 
 def test_exact_params_agree_with_solvers(rng):
