@@ -357,7 +357,7 @@ def survey(max_order: int,
             chunk = -(-len(parents) // (threads * 4))
             shards = [(n, parents[lo:lo + chunk], checks, connected_only, dedup,
                        n < max_order, at) for lo in range(0, len(parents), chunk)]
-            # All orders within the default budget take about 75-85 ms in
+            # All orders within the default budget take about 35-45 ms in
             # process on 2 cores.  A pool saved no time there even at
             # 100-110 ms, took up to about 55 % more CPU time, and its forks,
             # round trips and shared cores make the time of a call vary more.  A pool

@@ -8,10 +8,9 @@ from zirkit.families import (complete_graph, cycle_graph, empty_graph,
                              fig5_graph, necklace_graph, path_graph, star_graph)
 from zirkit import graphs
 from zirkit.graphs import (Graph, _equitable_cells, _hood_twins, _least_orders, _twin_masks,
-                           canonical_children,
-                           complement, corona, disjoint_union, edge_slots,
-                           enumerate_labeled_graphs, join, least_labelings, mask_of,
-                           twin_classes)
+                           canonical_children, complement, corona, disjoint_union,
+                           edge_slots, enumerate_labeled_graphs, join, least_labelings,
+                           mask_of, twin_classes)
 
 from oracles import (every_hood, random_adj, reference_equitable_cells,
                      reference_least_orders, unpruned_canonical_children)

@@ -128,8 +128,8 @@ def test_top_order_shards_return_no_children(monkeypatch):
 @pytest.mark.slow
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_order_8_survey_stream_is_pinned(capsys, threads):
-    # the order-8 survey at the override's cap: about 6 s at one thread and
-    # 4 s at two on 2 cores
+    # the order-8 survey at the override's cap: about 4 s at one thread and
+    # 3 s at two on 2 cores
     main(["survey", "--order", "8", "--override-budget", "--threads", threads])
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == \
         "94bb72821a04ab1ead4eda46925e6344fb16b26498b03dfdeeb1345a278b9e0c"
@@ -241,11 +241,15 @@ def test_skipped_hoods_change_no_child(class_walk):
 
 def _against_references(f):
     # each whole-int check and the list-level walk it replaced give the
-    # same verdict, detail and counterexample on the facts record f
+    # same verdict, detail and counterexample on the facts record f; the
+    # shape checks that read degrees, edges and connectivity off the record
+    # agree with the recognizers they replaced, whose verdict the detail names
     g = f.graph
     assert f.zn2_form == reference_zn2_complement_form(g), g.adj
     assert f.abandons == reference_abandons(f), g.adj
-    pairs = [("minimal-zfs-equivalence", reference_minimal_zfs_equivalence)]
+    pairs = [("minimal-zfs-equivalence", reference_minimal_zfs_equivalence),
+             ("zir1-characterization", reference_zir1),
+             ("extreme-n-minus-1", reference_extreme_n_minus_1)]
     if isinstance(f, _GraphData):
         pairs += [("zir-complement-dominating", reference_complement_dominating),
                   ("twins", reference_twins)]
@@ -258,20 +262,6 @@ def test_table_checks_match_list_level_references(class_walk):
         for _, children in extended:
             for adj, _ in children:
                 _against_references(_GraphData(Graph.from_adj(adj)))
-
-
-def test_shape_checks_read_the_record_as_the_recognizers_do(class_walk):
-    # zir1-characterization and extreme-n-minus-1 read degrees, edges and
-    # connectivity off the record; the recognizers' verdict and detail
-    # (which names the shape) agree on every class through order 7
-    pairs = [("zir1-characterization", reference_zir1),
-             ("extreme-n-minus-1", reference_extreme_n_minus_1)]
-    for extended in class_walk[:7]:
-        for _, children in extended:
-            for adj, _ in children:
-                d = _GraphData(Graph.from_adj(adj))
-                for name, reference in pairs:
-                    assert _CHECKS[name].evaluate(d) == reference(d), (name, adj)
 
 
 def _doctored(g, **fields):
