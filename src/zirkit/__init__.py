@@ -10,7 +10,7 @@ from .errors import (BudgetError, GraphFormatError, InvalidSpecError,
                      PreconditionError, SizeCapError, ZirkitError)
 from .graphs import (Graph, bit_list, bits, complement, corona, disjoint_union,
                      enumerate_labeled_graphs, join, mask_of, parse_graph6,
-                     to_graph6, twin_classes)
+                     to_graph6)
 from .families import FamilySpec, generate, parse_family_expr
 from .forcing import (ClosureCache, ForceStep, closure, closure_with_chronicle,
                       enumerate_forts, enumerate_minimal_forts, is_fort,
@@ -35,7 +35,7 @@ __all__ = [
     "SizeCapError", "ZirkitError",
     "Graph", "bit_list", "bits", "complement", "corona",
     "disjoint_union", "enumerate_labeled_graphs", "join", "mask_of",
-    "parse_graph6", "to_graph6", "twin_classes",
+    "parse_graph6", "to_graph6",
     "FamilySpec", "generate", "parse_family_expr",
     "ClosureCache", "ForceStep", "closure", "closure_with_chronicle",
     "enumerate_forts", "enumerate_minimal_forts", "is_fort", "is_minimal_zfs",

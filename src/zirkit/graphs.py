@@ -74,6 +74,22 @@ def _check_order(n: int) -> None:
         raise SizeCapError(f"graph order {n} exceeds the {MAX_ORDER}-vertex cap")
 
 
+def components(adj: Sequence[int], within: int) -> Iterator[int]:
+    """The connected components of the subgraph that the rows ``adj``
+    induce on the vertex mask ``within``, as masks ordered by least vertex:
+    each grown from its least vertex by a work list."""
+    while within:
+        comp = todo = within & -within
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            grown = adj[low.bit_length() - 1] & within & ~comp
+            comp |= grown
+            todo |= grown
+        within &= ~comp
+        yield comp
+
+
 class Graph:
     """Immutable simple graph with per-vertex adjacency bitmasks."""
 
@@ -164,33 +180,10 @@ class Graph:
 
     def components(self) -> list[int]:
         """Connected components as vertex masks, ordered by least vertex."""
-        seen = 0
-        comps = []
-        for v in range(self.n):
-            if (seen >> v) & 1:
-                continue
-            comp = 1 << v
-            while True:
-                grow = comp
-                for u in bits(comp):
-                    grow |= self.adj[u]
-                if grow == comp:
-                    break
-                comp = grow
-            comps.append(comp)
-            seen |= comp
-        return comps
+        return list(components(self.adj, self.full))
 
     def is_connected(self) -> bool:
-        """True iff vertex 0's component, grown from a work list, is everything."""
-        comp = todo = 1
-        while todo:
-            low = todo & -todo
-            todo ^= low
-            grown = self.adj[low.bit_length() - 1] & ~comp
-            comp |= grown
-            todo |= grown
-        return comp == self.full
+        return next(components(self.adj, self.full)) == self.full
 
     def isolated_vertices(self) -> int:
         return mask_of(v for v in range(self.n) if not self.adj[v])
@@ -444,11 +437,6 @@ def _least_orders(adj: Sequence[int], cells: list[list[int]], cap: int,
     return found
 
 
-def least_labelings(adj: Sequence[int], cap: int) -> list[int]:
-    """The ``cap`` least distinct edge masks over all relabelings of a graph."""
-    return [mask for mask, _, _ in _least_orders(adj, [list(range(len(adj)))], cap)]
-
-
 def canonical_children(parent: Sequence[int]) -> Iterator[tuple[tuple[int, ...], int]]:
     """The graphs that extend ``parent`` by one vertex, one per isomorphism
     class that this parent generates, each with its |Aut G|.
@@ -569,9 +557,3 @@ def _hood_twins(parent: Sequence[int], twins: list[int]) -> Callable[[int], list
         return out
 
     return child
-
-
-def twin_classes(g: Graph) -> list[tuple[int, ...]]:
-    """Partition the vertices into maximal twin classes (``_twin_masks``),
-    singletons included, ordered by their least vertex."""
-    return [tuple(bits(m)) for m in dict.fromkeys(_twin_masks(g.adj))]

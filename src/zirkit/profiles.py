@@ -1,4 +1,4 @@
-"""Parameter profiles, facts records, checks and structural recognizers.
+"""Parameter profiles, facts records, checks and the complement recognizer.
 
 A profile gathers every exact parameter of one graph together with
 witnesses.  ``CHECKS`` is the one ordered registry of bounds and
@@ -10,11 +10,11 @@ subclasses supply the values and the maximal ZIr-set table:
 ``check_characterizations`` read the profile itself; the join and corona
 bounds also read the factor graphs), and the survey's ``_GraphData`` from
 its subset tables; so the two value routes stay independent while each
-theorem is written once.  Structural recognizers (path, star,
-clique-plus-isolated-vertices, and the complement decomposition behind the
-near-extreme zero forcing characterization) are pure graph predicates that
-those checks call on both routes; the decomposition walks the complement's
-adjacency rows without building the complement graph, once per record.
+theorem is written once.  The path, star and clique-plus-isolated shapes
+are read off the record's degrees and connectivity.  The complement
+decomposition behind the near-extreme zero forcing characterization walks
+the complement's adjacency rows without building the complement graph,
+once per record.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .domination import k_domination_number, independence_number, power_dominati
 from .errors import PreconditionError, check_deadline
 from .families import FamilySpec, generate
 from .forcing import ClosureCache, close_all_subsets, subset_tables, zero_forcing_number
-from .graphs import Graph, bit_list, bits, join as join_graph, mask_of, to_graph6
+from .graphs import Graph, bit_list, bits, components, join as join_graph, to_graph6
 from .irredundance import (_first_zir_set, lower_zir_number, maximal_zir_sets,
                            upper_zero_forcing_number, upper_zir_number)
 
@@ -233,33 +233,7 @@ def parameter_profile(g: Graph, params: tuple[str, ...] | None = None,
     return profile
 
 
-# -- structural recognizers ----------------------------------------------
-
-
-def is_path_graph(g: Graph) -> bool:
-    """True iff g is a path (any order >= 1)."""
-    if g.n == 1:
-        return True
-    degs = g.degrees()
-    return (sum(degs) == 2 * (g.n - 1) and degs.count(1) == 2 and max(degs) <= 2
-            and g.is_connected())
-
-
-def is_star_graph(g: Graph) -> bool:
-    """True iff g is a star K_{1,n-1} (order >= 2), or K_1."""
-    if g.n == 1:
-        return True
-    degs = g.degrees()
-    return sum(degs) == 2 * (g.n - 1) and max(degs) == g.n - 1 and g.is_connected()
-
-
-def is_clique_plus_isolated(g: Graph) -> bool:
-    """True iff g is a complete graph on >= 2 vertices plus isolated vertices."""
-    core = [v for v in range(g.n) if g.adj[v]]
-    if len(core) < 2:
-        return False
-    core_mask = mask_of(core)
-    return all(g.adj[v] == core_mask & ~(1 << v) for v in core)
+# -- the complement recognizer -------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -299,22 +273,14 @@ def recognize_zn2_complement_form(g: Graph
     # the complement's universal vertices are g's isolated ones; cut off
     # into components of their own, they leave the complement of g on the
     # rest, whose rows these are
-    universal = mask_of(v for v, row in enumerate(g.adj) if not row)
+    universal = g.isolated_vertices()
     rest = g.full & ~universal
     inner = [rest & ~row & ~(1 << v) for v, row in enumerate(g.adj)]
 
     complete_sizes: list[int] = []
     bipartite: list[tuple[int, int]] = []
     pooled_empty = 0
-    while rest:
-        comp = todo = rest & -rest
-        while todo:  # the component of rest's least vertex, by a work list
-            low = todo & -todo
-            todo ^= low
-            grown = inner[low.bit_length() - 1] & ~comp
-            comp |= grown
-            todo |= grown
-        rest &= ~comp
+    for comp in components(inner, rest):
         size = comp.bit_count()
         if size == 1:
             pooled_empty += 1
@@ -430,9 +396,9 @@ def _extreme_n(f):
 def _extreme_n_minus_1(f):
     if f.n < 2:
         return ""
-    # is_clique_plus_isolated off the record: the Delta + 1 vertices with an
-    # edge all reach degree Delta iff the degrees sum to Delta(Delta + 1),
-    # and then each sees every other one
+    # a clique on >= 2 vertices plus isolated ones, off the record: the
+    # Delta + 1 vertices with an edge all reach degree Delta iff the degrees
+    # sum to Delta(Delta + 1), and then each sees every other one
     dmax = f.max_degree
     shape = dmax > 0 and f.n - f.isolated == dmax + 1 and 2 * f.size == dmax * (dmax + 1)
     flags = [f.values[p] == f.n - 1 for p in ("zir", "Z", "Zbar", "ZIR")]
@@ -459,8 +425,8 @@ def _z_n_minus_2_form(f):
 
 
 def _zir1(f):
-    # is_path_graph or is_star_graph off the record: a tree, as both are,
-    # is a path iff Delta <= 2 and a star iff Delta = n - 1
+    # a path or a star, off the record: a tree, as both are, is a path iff
+    # Delta <= 2 and a star iff Delta = n - 1
     shape = f.connected and f.size == f.n - 1 and (f.max_degree <= 2
                                                     or f.max_degree == f.n - 1)
     zir_lower = f.values["zir"]
@@ -511,13 +477,11 @@ def _cut_vertex(f):
     g = f.graph
     best: tuple[int, int] | None = None  # (required lower bound, cut vertex)
     for c in range(g.n):
-        sub = g.induced(g.full & ~(1 << c))
-        comps = sub.components()
+        comps = list(components(g.adj, g.full & ~(1 << c)))
         if len(comps) < 3:
             continue
-        values = sorted((upper_zir_number(sub.induced(comp))[0] for comp in comps),
-                        reverse=True)
-        bound = sum(values[:-1])
+        values = [upper_zir_number(g.induced(comp))[0] for comp in comps]
+        bound = sum(values) - min(values)
         if best is None or bound > best[0]:
             best = (bound, c)
     if best is None:
@@ -618,6 +582,8 @@ CHECKS = BOUND_CHECKS + CHARACTERIZATION_CHECKS
 
 def _run_checks(checks: tuple[Check, ...], profile: ParamProfile,
                 spec: FamilySpec | None) -> list[CheckReport]:
+    if profile.omitted:
+        return []  # past the solver budget, and every check reads a solver fact
     profile.product = None
     if spec is not None and spec.kind in ("join", "corona"):
         profile.product = (spec.kind, generate(spec.parts[0]), generate(spec.parts[1]))

@@ -41,7 +41,7 @@ Each order is sharded over the classes of the order below; one loop folds
 the shard results in shard order, so the output is identical for any
 thread count.  A shard keeps integer counts and a list of violating
 classes per check.  The default budget is order ``SURVEY_DEFAULT_MAX_ORDER``
-(6) and the override's ``SURVEY_HARD_MAX_ORDER`` (8).  The orders within
+(6) and the override's ``SURVEY_HARD_MAX_ORDER`` (9).  The orders within
 the default budget run in process at any thread count; more than one
 thread starts a worker pool for the orders past it.
 """
@@ -61,10 +61,9 @@ from .graphs import (Graph, _least_orders, _twin_masks, adj_from_edge_mask, bit_
 from .profiles import CHECKS, Check, CheckReport, Facts
 
 SURVEY_DEFAULT_MAX_ORDER = 6
-SURVEY_HARD_MAX_ORDER = 8
+SURVEY_HARD_MAX_ORDER = 9
 EXACT_PARAMS_MAX_ORDER = 22
-_COUNTEREXAMPLE_CAP = 3
-_LEADER_EXAMPLE_CAP = 3
+_EXAMPLE_CAP = 3  # the examples of one report row
 
 
 @dataclass
@@ -382,7 +381,7 @@ def survey(max_order: int,
     for n in orders:
         for check, (checked, violations, classes) in tallies[n].items():
             examples = []
-            for g in _first_labelings(n, classes, dedup, _COUNTEREXAMPLE_CAP, at):
+            for g in _first_labelings(n, classes, dedup, _EXAMPLE_CAP, at):
                 ok, detail, *_ = _CHECKS[check].evaluate(_GraphData(g))
                 if ok:
                     raise AssertionError(f"check {check} passes a labeling of a failing class")
@@ -390,7 +389,7 @@ def survey(max_order: int,
             tallies[n][check] = (checked, violations, examples)
         value, classes = leaders[n]
         leaders[n] = (value, [to_graph6(g) for g in
-                              _first_labelings(n, classes, dedup, _LEADER_EXAMPLE_CAP, at)])
+                              _first_labelings(n, classes, dedup, _EXAMPLE_CAP, at)])
     return _report(SurveyReport(max_order=max_order, connected_only=connected_only,
                                 dedup=dedup, checks=checks), tallies, leaders)
 

@@ -16,11 +16,12 @@ names, the annotations and the bit iterator differ), which visit every
 vertex order that ties for the least mask.
 
 ``reference_minimal_zfs_equivalence``, ``reference_complement_dominating``,
-``reference_twins``, ``reference_abandons`` and
-``reference_zn2_complement_form`` are the package's checks and complement
-recognizer from before they became whole-int operations on the subset
-tables and adjacency rows: they walk lists of sets and build graphs, and
-read the same facts record as the checks they mirror.
+``reference_abandons`` and ``reference_zn2_complement_form`` are the
+package's checks and complement recognizer from before they became
+whole-int operations on the subset tables and adjacency rows: they walk
+lists of sets and build graphs, and read the same facts record as the
+checks they mirror; ``reference_twins`` finds the twin classes pair by
+pair.
 """
 
 from __future__ import annotations
@@ -251,6 +252,13 @@ def least_labeled_mask(n: int, edges) -> int:
                for p in permutations(range(n)))
 
 
+def least_labelings(adj, cap):
+    """The ``cap`` least distinct edge masks over all relabelings of a graph,
+    by the package's ``graphs._least_orders`` over one cell."""
+    from zirkit.graphs import _least_orders
+    return [mask for mask, _, _ in _least_orders(adj, [list(range(len(adj)))], cap)]
+
+
 def reference_equitable_cells(adj):
     """The coarsest equitable partition refining the degree partition, as
     cells ordered by invariant signatures.
@@ -430,10 +438,18 @@ def reference_complement_dominating(d):
     return True, ""
 
 
+def reference_twin_classes(adj):
+    """The twin classes of two or more vertices by least vertex, from the
+    definition: u and v are twins iff N(u) - v = N(v) - u."""
+    n = len(adj)
+    return [list(c) for c in dict.fromkeys(
+        tuple(v for v in range(n) if adj[u] & ~(1 << v) == adj[v] & ~(1 << u))
+        for u in range(n)) if len(c) >= 2]
+
+
 def reference_twins(d):
-    """``twins`` over ``graphs.twin_classes``."""
-    from zirkit.graphs import twin_classes
-    classes = [c for c in twin_classes(d.graph) if len(c) >= 2]
+    """``twins`` over ``reference_twin_classes``."""
+    classes = reference_twin_classes(d.graph.adj)
     if not classes:
         return ""
     for cls in classes:
@@ -442,21 +458,45 @@ def reference_twins(d):
         for name, witness in (("Z", d.z_witness), ("Zbar", d.zbar_witness)):
             if (witness & cls_mask).bit_count() < need:
                 return False, (f"{name} witness {bits_of(witness)} has fewer than "
-                               f"{need} of twin class {list(cls)}")
+                               f"{need} of twin class {cls}")
     return True, ""
 
 
+def is_path_graph(g) -> bool:
+    """True iff g is a path (any order >= 1)."""
+    if g.n == 1:
+        return True
+    degs = g.degrees()
+    return (sum(degs) == 2 * (g.n - 1) and degs.count(1) == 2 and max(degs) <= 2
+            and g.is_connected())
+
+
+def is_star_graph(g) -> bool:
+    """True iff g is a star K_{1,n-1} (order >= 2), or K_1."""
+    if g.n == 1:
+        return True
+    degs = g.degrees()
+    return sum(degs) == 2 * (g.n - 1) and max(degs) == g.n - 1 and g.is_connected()
+
+
+def is_clique_plus_isolated(g) -> bool:
+    """True iff g is a complete graph on >= 2 vertices plus isolated vertices."""
+    core = [v for v in range(g.n) if g.adj[v]]
+    if len(core) < 2:
+        return False
+    core_mask = sum(1 << v for v in core)
+    return all(g.adj[v] == core_mask & ~(1 << v) for v in core)
+
+
 def reference_zir1(f):
-    """``zir1-characterization`` by the public path and star recognizers."""
-    from zirkit.profiles import is_path_graph, is_star_graph
+    """``zir1-characterization`` by the path and star recognizers."""
     shape = is_path_graph(f.graph) or is_star_graph(f.graph)
     zir_lower = f.values["zir"]
     return (zir_lower == 1) == shape, f"zir={zir_lower} path-or-star={shape}"
 
 
 def reference_extreme_n_minus_1(f):
-    """``extreme-n-minus-1`` by the public clique-plus-isolated recognizer."""
-    from zirkit.profiles import is_clique_plus_isolated
+    """``extreme-n-minus-1`` by the clique-plus-isolated recognizer."""
     if f.n < 2:
         return ""
     shape = is_clique_plus_isolated(f.graph)

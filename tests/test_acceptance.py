@@ -19,8 +19,7 @@ import pytest
 
 from zirkit.families import generate
 from zirkit.forcing import ClosureCache, closure, is_fort, is_zero_forcing_set
-from zirkit.graphs import (Graph, adj_from_edge_mask, bits, edge_slots,
-                           mask_of)
+from zirkit.graphs import Graph, bits, enumerate_labeled_graphs, mask_of
 from zirkit.irredundance import (graph_abandons_fort, is_maximal_zir_set,
                                  upper_zir_number)
 from zirkit.profiles import parameter_profile
@@ -130,22 +129,10 @@ def test_criterion_2_oracle_equivalence_exhaustive_small():
     checked = 0
     disagreements = 0
     for n in range(1, 7):
-        slots = edge_slots(n)
-        for mask in range(1 << len(slots)):
-            adj = adj_from_edge_mask(n, mask, slots)
-            comp = 1
-            while True:
-                grow = comp
-                for v in bits(comp):
-                    grow |= adj[v]
-                if grow == comp:
-                    break
-                comp = grow
-            if comp != (1 << n) - 1:
-                continue
-            disagreements += _oracle_disagreements(n, adj)
+        for g in enumerate_labeled_graphs(n, connected_only=True):
+            disagreements += _oracle_disagreements(n, g.adj)
             checked += 1
-    ok = disagreements == 0
+    ok = disagreements == 0 and checked == 27476  # OEIS A001187, summed
     _emit("criterion 2: oracle equivalence, connected n <= 6", ok,
           f"{checked} graphs, {disagreements} disagreements")
     assert ok

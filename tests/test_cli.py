@@ -3,9 +3,9 @@ import json
 import pytest
 
 import zirkit
-from zirkit import cli
+from zirkit import cli, profiles
 from zirkit.cli import main
-from zirkit.profiles import CheckReport
+from zirkit.profiles import PARAM_NAMES, CheckReport
 
 
 def run_cli(capsys, *argv):
@@ -303,6 +303,15 @@ def test_max_order_below_one_exit_two(capsys, argv, order):
     assert err == f"zirkit {argv[0]}: max order must be at least 1, got {order}\n"
 
 
+def test_omitted_profile_runs_no_solver(capsys, monkeypatch):
+    # past --max-order no check runs, since each one reads a solver fact
+    monkeypatch.delattr(profiles, "maximal_zir_sets")  # a call raises NameError
+    code, out, err = run_cli(capsys, "compute", "--family", "cycle:6", "--max-order", "5",
+                             "--check-bounds")
+    [row] = [json.loads(line) for line in out.splitlines()]
+    assert code == 0 and not err and row["omitted"] == list(PARAM_NAMES) and "zir" not in row
+
+
 def test_infinite_time_limit_is_no_limit(capsys):
     code, _, _ = run_cli(capsys, "compute", "--graph6", "D?{", "--time-limit", "inf")
     assert code == 0
@@ -358,6 +367,10 @@ def test_convert_edge_list_past_graph6_order(capsys, tmp_path):
     (["compute", "--family", "path:" + "9" * 5000], None),  # past int()'s digit limit
     (["compute", "--graph6", "A_", "--params", ""], None),
     (["compute", "--graph6", "A_", "--params", ","], None),
+    (["survey", "--order", "0"], None),
+    (["convert", "--to", "graph6", "--edges", "{file}"], ""),
+    (["compute", "--family", "join"], None),
+    (["forts", "--family", "path:21"], None),  # past fort enumeration's budget
 ])
 def test_bad_input_exit_two_without_traceback(capsys, tmp_path, argv, edges):
     path = tmp_path / "graph.edges"

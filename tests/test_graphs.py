@@ -4,16 +4,18 @@ from math import factorial
 import pytest
 
 from zirkit.errors import BudgetError, SizeCapError
-from zirkit.families import (complete_graph, cycle_graph, empty_graph,
-                             fig5_graph, necklace_graph, path_graph, star_graph)
+from zirkit.families import (complete_bipartite_graph, complete_graph, cycle_graph,
+                             empty_graph, fig5_graph, necklace_graph, path_graph,
+                             star_graph)
 from zirkit import graphs
 from zirkit.graphs import (Graph, _equitable_cells, _hood_twins, _least_orders, _twin_masks,
-                           canonical_children, complement, corona, disjoint_union,
-                           edge_slots, enumerate_labeled_graphs, join, least_labelings,
-                           mask_of, twin_classes)
+                           bit_list, canonical_children, complement, components, corona,
+                           disjoint_union, edge_slots, enumerate_labeled_graphs, join,
+                           mask_of)
 
-from oracles import (every_hood, random_adj, reference_equitable_cells,
-                     reference_least_orders, unpruned_canonical_children)
+from oracles import (every_hood, least_labelings, random_adj, reference_equitable_cells,
+                     reference_least_orders, reference_twin_classes,
+                     unpruned_canonical_children)
 
 
 def test_graph_rejects_loops_and_bad_edges():
@@ -230,28 +232,19 @@ def test_components_and_connectivity():
     assert not u.is_connected()
     assert cycle_graph(5).is_connected()
     assert u.induced(0b11100) == cycle_graph(3)
+    assert list(components(path_graph(5).adj, 0b11011)) == [0b00011, 0b11000]
 
 
-def test_twin_classes_partite_sets():
-    from zirkit.families import complete_bipartite_graph
-    classes = twin_classes(complete_bipartite_graph(2, 3))
-    assert classes == [(0, 1), (2, 3, 4)]
+def test_twin_classes_partition_every_vertex(rng):
+    # each vertex's class holds it, and those of two or more are the
+    # definition's: K2,3's sides, a necklace's (b_i, d_i) pairs, P3's ends
+    def classes(adj):
+        return [bit_list(m) for m in dict.fromkeys(_twin_masks(adj)) if m & (m - 1)]
 
-
-def test_twin_classes_necklace_pairs():
-    classes = twin_classes(necklace_graph(3))
-    pairs = [c for c in classes if len(c) == 2]
-    assert pairs == [(1, 3), (5, 7), (9, 11)]  # the (b_i, d_i) pairs
-
-
-def test_twin_classes_path_singletons():
-    assert twin_classes(path_graph(4)) == [(0,), (1,), (2,), (3,)]
-    part = twin_classes(path_graph(3))
-    assert (0, 2) in part and (1,) in part
-
-
-def test_twin_classes_partition_every_vertex():
-    for g in (fig5_graph(), necklace_graph(2), cycle_graph(6)):
-        classes = twin_classes(g)
-        seen = sorted(v for cls in classes for v in cls)
-        assert seen == list(range(g.n))
+    assert classes(complete_bipartite_graph(2, 3).adj) == [[0, 1], [2, 3, 4]]
+    assert classes(necklace_graph(3).adj) == [[1, 3], [5, 7], [9, 11]]
+    assert classes(path_graph(3).adj) == [[0, 2]] and classes(path_graph(4).adj) == []
+    for _ in range(200):
+        adj = random_adj(rng.randint(1, 7), rng)
+        assert all(t >> v & 1 for v, t in enumerate(_twin_masks(adj))), adj
+        assert classes(adj) == reference_twin_classes(adj), adj

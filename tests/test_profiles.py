@@ -13,12 +13,11 @@ from zirkit.graphs import Graph, bit_list, disjoint_union, mask_of, parse_graph6
 from zirkit.irredundance import (is_maximal_zir_set, lower_zir_number,
                                  maximal_zir_sets, upper_zero_forcing_number,
                                  upper_zir_number)
-from zirkit.profiles import (check_bounds, check_characterizations,
-                             is_clique_plus_isolated, is_path_graph,
-                             is_star_graph, parameter_profile,
+from zirkit.profiles import (check_bounds, check_characterizations, parameter_profile,
                              recognize_zn2_complement_form)
 
-from oracles import _is_k_dominating, random_adj
+from oracles import (_is_k_dominating, is_clique_plus_isolated, is_path_graph,
+                     is_star_graph, random_adj)
 
 
 def _values(expr, params=("zir", "Z", "Zbar", "ZIR")):

@@ -1,6 +1,7 @@
 import concurrent.futures
 import hashlib
 import importlib
+import json
 import random
 import time
 from math import factorial
@@ -11,14 +12,13 @@ from hypothesis import given, settings, strategies as st
 from zirkit.cli import main
 from zirkit.errors import BudgetError, PreconditionError
 from zirkit.families import generate
-from zirkit.graphs import (Graph, bit_list, bits, canonical_children, edge_slots,
-                           least_labelings, parse_graph6)
+from zirkit.graphs import Graph, bit_list, bits, canonical_children, edge_slots, parse_graph6
 from zirkit.profiles import CHECKS, Check, parameter_profile
 from zirkit.survey import (_CHECKS, ALL_CHECKS, SCAN_CHECKS, _first_labelings, _GraphData,
                            exact_params, survey)
 
 from oracles import (brute_closure, brute_domination, brute_independence,
-                     brute_power_domination, labeled_survey, random_adj,
+                     brute_power_domination, labeled_survey, least_labelings, random_adj,
                      reference_abandons, reference_complement_dominating,
                      reference_extreme_n_minus_1, reference_minimal_zfs_equivalence,
                      reference_twins, reference_zir1, reference_zn2_complement_form,
@@ -40,16 +40,16 @@ def test_survey_budget_enforced():
     with pytest.raises(BudgetError):
         survey(7)
     with pytest.raises(BudgetError):
-        survey(9, override_budget=True)
+        survey(10, override_budget=True)
 
 
 def test_budget_hint_reads_the_hard_cap(monkeypatch):
     # the hint names the cap the override allows, so raising the cap is a
     # one-constant edit
-    with pytest.raises(BudgetError, match=r"budget of 6 \(pass the override to allow 8\)$"):
-        survey(7)
-    monkeypatch.setattr(survey_module, "SURVEY_HARD_MAX_ORDER", 9)
     with pytest.raises(BudgetError, match=r"budget of 6 \(pass the override to allow 9\)$"):
+        survey(7)
+    monkeypatch.setattr(survey_module, "SURVEY_HARD_MAX_ORDER", 10)
+    with pytest.raises(BudgetError, match=r"budget of 6 \(pass the override to allow 10\)$"):
         survey(7)
 
 
@@ -126,13 +126,16 @@ def test_top_order_shards_return_no_children(monkeypatch):
 
 
 @pytest.mark.slow
+@pytest.mark.parametrize("order,digest", [
+    ("8", "94bb72821a04ab1ead4eda46925e6344fb16b26498b03dfdeeb1345a278b9e0c"),
+    ("9", "0f37c9aab06761d12e62cdb69cd163686d599a7960a9411f3ada2baf93bcadcd"),
+])
 @pytest.mark.parametrize("threads", ["1", "2"])
-def test_order_8_survey_stream_is_pinned(capsys, threads):
-    # the order-8 survey at the override's cap: about 4 s at one thread and
-    # 3 s at two on 2 cores
-    main(["survey", "--order", "8", "--override-budget", "--threads", threads])
-    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == \
-        "94bb72821a04ab1ead4eda46925e6344fb16b26498b03dfdeeb1345a278b9e0c"
+def test_override_survey_stream_is_pinned(capsys, order, digest, threads):
+    # the override's top two orders; on 2 cores order 8 takes 2-4 s at one
+    # thread and at two, order 9 about 90 s at one and 46 s at two
+    main(["survey", "--order", order, "--override-budget", "--threads", threads])
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_survey_pool_time_limit():
@@ -156,20 +159,35 @@ def test_survey_time_limit_holds_at_any_thread_count(threads):
 PLANTED = ("D^w", "D~w", "D?C", "D_C")
 
 
-def test_survey_folds_examples_across_shards(monkeypatch):
+def plant(monkeypatch, name):
     # the planted check fails every labeling of four classes, so its
     # verdict is isomorphism-invariant as the class walk requires
     def key(g):
         return g.n, least_labelings(g.adj, 1)[0]
 
     keys = {key(parse_graph6(g6)) for g6 in PLANTED}
-    planted = Check("chain", (), lambda d: (key(d.graph) not in keys, "planted"), "chain")
-    monkeypatch.setitem(_CHECKS, "chain", planted)
+    planted = Check(name, (), lambda d: (key(d.graph) not in keys, "planted"), name)
+    monkeypatch.setitem(_CHECKS, name, planted)
+
+
+def test_survey_folds_examples_across_shards(monkeypatch):
+    plant(monkeypatch, "chain")
     report = survey(5, checks=("chain",))
     row = next(r for r in report.reports if (r.check, r.scope) == ("chain", "order 5"))
     assert row.status == "fail" and len(row.counterexample["examples"]) == 3
     assert report.to_json_lines() == labeled_survey(5, ("chain",)).to_json_lines()
     assert survey(5, checks=("chain",), threads=2).to_json_lines() == report.to_json_lines()
+
+
+def test_survey_reports_scan_counterexamples_as_findings(monkeypatch, capsys):
+    # a question scan's counterexample is a finding: exit 0, counted on stderr
+    plant(monkeypatch, "gammaP-vs-zir")
+    assert main(["survey", "--order", "5", "--checks", "gammaP-vs-zir"]) == 0
+    out, err = capsys.readouterr()
+    scans = {r["scope"]: r["status"] for r in map(json.loads, out.splitlines())
+             if r["check"] == "gammaP-vs-zir"}
+    assert scans == {f"order {n}": "pass" for n in range(1, 5)} | {"order 5": "finding"}
+    assert err.splitlines()[-1] == "survey: 1 finding(s) -- counterexamples above"
 
 
 @pytest.mark.parametrize("connected_only,dedup",
