@@ -235,16 +235,33 @@ def test_components_and_connectivity():
     assert list(components(path_graph(5).adj, 0b11011)) == [0b00011, 0b11000]
 
 
-def test_twin_classes_partition_every_vertex(rng):
-    # each vertex's class holds it, and those of two or more are the
-    # definition's: K2,3's sides, a necklace's (b_i, d_i) pairs, P3's ends
-    def classes(adj):
-        return [bit_list(m) for m in dict.fromkeys(_twin_masks(adj)) if m & (m - 1)]
+def twin_parts(adj):
+    """The twin classes of ``adj`` from ``_twin_masks``, in order of least vertex."""
+    return [tuple(bit_list(m)) for m in dict.fromkeys(_twin_masks(adj))]
 
-    assert classes(complete_bipartite_graph(2, 3).adj) == [[0, 1], [2, 3, 4]]
-    assert classes(necklace_graph(3).adj) == [[1, 3], [5, 7], [9, 11]]
-    assert classes(path_graph(3).adj) == [[0, 2]] and classes(path_graph(4).adj) == []
+
+def test_twin_classes_partite_sets():
+    assert twin_parts(complete_bipartite_graph(2, 3).adj) == [(0, 1), (2, 3, 4)]
+
+
+def test_twin_classes_necklace_pairs():
+    pairs = [c for c in twin_parts(necklace_graph(3).adj) if len(c) == 2]
+    assert pairs == [(1, 3), (5, 7), (9, 11)]  # the (b_i, d_i) pairs
+
+
+def test_twin_classes_path_singletons():
+    assert twin_parts(path_graph(4).adj) == [(0,), (1,), (2,), (3,)]
+    part = twin_parts(path_graph(3).adj)
+    assert (0, 2) in part and (1,) in part
+
+
+def test_twin_classes_partition_every_vertex(rng):
+    # each vertex's class holds it, the classes partition the vertices, and
+    # those of two or more are the definition's
+    for g in (fig5_graph(), necklace_graph(2), cycle_graph(6)):
+        assert sorted(v for c in twin_parts(g.adj) for v in c) == list(range(g.n))
     for _ in range(200):
         adj = random_adj(rng.randint(1, 7), rng)
         assert all(t >> v & 1 for v, t in enumerate(_twin_masks(adj))), adj
-        assert classes(adj) == reference_twin_classes(adj), adj
+        classes = [list(c) for c in twin_parts(adj) if len(c) > 1]
+        assert classes == reference_twin_classes(adj), adj
