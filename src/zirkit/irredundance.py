@@ -18,10 +18,11 @@ fast path is gated by an independent oracle rather than assumed.
 Every search grows ZIr-sets one vertex at a time with ``_grow``, which
 carries the closure of the set and of each member's remainder, so adding a
 vertex recloses each member's remainder closure with it: a closed set plus
-the new vertex, by the seeded kernel behind ``ClosureCache.add``.  The
-fixed-size search ``_first_zir_set`` serves ZIR (climbing from the empty
-set), Zbar and abandonment; one lexicographic walk over the ZIr-sets
-(``_maximal_walk``) gives zir and the list of maximal ZIr-sets.
+the new vertex, by the seeded kernel behind ``ClosureCache.add``.  Two
+lexicographic walks over the ZIr-sets serve every solver: one
+(``_largest_zir_set``) keeps the first largest set whose closure a test
+accepts, for ZIR (any), Zbar (V, without reading ZIR) and abandonment (not
+V); the other (``_maximal_walk``) gives zir and the maximal ZIr-sets.
 ``is_zir_set`` and ``is_maximal_zir_set`` stay on the plain definition, and
 the tests re-verify witnesses through them.
 
@@ -118,40 +119,23 @@ def _certify(g: Graph, members: int, cache: ClosureCache) -> int:
 
 
 def upper_zir_number(g: Graph, cache: ClosureCache | None = None) -> tuple[int, int]:
-    """ZIR(G): maximum size of a ZIr-set, with its witness mask.
-
-    Climbs from the empty set: the lexicographically first ZIr-set one
-    larger replaces the last until there is none; by heredity there is then
-    none larger either.  Any ZIr-set of maximum size is automatically
-    maximal.
-    """
+    """ZIR(G): maximum size of a ZIr-set, with the lexicographically first
+    such set as witness mask; it is automatically maximal."""
     cache = cache or ClosureCache(g)
-    best = 0
-    verts = bit_list(g.full)
-    while (got := _first_zir_set(best.bit_count() + 1, cache, None, verts)) is not None:
-        best = got
+    best = _largest_zir_set(cache, None, bit_list(g.full))
     return best.bit_count(), _certify(g, best, cache)
 
 
-def upper_zero_forcing_number(g: Graph, cache: ClosureCache | None = None,
-                              upper: int | None = None) -> tuple[int, int]:
+def upper_zero_forcing_number(g: Graph, cache: ClosureCache | None = None) -> tuple[int, int]:
     """Zbar(G): maximum size of a minimal zero forcing set, with its first witness.
 
     The minimal zero forcing sets are exactly the ZIr-sets that force: when
     s forces, a fort avoiding s - {x} contains x and is private to it.  So
-    Zbar <= ZIR, and the sizes descend from ``upper`` (a known upper bound
-    on Zbar) or else from ZIR(G), solved on the same cache; the first
-    forcing ZIr-set found, lexicographically first within its size, is
-    returned.  No size above a valid bound holds a minimal zero forcing set,
-    so the witness is the same from either start.
+    the witness is the first largest ZIr-set whose closure is V.
     """
     cache = cache or ClosureCache(g)
-    verts = bit_list(g.full)
-    for k in range(upper_zir_number(g, cache)[0] if upper is None else upper, 0, -1):
-        got = _first_zir_set(k, cache, lambda cl: cl == g.full, verts)
-        if got is not None:
-            return k, got
-    raise AssertionError("every graph of order >= 1 has a minimal zero forcing set")
+    got = _largest_zir_set(cache, lambda cl: cl == g.full, bit_list(g.full))
+    return got.bit_count(), got
 
 
 _Members = tuple[tuple[int, int], ...]
@@ -180,29 +164,32 @@ def _grow(ct: int, members: _Members, w: int, add: Callable[[int, int], int]
     return add(ct, w), tuple(grown)
 
 
-def _first_zir_set(k: int, cache: ClosureCache, accept: Callable[[int], bool] | None,
-                   verts: list[int], s: int = 0, cs: int = 0, members: _Members = (),
-                   start: int = 0) -> int | None:
-    """The lexicographically first ZIr-set that adds k of ``verts[start:]``
-    to the ZIr-set s and whose closure ``accept`` takes (any, for None), or
-    None.  cs = cl(s), and ``members`` holds s's member closures.
+def _largest_zir_set(cache: ClosureCache, accept: Callable[[int], bool] | None,
+                     verts: list[int], s: int = 0, cs: int = 0, members: _Members = (),
+                     start: int = 0, best: int | None = None) -> int | None:
+    """The lexicographically first largest ZIr-set that adds only bits of
+    ``verts[start:]`` to the ZIr-set s and whose closure ``accept`` takes
+    (any, for None), or ``best`` when none is larger.  cs = cl(s), and
+    ``members`` holds s's member closures.
 
-    Each candidate is tested by ``_grow`` when it is reached, and only ZIr
-    prefixes are extended, which is valid pruning by heredity.  Plain
-    recursion, not a nested closure, so no reference cycle keeps ``cache``
-    alive after the search.
+    Depth first in lexicographic order, extending only ZIr prefixes
+    (heredity); ``best`` is replaced only by a strictly larger set, so it
+    stays the first of its size, and a prefix stops once the vertices left
+    cannot beat it.  Plain recursion, not a nested closure, so no reference
+    cycle keeps ``cache`` alive after the walk.
     """
-    if k == 0:
-        return s if accept is None or accept(cs) else None
+    size = len(members)
+    if (best is None or size > best.bit_count()) and (accept is None or accept(cs)):
+        best = s
     add = cache.add
-    for i in range(start, len(verts) - k + 1):
+    for i in range(start, len(verts)):
+        if best is not None and size + len(verts) - i <= best.bit_count():
+            break
         w = 1 << verts[i]
         grown = _grow(cs, members, w, add)
         if grown is not None:
-            got = _first_zir_set(k - 1, cache, accept, verts, s | w, *grown, i + 1)
-            if got is not None:
-                return got
-    return None
+            best = _largest_zir_set(cache, accept, verts, s | w, *grown, i + 1, best)
+    return best
 
 
 def _cannot_stay_maximal(adj: tuple[int, ...], t: int, cand: int, r: int) -> bool:
@@ -267,7 +254,7 @@ def _maximal_walk(cache: ClosureCache, t: int, ct: int, members: _Members,
     addable to every set below t + w with at most r members more, so none
     of them is maximal, and w is skipped without a closure.  Only when no
     candidate grew are the skipped ones grown, to decide whether t itself
-    is maximal.  Plain recursion, like ``_first_zir_set``.
+    is maximal.  Plain recursion, like ``_largest_zir_set``.
     """
     add = cache.add
     size = len(members)
@@ -334,12 +321,11 @@ def graph_abandons_fort(g: Graph, cache: ClosureCache | None = None
     zero forcing set and the largest fort it abandons, or None when every
     maximum-size ZIr-set forces.
 
-    Scans every ZIr-set of size ZIR(G) in lexicographic order.
+    The first largest ZIr-set whose closure is not V, kept at size ZIR(G).
     """
     cache = cache or ClosureCache(g)
-    target, _ = upper_zir_number(g, cache)
-    found = _first_zir_set(target, cache, lambda cl: cl != g.full, bit_list(g.full))
-    if found is None:
+    found = _largest_zir_set(cache, lambda cl: cl != g.full, bit_list(g.full))
+    if found is None or found.bit_count() < upper_zir_number(g, cache)[0]:
         return None
     fort = max_fort_avoiding(g, found, cache)
     if fort is None:

@@ -29,17 +29,17 @@ from .errors import PreconditionError, check_deadline
 from .families import FamilySpec, generate
 from .forcing import ClosureCache, close_all_subsets, subset_tables, zero_forcing_number
 from .graphs import Graph, bit_list, bits, components, join as join_graph, to_graph6
-from .irredundance import (_first_zir_set, lower_zir_number, maximal_zir_sets,
+from .irredundance import (_largest_zir_set, lower_zir_number, maximal_zir_sets,
                            upper_zero_forcing_number, upper_zir_number)
 
 PARAM_NAMES = ("zir", "Z", "Zbar", "ZIR", "gamma", "gamma2", "alpha", "gammaP")
 # parameter -> solver(g, cache, values so far) -> (value, witness mask), in
-# the order parameter_profile solves them: each chain solver after its bound
+# the order parameter_profile solves them; only Z reads one, zir
 _SOLVERS: dict[str, Callable[[Graph, ClosureCache, dict[str, int]], tuple[int, int]]] = {
     "zir": lambda g, cache, values: lower_zir_number(g, cache),
     "Z": lambda g, cache, values: zero_forcing_number(g, cache, values.get("zir", 0)),
+    "Zbar": lambda g, cache, values: upper_zero_forcing_number(g, cache),
     "ZIR": lambda g, cache, values: upper_zir_number(g, cache),
-    "Zbar": lambda g, cache, values: upper_zero_forcing_number(g, cache, values.get("ZIR")),
     "gamma": lambda g, cache, values: k_domination_number(g, 1),
     "gamma2": lambda g, cache, values: k_domination_number(g, 2),
     "alpha": lambda g, cache, values: independence_number(g),
@@ -203,17 +203,17 @@ def parameter_profile(g: Graph, params: tuple[str, ...] | None = None,
     parameters are listed in ``omitted`` instead of silently running an
     open-ended search; ``max_order`` below 1 is a ``PreconditionError``.
     The profile keeps ``g`` and the closure memo its solvers filled, and
-    ``check_bounds`` and ``check_characterizations`` read both off it.  ``at`` is an ``errors.deadline`` reading, checked
-    before each parameter.
+    ``check_bounds`` and ``check_characterizations`` read both off it.
+    ``at`` is an ``errors.deadline`` reading, checked before each parameter.
 
     The solvers run in the order of ``_SOLVERS``, along the paper's chain
-    zir <= Z <= Zbar <= ZIR: Z's scan starts at zir (a minimum zero forcing
-    set is a ZIr-set, and a ZIr-set that forces is maximal), and Zbar's
-    descent starts at ZIR (every minimal zero forcing set is a ZIr-set),
-    whenever that neighbour was requested too.  Either start skips only
-    sizes that hold no candidate, so values and witnesses are the same as
-    from the solvers alone; ``values`` and ``witnesses`` keep the requested
-    order, and ``ParamProfile.to_dict`` decides whether witnesses print.
+    zir <= Z <= Zbar <= ZIR.  Z's scan starts at zir when zir was requested
+    too (a minimum zero forcing set is a ZIr-set, and a ZIr-set that forces
+    is maximal); that start skips only sizes that hold no candidate, so
+    values and witnesses are the same as from the solvers alone.  No other
+    solver reads a value, so the ``chain`` check tests Z <= Zbar <= ZIR
+    independently.  ``values`` and ``witnesses`` keep the requested order,
+    and ``ParamProfile.to_dict`` decides whether witnesses print.
     """
     if max_order < 1:
         raise PreconditionError(f"max order must be at least 1, got {max_order}")
@@ -452,11 +452,11 @@ def _leaf_zir_set(f):
     kind, h, attached = f.product or ("", None, None)
     applies = (kind == "corona" and attached.n >= 2 and not attached.size()
                and h.is_connected() and h.n >= 3)
-    if not applies or "ZIR" not in f.values:
+    if not applies:
         return "needs corona(H, empty:t) with connected H of order >= 3 and t >= 2"
     g, target = f.graph, f.values["ZIR"]
     leaves = [v for v in range(g.n) if g.degree(v) == 1]
-    ok = _first_zir_set(target, f.cache, None, leaves) is not None
+    ok = _largest_zir_set(f.cache, None, leaves).bit_count() == target
     return ok, f"all-leaf ZIr-set of size ZIR={target} exists={ok}"
 
 
@@ -574,7 +574,7 @@ CHARACTERIZATION_CHECKS = (
     Check("zir1-characterization", ("zir",), _zir1, "zir1-characterization"),
     Check("minimal-zfs-equivalence", (), _minimal_zfs_equivalence,
           "minimal-zfs-equivalence"),
-    Check("leaf-zir-set", (), _leaf_zir_set),
+    Check("leaf-zir-set", ("ZIR",), _leaf_zir_set),
     Check("abandonment-identity", ("Zbar", "ZIR"), _abandonment_identity, "abandonment"),
 )
 CHECKS = BOUND_CHECKS + CHARACTERIZATION_CHECKS

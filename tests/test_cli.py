@@ -65,6 +65,16 @@ def test_compute_check_bounds_flag(capsys):
     assert any(r["check"] == "chain" for r in check_rows)
 
 
+def test_compute_cut_vertex_row(capsys):
+    # the centre of F_3 cuts off three edges, each of ZIR 1
+    code, out, _ = run_cli(capsys, "compute", "--family", "friendship:3", "--check-bounds")
+    assert code == 0
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert [r for r in rows if r.get("check") == "cut-vertex"] == [
+        {"check": "cut-vertex", "detail": "ZIR=4 >= 2 (cut vertex 0)",
+         "scope": "friendship:3", "status": "pass"}]
+
+
 def test_compute_csv_names_failed_checks(capsys, monkeypatch):
     # CSV has no row for a check, so a failed one is named on stderr
     failing = CheckReport("chain", "D?{", "fail", "zir=1 Z=2 Zbar=1 ZIR=2")

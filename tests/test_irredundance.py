@@ -17,9 +17,10 @@ from zirkit.graphs import Graph, bit_list, bits, disjoint_union, join, mask_of
 from zirkit.irredundance import (_cannot_stay_maximal, _certify, _grow, abandons_fort,
                                  graph_abandons_fort, has_private_fort, is_maximal_zir_set,
                                  is_zir_set, lower_zir_number, maximal_zir_sets,
-                                 minimal_private_fort, upper_zir_number)
+                                 minimal_private_fort, upper_zero_forcing_number,
+                                 upper_zir_number)
 from zirkit.profiles import _SOLVERS, parameter_profile
-from zirkit.survey import exact_params
+from zirkit.survey import _GraphData, exact_params
 
 from oracles import (brute_closure, brute_forts, brute_zir_params, private_fort_exists,
                      random_adj)
@@ -170,6 +171,23 @@ def test_zir_reads_no_domination(monkeypatch):
         assert upper_zir_number(g)[0] == exact_params(g)["ZIR"], expr
 
 
+def test_zbar_reads_no_zir(monkeypatch):
+    # Zbar's walk takes no start from ZIR, so the chain check's Zbar <= ZIR
+    # compares two independent solves
+    def refuse(g, cache=None):
+        raise AssertionError("Zbar read ZIR")
+
+    monkeypatch.setattr(irredundance, "upper_zir_number", refuse)
+    for expr in ("path:6", "cycle:7", "h_rs:3,5", "complete:5", "friendship:3",
+                 "wheel:5", "fig3", "join(path:4,empty:2)"):
+        g = generate(expr)
+        want = exact_params(g)["Zbar"]
+        assert upper_zero_forcing_number(g)[0] == want, expr
+        assert parameter_profile(g, params=("Zbar",)).values["Zbar"] == want, expr
+        # a ZIR below Zbar among the values so far would cut a start short
+        assert _SOLVERS["Zbar"](g, ClosureCache(g), {"ZIR": 0})[0] == want, expr
+
+
 def test_zir_family_values():
     assert upper_zir_number(cycle_graph(6))[0] == 3
     assert upper_zir_number(cycle_graph(7))[0] == 3
@@ -304,6 +322,22 @@ def test_graph_abandons_fort():
         assert s.bit_count() == upper_zir_number(g)[0]
         assert is_fort(g, fort) and not fort & s
         assert not is_zero_forcing_set(g, s)
+
+
+def test_graph_abandons_fort_is_the_first_non_forcing_top_set(small_graphs):
+    # the set is the first ZIr-set of size ZIR in (size, lexicographic)
+    # order that does not force, by the definitions alone, and the fort the
+    # uncolored rest; there is one exactly when the table route says so
+    for g in small_graphs + _gnp_graphs(40, range(8, 12), 20261020):
+        cache = ClosureCache(g)
+        zir_sets = [s for s in range(g.full + 1) if is_zir_set(g, s, cache)]
+        top = max(s.bit_count() for s in zir_sets)
+        first = min((s for s in zir_sets if s.bit_count() == top
+                     and brute_closure(g.adj, s) != g.full), key=bit_list, default=None)
+        got = graph_abandons_fort(g)
+        assert (got is not None) == (first is not None) == _GraphData(g).abandons, g.adj
+        if got is not None:
+            assert got == (first, g.full & ~brute_closure(g.adj, first)), g.adj
 
 
 def test_abandonment_vs_not_forcing(small_graphs, rng):

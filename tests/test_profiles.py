@@ -15,6 +15,7 @@ from zirkit.irredundance import (is_maximal_zir_set, lower_zir_number,
                                  upper_zir_number)
 from zirkit.profiles import (check_bounds, check_characterizations, parameter_profile,
                              recognize_zn2_complement_form)
+from zirkit.survey import exact_params
 
 from oracles import (_is_k_dominating, is_clique_plus_isolated, is_path_graph,
                      is_star_graph, random_adj)
@@ -36,9 +37,9 @@ def test_profile_values_for_small_families():
 
 
 def test_chain_starts_keep_z_and_zbar():
-    # the profile starts Z's scan at zir and Zbar's descent at ZIR; zir = Z
+    # the profile starts Z's scan at zir, and Zbar reads no value; zir = Z
     # on C_7 and Zbar = ZIR on K_5 and the empty graph, so a start one size
-    # past either bound misses the value there
+    # past either bound would miss the value there
     rng = random.Random(20261019)
     graphs = [Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)
                         if rng.random() < p])
@@ -251,6 +252,32 @@ def test_cut_vertex_bound_three_components():
     profile = parameter_profile(g, params=("ZIR",), graph_id="pentasun")
     reports = {r.check: r for r in check_bounds(profile)}
     assert reports["cut-vertex"].status == "skip"
+
+
+def test_cut_vertex_bound_reads_each_component():
+    # removing vertex 0 leaves K_1, P_4 and K_4, whose ZIR differ, so the
+    # bound drops the least of three unequal values
+    g = parse_graph6("IpCK?CB?w")
+    pieces = [mask_of([1]), mask_of([2, 3, 4, 5]), mask_of([6, 7, 8, 9])]
+    assert sum(pieces) == g.full & ~1
+    assert all(g.adj[v] & ~(piece | 1) == 0 for piece in pieces for v in bit_list(piece))
+    assert all(g.induced(piece).is_connected() for piece in pieces)
+    values = [exact_params(g.induced(piece))["ZIR"] for piece in pieces]
+    assert values == [1, 2, 3]
+    profile = parameter_profile(g, params=("ZIR",))
+    reports = {r.check: r for r in check_bounds(profile)}
+    bound = sum(values) - min(values)
+    assert (reports["cut-vertex"].status, reports["cut-vertex"].detail) == (
+        "pass", f"ZIR={exact_params(g)['ZIR']} >= {bound} (cut vertex 0)")
+
+
+def test_leaf_zir_set_left_out_without_zir():
+    # a check whose value was not requested is left out, not skipped with a
+    # hypothesis the graph meets
+    expr = "corona(cycle:4,empty:2)"
+    profile = parameter_profile(generate(expr), params=("Z",), graph_id=expr)
+    reports = check_characterizations(profile, parse_family_expr(expr))
+    assert "leaf-zir-set" not in {r.check for r in reports}
 
 
 def test_characterizations_on_examples():
