@@ -342,30 +342,48 @@ def _equitable_cells(adj: Sequence[int], last: int | None = None) -> list[list[i
     cells ordered by invariant signatures; or None, when ``last`` is given,
     as soon as that vertex leaves the last cell.
 
-    Each round gives every vertex the signature (its cell, its number of
-    neighbours in each cell) and renumbers the cells by sorted signature,
-    until no cell splits.  The cells and their order depend only on the
-    graph, so every automorphism maps each cell onto itself.  A round sorts
-    by the old cell first, so a cell only splits in place: a vertex that has
-    left the last cell never comes back, and the early None is the final
-    answer to "does ``last`` lie in the last cell".
+    Round one is the degree partition, by ascending degree.  Each later
+    round splits every cell, in place, by its vertices' numbers of
+    neighbours in each cell of the round before, its pieces in sorted order
+    of those count vectors, until no cell splits.  The cells and their
+    order depend only on the graph, so every automorphism maps each cell
+    onto itself.  Since cells only split in place, a vertex that has left
+    the last cell never comes back, and the early None is the final answer
+    to "does ``last`` lie in the last cell".
+
+    A round counts only neighbours in the cells that the round before
+    split off (its splitters, McKay 1981), and leaves singletons alone.
+    The vertices of a cell had equal counts in every cell of the partition
+    before, so their counts differ only in the new pieces, and in all but
+    the last piece of a split cell, whose count is the old cell's count
+    minus the others: positions where two count vectors agree do not change
+    their order, so the pieces come out as with the full vectors.
     """
-    n = len(adj)
-    cell = [0] * n
-    members = [(1 << n) - 1]
-    while True:
-        counts = [[(row & m).bit_count() for row in adj] for m in members]
-        sigs = list(zip(cell, *counts))
-        ranked = sorted(set(sigs))
-        if len(ranked) == len(members):
-            return [bit_list(m) for m in members]
-        rank = {s: i for i, s in enumerate(ranked)}
-        cell = [rank[s] for s in sigs]
-        if last is not None and cell[last] != len(ranked) - 1:
+    by_degree: dict[int, int] = {}
+    for v, row in enumerate(adj):
+        d = row.bit_count()
+        by_degree[d] = by_degree.get(d, 0) | 1 << v
+    cells = [by_degree[d] for d in sorted(by_degree)]
+    splitters = cells[:-1]
+    while splitters:
+        if last is not None and not cells[-1] >> last & 1:
             return None
-        members = [0] * len(ranked)
-        for v, c in enumerate(cell):
-            members[c] |= 1 << v
+        refined, pieces = [], []
+        for cell in cells:
+            if cell & (cell - 1):
+                groups: dict[tuple[int, ...], int] = {}
+                for v in bit_list(cell):
+                    row = adj[v]
+                    key = tuple([(row & s).bit_count() for s in splitters])
+                    groups[key] = groups.get(key, 0) | 1 << v
+                if len(groups) > 1:
+                    split = [groups[key] for key in sorted(groups)]
+                    refined += split
+                    pieces += split[:-1]
+                    continue
+            refined.append(cell)
+        cells, splitters = refined, pieces
+    return [bit_list(cell) for cell in cells]
 
 
 def _least_orders(adj: Sequence[int], cells: list[list[int]], cap: int,

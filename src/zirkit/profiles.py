@@ -50,6 +50,14 @@ FACTOR_MAX_ORDER = 13  # the join and corona bounds solve factors up to this ord
 SUBSET_CHECK_MAX_ORDER = 10
 
 
+def _read_on_demand(name: str) -> cached_property:
+    """A ``Facts`` table that its first read builds by ``read_closures``."""
+    def read(facts: Facts):
+        facts.read_closures()
+        return vars(facts)[name]
+    return cached_property(read)
+
+
 class Facts:
     """The facts record of one graph that every check reads.
 
@@ -58,11 +66,13 @@ class Facts:
     ``has_edge``, ``connected``, ``isolated_free``); a caller that has
     already tested connectivity passes it in.  It also holds
     the subset tables the checks compare: 2^n-bit ints whose bit m answers
-    for the set m.  ``forcing_table`` (m forces) is the AND of the
-    ``closures`` that ``forcing.close_all_subsets`` builds on first use,
-    and ``minimal_table`` (m is a minimal zero forcing set) and
-    ``abandons`` read it.  A subclass supplies ``values`` and
-    ``maximal_table`` (m is a maximal ZIr-set).  ``zn2_form`` is the
+    for the set m.  ``read_closures`` builds the ``closures`` of all subsets
+    with ``forcing.close_all_subsets`` and reads three tables off them in
+    one pass over the vertices: ``forcing_table`` (m forces),
+    ``minimal_table`` (m is a minimal zero forcing set) and ``zir_table``
+    (m is a ZIr-set); the first read of any of the four runs it.
+    ``abandons`` reads the forcing table.  A subclass supplies ``values``
+    and ``maximal_table`` (m is a maximal ZIr-set).  ``zn2_form`` is the
     graph's ``recognize_zn2_complement_form``, found once for both checks
     that read it.
     """
@@ -76,20 +86,26 @@ class Facts:
         self.connected = g.is_connected() if connected is None else connected
         self.isolated_free = not self.isolated
 
-    @cached_property
-    def closures(self) -> list[int]:
-        return close_all_subsets(self.graph.adj, subset_tables(self.n)[0])
+    def read_closures(self) -> None:
+        """Set ``closures``, ``forcing_table``, ``minimal_table`` and
+        ``zir_table``."""
+        xs = subset_tables(self.n)[0]
+        self.closures = closures = close_all_subsets(self.graph.adj, xs)
+        self.forcing_table = forcing = reduce(and_, closures)
+        grown = shrunk = 0
+        for v, (closed, x) in enumerate(zip(closures, xs)):
+            w = 1 << v
+            grown |= (forcing & ~x) << w  # the forcing sets s plus v
+            shrunk |= (closed & ~x) << w  # the sets s plus v with v ∈ cl(s)
+        # m is minimal iff it forces and is no forcing set s plus a vertex;
+        # m is a ZIr-set iff no member v lies in the closure of m - v
+        self.minimal_table = forcing & ~grown
+        self.zir_table = ((1 << (1 << self.n)) - 1) & ~shrunk
 
-    @cached_property
-    def forcing_table(self) -> int:
-        return reduce(and_, self.closures)
-
-    @cached_property
-    def minimal_table(self) -> int:
-        # m is minimal iff it forces and is no forcing set s plus a vertex x
-        f = self.forcing_table
-        return f & ~reduce(or_, ((f & ~x) << (1 << v)
-                                 for v, x in enumerate(subset_tables(self.n)[0])))
+    closures = _read_on_demand("closures")
+    forcing_table = _read_on_demand("forcing_table")
+    minimal_table = _read_on_demand("minimal_table")
+    zir_table = _read_on_demand("zir_table")
 
     @cached_property
     def abandons(self) -> bool:
@@ -109,10 +125,10 @@ class ParamProfile(Facts):
 
     ``cache`` is the memo of closures the solvers fill, and
     ``maximal_table`` ORs in the sets of the solvers' walk over the
-    ZIr-sets, which goes through it; the forcing table holds no ZIr-set, so
-    ``minimal-zfs-equivalence`` compares two independent routes.  Only
-    checks gated to n <= ``SUBSET_CHECK_MAX_ORDER`` build these tables.
-    Only checks the survey does not run read ``cache`` and ``product``,
+    ZIr-sets, which goes through it; it reads neither ``zir_table`` nor the
+    forcing table, so ``minimal-zfs-equivalence`` compares two independent
+    routes.  Only checks gated to n <= ``SUBSET_CHECK_MAX_ORDER`` build
+    these tables.  Only checks the survey does not run read ``cache`` and ``product``,
     which is ``(kind, left, right)`` for a join or corona and None otherwise.
     """
 
@@ -411,9 +427,11 @@ def _zir_n_minus_2_form(f):
         return ""
     _, decomp, lower_form = f.zn2_form
     zir_lower = f.values["zir"]
-    return ((zir_lower == f.n - 2) == lower_form,
-            f"zir={zir_lower} n-2={f.n - 2} recognizer={lower_form}",
-            {"decomposition": decomp.to_dict() if decomp else None})
+    ok = (zir_lower == f.n - 2) == lower_form
+    detail = f"zir={zir_lower} n-2={f.n - 2} recognizer={lower_form}"
+    if ok:
+        return True, detail
+    return False, detail, {"decomposition": decomp.to_dict() if decomp else None}
 
 
 def _z_n_minus_2_form(f):

@@ -21,19 +21,21 @@ rows unchecked, and its connectivity is tested once.
 
 Every parameter here is recomputed from per-graph tables over all subsets
 by its definition (for example ZIR is the literal maximum over maximal
-ZIr-sets): ``forcing.close_all_subsets`` closes every subset at once, and
-each table (forcing, ZIr, dominating, independent, power dominating) is a
-few operations on 2^n-bit ints.  No solver is called and no theorem bound
+ZIr-sets): ``forcing.close_all_subsets`` closes every subset at once, once
+per graph, and each table (forcing, ZIr, dominating, independent) is a few
+operations on 2^n-bit ints.  gamma_P is read off the forcing table, since m
+power-dominates iff N[m] forces.  No solver is called and no theorem bound
 prunes anything, so the survey is an independent route from the pruned
 solver searches; the test suite cross-checks the two.
 ``_GraphData`` is the survey's ``profiles.Facts`` record, with its values
 from the subset tables: the theorems shared with ``compute --check-bounds``
 are evaluated by the predicates of ``profiles.CHECKS``, and only the
 survey's own theorems and scans live here.  Every check reads tables and
-adjacency rows, never a list of sets: ``zir-complement-dominating`` is n
-ANDs of the member tables under the maximal ZIr-set table, and ``twins``
-reads ``graphs._twin_masks``.  The scans read nothing but ``values``, so
-they run on either facts record.
+adjacency rows, never a list of sets: ``zir-complement-dominating`` reads
+the tables of the sets that hold each N[v], which the record builds in its
+one pass over the neighbours, under the maximal ZIr-set table, and
+``twins`` reads ``graphs._twin_masks``.  The scans read nothing but
+``values``, so they run on either facts record.
 ``THEOREM_CHECKS``, ``SCAN_CHECKS`` and ``ALL_CHECKS`` list the survey names
 of these registries.
 
@@ -51,12 +53,13 @@ from __future__ import annotations
 import concurrent.futures
 from dataclasses import dataclass, field
 from functools import reduce
+from itertools import combinations
 from math import factorial
 from operator import and_, or_
 
 from .errors import BudgetError, PreconditionError, check_deadline, deadline
-from .forcing import close_all_subsets, subset_tables
-from .graphs import (Graph, _least_orders, _twin_masks, adj_from_edge_mask, bit_list, bits,
+from .forcing import subset_tables
+from .graphs import (Graph, _least_orders, _twin_masks, adj_from_edge_mask, bit_list,
                      canonical_children, edge_slots, to_graph6)
 from .profiles import CHECKS, Check, CheckReport, Facts
 
@@ -114,52 +117,89 @@ def _largest(table: int, layers: tuple[int, ...]) -> int:
     return k
 
 
+def _power_domination_number(forcing_table: int, adj: tuple[int, ...]) -> int:
+    """gamma_P read off the forcing table: m power-dominates iff N[m]
+    forces, so it is the least k such that some k-set m has bit N[m] set.
+
+    Two facts of the colour change rule bound the scan.  An isolated
+    vertex is in N[m] only if it is in m, and no rule colours it, so it
+    lies in every power dominating set.  If N[u] ⊆ N[w], swapping u for w
+    grows N[m], and a superset of a forcing set forces, so only vertices
+    whose closed neighbourhood lies in no other (the least of equal ones)
+    are tried.  Bits are read from the table's bytes, O(1) each.
+    """
+    n = len(adj)
+    forces = forcing_table.to_bytes(((1 << n) + 7) >> 3, "little")
+    closed = [row | 1 << v for v, row in enumerate(adj)]
+    must, hoods = 0, []
+    for v, hood in enumerate(closed):
+        # N[v] ⊆ N[w] puts w in N[v], so only neighbours can contain it
+        for w in bit_list(adj[v]):
+            other = closed[w]
+            if not hood & ~other and (hood != other or w < v):
+                break
+        else:
+            if adj[v]:
+                hoods.append(hood)
+            else:
+                must |= hood
+    for k in range(len(hoods) + 1):
+        for picks in combinations(hoods, k):
+            m = must
+            for hood in picks:
+                m |= hood
+            if forces[m >> 3] >> (m & 7) & 1:
+                return must.bit_count() + k
+    raise AssertionError("no set power-dominates, not even the whole vertex set")
+
+
 class _GraphData(Facts):
     """The facts record of one graph, answered by tables over all subsets.
 
     Each table is a 2^n-bit int whose bit m answers for the set m, a few
-    whole-int operations on ``Facts.closures`` and the tables X_v and L_k
-    of ``forcing.subset_tables``: every subset is decided, with no solver
-    and no bound pruning.
+    whole-int operations on the tables that ``Facts.read_closures`` builds
+    and the tables X_v and L_k of ``forcing.subset_tables``: every subset
+    is decided, with no solver and no bound pruning.  ``holds`` is, for
+    each vertex v, the table of the sets that hold N[v].
     """
 
     def __init__(self, g: Graph, connected: bool | None = None):
         super().__init__(g, connected)
-        n, adj, (xs, layers), every = g.n, g.adj, subset_tables(g.n), (1 << (1 << g.n)) - 1
-        # m is a ZIr-set iff no member x lies in the closure of m - x, and
-        # maximal iff no m + y is one
-        zir = every & ~reduce(or_, (
-            (b & ~x) << (1 << v) for v, (b, x) in enumerate(zip(self.closures, xs))))
-        self.maximal_table = zir & ~reduce(
+        n, adj, (xs, layers) = g.n, g.adj, subset_tables(g.n)
+        self.read_closures()
+        zir, forcing, minimal = self.zir_table, self.forcing_table, self.minimal_table
+        # a ZIr-set m is maximal iff no m + y is one
+        self.maximal_table = maximal = zir & ~reduce(
             or_, ((zir & x) >> (1 << y) for y, x in enumerate(xs)))
-        # v is dominated by m iff v ∈ m or a neighbour is, twice iff v ∈ m or
-        # two neighbours are: one- and two-bit counters over the neighbours;
-        # m is independent iff no member has a neighbour in m
-        once, twice, clash = [], [], 0
-        for v in range(n):
+        # one pass over the neighbours: v is dominated by m iff v ∈ m or a
+        # neighbour is, twice iff v ∈ m or two neighbours are (one- and
+        # two-bit counters); m is independent iff no member has a neighbour
+        # in m; m holds N[v] iff it holds v and each neighbour
+        once, twice, self.holds, clash = [], [], [], 0
+        for x, row in zip(xs, adj):
             one = two = 0
-            for u in bit_list(adj[v]):
-                two |= one & xs[u]
-                one |= xs[u]
-            once.append(xs[v] | one)
-            twice.append(xs[v] | two)
-            clash |= xs[v] & one
-        # N[m] holds v iff m dominates v, so the kernel started at the
-        # domination tables closes every N[m]
-        power = reduce(and_, close_all_subsets(adj, once))
-        maximal = self.maximal_table
+            hold = x
+            for u in bit_list(row):
+                y = xs[u]
+                two |= one & y
+                one |= y
+                hold &= y
+            once.append(x | one)
+            twice.append(x | two)
+            self.holds.append(hold)
+            clash |= x & one
         self.values = values = {
             "zir": _smallest(maximal, layers), "ZIR": _largest(maximal, layers),
-            "Z": _smallest(self.forcing_table, layers),
-            "Zbar": _largest(self.minimal_table, layers),
+            "Z": _smallest(forcing, layers), "Zbar": _largest(minimal, layers),
             "gamma": _smallest(reduce(and_, once), layers),
             "gamma2": _smallest(reduce(and_, twice), layers),
-            "alpha": _largest(every & ~clash, layers), "gammaP": _smallest(power, layers),
+            "alpha": _largest(((1 << (1 << n)) - 1) & ~clash, layers),
+            "gammaP": _power_domination_number(forcing, adj),
         }
         # every minimum zero forcing set is minimal, so both witnesses are the
         # first minimal one of their size, by (size, lexicographic)
-        self.z_witness = _least(self.minimal_table & layers[values["Z"]], xs)
-        self.zbar_witness = _least(self.minimal_table & layers[values["Zbar"]], xs)
+        self.z_witness = _least(minimal & layers[values["Z"]], xs)
+        self.zbar_witness = _least(minimal & layers[values["Zbar"]], xs)
 
 
 # -- survey-only checks; the shared theorems live in profiles.CHECKS ---------
@@ -168,18 +208,12 @@ class _GraphData(Facts):
 def _complement_dominating(d):
     if not d.isolated_free:
         return ""
-    xs = subset_tables(d.n)[0]
     # the complement of m misses v iff v and all its neighbours lie in m
-    misses = []
-    for x, row in zip(xs, d.graph.adj):
-        for u in bits(row):
-            x &= xs[u]
-        misses.append(x)
-    bad = d.maximal_table & reduce(or_, misses)
+    bad = d.maximal_table & reduce(or_, d.holds)
     if not bad:
         return True, ""
     m = (bad & -bad).bit_length() - 1
-    v = next(v for v, table in enumerate(misses) if table >> m & 1)
+    v = next(v for v, table in enumerate(d.holds) if table >> m & 1)
     return False, f"complement of maximal ZIr-set {bit_list(m)} misses {v}"
 
 
@@ -424,8 +458,9 @@ def exact_params(g: Graph) -> dict[str, int]:
     Exposed so tests can cross-check the pruned solver searches against the
     survey's independent route.  Each table takes 2^n bits: at order
     ``EXACT_PARAMS_MAX_ORDER`` = 22, G(22, p) with p = 0.2-0.8 peaked at
-    87-94 MB resident (17 MB the interpreter's) in 0.7-1.5 s on one core,
-    each vertex more doubles both, and above it ``BudgetError`` comes first.
+    95-96 MB resident (16-17 MB the interpreter's) in 0.4-0.9 s of process
+    time (x86_64, Python 3.11), each vertex more doubles both, and above it
+    ``BudgetError`` comes first.
     """
     if g.n > EXACT_PARAMS_MAX_ORDER:
         raise BudgetError(f"exact_params supports n <= {EXACT_PARAMS_MAX_ORDER}, got {g.n}")

@@ -5,15 +5,18 @@ closure by ascending sweeps of the color change rule, forts by the
 |F ∩ N(v)| != 1 definition, ZIr-sets by explicit fort existence, and the
 forcing numbers by fort-transversal duality.  No function in this module
 calls the package's closure, so oracle-vs-solver comparisons exercise two
-genuinely different routes.  The one exception is ``labeled_survey``, the
-reference for the survey's walk: it reuses the survey's facts record and
+genuinely different routes.  There are two exceptions.  ``labeled_survey``,
+the reference for the survey's walk, reuses the survey's facts record and
 checks and differs only in visiting every labeled graph.
+``two_kernel_power_domination`` is the survey's gamma_P from before it was
+read off the forcing table: it runs the all-subsets kernel a second time.
 ``unpruned_canonical_children``, the reference for the class generator,
 tries every neighbourhood of the new vertex with ``reference_equitable_cells``
-and ``reference_least_orders``: copies of the package's refinement and
-least-order search from before their twin pruning and early exit (only the
-names, the annotations and the bit iterator differ), which visit every
-vertex order that ties for the least mask.
+and ``reference_least_orders``: copies of the package's refinement from
+before it re-split only the cells that can split (each round counts every
+vertex in every cell), and of its least-order search from before its twin
+pruning, which visits every vertex order that ties for the least mask (only
+the names, the annotations and the bit iterator differ).
 
 ``reference_minimal_zfs_equivalence``, ``reference_complement_dominating``,
 ``reference_abandons`` and ``reference_zn2_complement_form`` are the
@@ -206,6 +209,22 @@ def brute_power_domination(adj: tuple[int, ...], n: int) -> int:
     return n
 
 
+def two_kernel_power_domination(adj: tuple[int, ...]) -> int:
+    """gamma_P by a second run of the package's all-subsets kernel: started
+    at the tables of the sets m that dominate each vertex, it closes every
+    N[m] at once, and m power-dominates iff that closure is everything."""
+    from zirkit.forcing import close_all_subsets, subset_tables
+    xs, layers = subset_tables(len(adj))
+    once = list(xs)
+    for v, row in enumerate(adj):
+        for u in bits_of(row):
+            once[v] |= xs[u]
+    power = (1 << (1 << len(adj))) - 1
+    for table in close_all_subsets(adj, once):
+        power &= table
+    return next(k for k, layer in enumerate(layers) if power & layer)
+
+
 def random_adj(n: int, rng) -> tuple[int, ...]:
     """Uniform random labeled graph as adjacency masks."""
     adj = [0] * n
@@ -259,34 +278,34 @@ def least_labelings(adj, cap):
     return [mask for mask, _, _ in _least_orders(adj, [list(range(len(adj)))], cap)]
 
 
-def reference_equitable_cells(adj):
+def reference_equitable_cells(adj, last=None):
     """The coarsest equitable partition refining the degree partition, as
-    cells ordered by invariant signatures.
+    cells ordered by invariant signatures; or None, when ``last`` is given,
+    as soon as that vertex leaves the last cell.
 
     Each round gives every vertex the signature (its cell, its number of
     neighbours in each cell) and renumbers the cells by sorted signature,
     until no cell splits.  The cells and their order depend only on the
-    graph, so every automorphism maps each cell onto itself.
+    graph, so every automorphism maps each cell onto itself.  A round sorts
+    by the old cell first, so a cell only splits in place: a vertex that has
+    left the last cell never comes back.
     """
     n = len(adj)
     cell = [0] * n
-    count = 1
+    members = [(1 << n) - 1]
     while True:
-        members = [0] * count
-        for v in range(n):
-            members[cell[v]] |= 1 << v
-        sigs = [(cell[v], tuple((adj[v] & m).bit_count() for m in members))
-                for v in range(n)]
+        counts = [[(row & m).bit_count() for row in adj] for m in members]
+        sigs = list(zip(cell, *counts))
         ranked = sorted(set(sigs))
-        if len(ranked) == count:
-            break
+        if len(ranked) == len(members):
+            return [bits_of(m) for m in members]
         rank = {s: i for i, s in enumerate(ranked)}
         cell = [rank[s] for s in sigs]
-        count = len(ranked)
-    cells = [[] for _ in range(count)]
-    for v in range(n):
-        cells[cell[v]].append(v)
-    return cells
+        if last is not None and cell[last] != len(ranked) - 1:
+            return None
+        members = [0] * len(ranked)
+        for v, c in enumerate(cell):
+            members[c] |= 1 << v
 
 
 def reference_least_orders(adj, cells, cap):

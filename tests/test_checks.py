@@ -194,5 +194,5 @@ def test_profile_checks_build_no_closure_table_above_the_subset_gate():
     profile.product = ("corona", generate("path:4"), generate("empty:2"))
     for check in CHARACTERIZATION_CHECKS:
         check.evaluate(profile)
-    assert not {"closures", "forcing_table", "minimal_table", "maximal_table"} \
+    assert not {"closures", "forcing_table", "minimal_table", "zir_table", "maximal_table"} \
         & set(vars(profile))

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from zirkit.cli import main
+from zirkit.domination import power_domination_number
 from zirkit.errors import BudgetError, PreconditionError
 from zirkit.families import generate
 from zirkit.graphs import Graph, bit_list, bits, canonical_children, edge_slots, parse_graph6
@@ -22,7 +23,7 @@ from oracles import (brute_closure, brute_domination, brute_independence,
                      reference_abandons, reference_complement_dominating,
                      reference_extreme_n_minus_1, reference_minimal_zfs_equivalence,
                      reference_twins, reference_zir1, reference_zn2_complement_form,
-                     unpruned_canonical_children)
+                     two_kernel_power_domination, unpruned_canonical_children)
 
 survey_module = importlib.import_module("zirkit.survey")  # the package's survey is the function
 
@@ -338,6 +339,9 @@ def test_doctored_facts_reach_every_failure_branch_as_the_references_do():
     for expr in ("fig5", "path:4"):
         g = generate(expr)
         matches, decomp, lower = reference_zn2_complement_form(g)
+        # a pass carries no decomposition
+        assert _CHECKS["zir-n-minus-2-form"].evaluate(_GraphData(g)) == (
+            True, f"zir={exact_params(g)['zir']} n-2={g.n - 2} recognizer={lower}")
         for f in _doctored(g, values=lambda f: {**f.values, "zir": g.n - 2 - lower,
                                                 "Z": g.n - 2 - matches}):
             _against_references(f)
@@ -381,6 +385,46 @@ def test_exact_params_agree_with_solvers(rng):
         profile = parameter_profile(g)
         for param, value in profile.values.items():
             assert table_route[param] == value, (param, g.adj)
+
+
+def assert_gamma_p_routes_agree(g):
+    # read off the forcing table, by the solver, and by the second kernel run
+    value = _GraphData(g).values["gammaP"]
+    assert value == power_domination_number(g)[0] == two_kernel_power_domination(g.adj), g.adj
+
+
+def test_gamma_p_off_the_forcing_table_on_every_class_through_order_7(class_walk):
+    for extended in class_walk[:7]:
+        for _, children in extended:
+            for adj, _ in children:
+                assert_gamma_p_routes_agree(Graph.from_adj(adj))
+
+
+def test_gamma_p_off_the_forcing_table_on_seeded_random_graphs():
+    rng = random.Random(20261028)
+    for _ in range(60):
+        n, p = rng.randint(8, 14), rng.choice((0.1, 0.2, 0.3, 0.5, 0.7))
+        assert_gamma_p_routes_agree(Graph(n, [(i, j) for i in range(n)
+                                              for j in range(i + 1, n) if rng.random() < p]))
+
+
+@pytest.mark.parametrize("shape", ["empty", "K2s", "K3s", "star"])
+def test_gamma_p_off_the_forcing_table_on_its_worst_shapes(shape):
+    # every vertex isolated, twins in pairs or triples, or one vertex whose
+    # closed neighbourhood holds every other: the shapes whose scans the two
+    # swap facts cut short, up to order 16
+    for n in range(1, 17):
+        if shape == "empty":
+            g = generate(f"empty:{n}")
+        elif shape == "star" and n >= 2:
+            g = generate(f"star:{n - 1}")
+        elif shape in ("K2s", "K3s") and n % int(shape[1]) == 0:
+            size = int(shape[1])
+            g = Graph(n, [(a, b) for c in range(0, n, size)
+                          for a in range(c, c + size) for b in range(a + 1, c + size)])
+        else:
+            continue
+        assert_gamma_p_routes_agree(g)
 
 
 def test_exact_params_on_named_instances():
@@ -430,8 +474,8 @@ def test_graph_tables_match_definitions(small_graphs):
 
 
 def test_exact_params_refuses_orders_past_its_memory_bound():
-    # the tables of order 23 would take about twice order 22's 94 MB and
-    # 3 s; the refusal comes first
+    # the tables of order 23 would take about twice order 22's 96 MB and
+    # 0.9 s; the refusal comes first
     start = time.monotonic()
     with pytest.raises(BudgetError, match="n <= 22"):
         exact_params(generate("path:23"))
