@@ -455,9 +455,9 @@ def _least_orders(adj: Sequence[int], cells: list[list[int]], cap: int,
     return found
 
 
-def canonical_children(parent: Sequence[int]) -> Iterator[tuple[tuple[int, ...], int]]:
+def canonical_children(parent: Sequence[int]) -> Iterator[tuple[tuple[int, ...], int, list[int]]]:
     """The graphs that extend ``parent`` by one vertex, one per isomorphism
-    class that this parent generates, each with its |Aut G|.
+    class that this parent generates, each with |Aut G| and ``_twin_masks``.
 
     A child is ``parent`` plus a vertex n-1 with some neighbourhood (its
     hood).  Its canonical mask is the least edge mask over the vertex orders
@@ -515,10 +515,11 @@ def canonical_children(parent: Sequence[int]) -> Iterator[tuple[tuple[int, ...],
         cells = _equitable_cells(adj, n - 1)
         if cells is None:  # n-1 left the last cell, which holds the canonical orbit
             continue
-        mask, automorphisms, orbit = _least_orders(adj, cells, 1, twins=twins_of(hood))[0]
+        child_twins = twins_of(hood)
+        mask, automorphisms, orbit = _least_orders(adj, cells, 1, twins=child_twins)[0]
         if orbit & new and mask not in seen:
             seen.add(mask)
-            yield adj, automorphisms
+            yield adj, automorphisms, child_twins
 
 
 # -- twins ---------------------------------------------------------------

@@ -135,7 +135,7 @@ def upper_zero_forcing_number(g: Graph, cache: ClosureCache | None = None) -> tu
     """
     cache = cache or ClosureCache(g)
     got = _largest_zir_set(cache, lambda cl: cl == g.full, bit_list(g.full))
-    return got.bit_count(), got
+    return got.bit_count(), _certify(g, got, cache)
 
 
 _Members = tuple[tuple[int, int], ...]

@@ -66,11 +66,11 @@ class Facts:
     ``has_edge``, ``connected``, ``isolated_free``); a caller that has
     already tested connectivity passes it in.  It also holds
     the subset tables the checks compare: 2^n-bit ints whose bit m answers
-    for the set m.  ``read_closures`` builds the ``closures`` of all subsets
-    with ``forcing.close_all_subsets`` and reads three tables off them in
-    one pass over the vertices: ``forcing_table`` (m forces),
+    for the set m.  ``read_closures`` closes all subsets with
+    ``forcing.close_all_subsets``, reads three tables off the closures in
+    one pass over the vertices and drops them: ``forcing_table`` (m forces),
     ``minimal_table`` (m is a minimal zero forcing set) and ``zir_table``
-    (m is a ZIr-set); the first read of any of the four runs it.
+    (m is a ZIr-set); the first read of any of the three runs it.
     ``abandons`` reads the forcing table.  A subclass supplies ``values``
     and ``maximal_table`` (m is a maximal ZIr-set).  ``zn2_form`` is the
     graph's ``recognize_zn2_complement_form``, found once for both checks
@@ -87,10 +87,9 @@ class Facts:
         self.isolated_free = not self.isolated
 
     def read_closures(self) -> None:
-        """Set ``closures``, ``forcing_table``, ``minimal_table`` and
-        ``zir_table``."""
+        """Set ``forcing_table``, ``minimal_table`` and ``zir_table``."""
         xs = subset_tables(self.n)[0]
-        self.closures = closures = close_all_subsets(self.graph.adj, xs)
+        closures = close_all_subsets(self.graph.adj, xs)
         self.forcing_table = forcing = reduce(and_, closures)
         grown = shrunk = 0
         for v, (closed, x) in enumerate(zip(closures, xs)):
@@ -102,7 +101,6 @@ class Facts:
         self.minimal_table = forcing & ~grown
         self.zir_table = ((1 << (1 << self.n)) - 1) & ~shrunk
 
-    closures = _read_on_demand("closures")
     forcing_table = _read_on_demand("forcing_table")
     minimal_table = _read_on_demand("minimal_table")
     zir_table = _read_on_demand("zir_table")
@@ -341,14 +339,11 @@ class Check:
     it fails ("" to report nothing); when it holds, it returns
     ``(ok, detail)``, or ``(ok, detail, counterexample)``.  Checks whose
     ``needs`` are missing from the values are left out silently.
-    ``survey_name`` is the name the survey runs the check under, or None
-    when only ``check_bounds``/``check_characterizations`` run it.
     """
 
     name: str
     needs: tuple[str, ...]
     evaluate: Callable[[Any], str | tuple]
-    survey_name: str | None = None
 
 
 def _chain(f):
@@ -468,9 +463,9 @@ def _leaf_zir_set(f):
     """For coronas H∘tK_1 (H connected, order >= 3, t >= 2): some maximum
     ZIr-set uses only leaves."""
     kind, h, attached = f.product or ("", None, None)
-    applies = (kind == "corona" and attached.n >= 2 and not attached.size()
-               and h.is_connected() and h.n >= 3)
-    if not applies:
+    if kind != "corona":
+        return ""
+    if attached.n < 2 or attached.size() or not h.is_connected() or h.n < 3:
         return "needs corona(H, empty:t) with connected H of order >= 3 and t >= 2"
     g, target = f.graph, f.values["ZIR"]
     leaves = [v for v in range(g.n) if g.degree(v) == 1]
@@ -478,7 +473,7 @@ def _leaf_zir_set(f):
     return ok, f"all-leaf ZIr-set of size ZIR={target} exists={ok}"
 
 
-def _abandonment_identity(f):
+def _abandonment(f):
     if f.n > SUBSET_CHECK_MAX_ORDER:
         return ""
     if f.abandons:
@@ -567,14 +562,13 @@ def _corona_alpha_lower(f):
 
 
 BOUND_CHECKS = (
-    Check("chain", PARAM_NAMES[:4], _chain, "chain"),
-    Check("min-degree", ("zir",), _min_degree, "min-degree"),
+    Check("chain", PARAM_NAMES[:4], _chain),
+    Check("min-degree", ("zir",), _min_degree),
     Check("edge-upper", ("ZIR",), _edge_upper),
-    Check("domination-sandwich", ("ZIR", "gamma", "gamma2"), _domination_sandwich,
-          "domination-sandwich"),
+    Check("domination-sandwich", ("ZIR", "gamma", "gamma2"), _domination_sandwich),
     Check("min-degree-3-half", ("ZIR",), _min_degree_3_half),
     Check("min-degree-2-third", ("ZIR",), _min_degree_2_third),
-    Check("max-degree-ratio", ("ZIR",), _max_degree_ratio, "max-degree-ratio"),
+    Check("max-degree-ratio", ("ZIR",), _max_degree_ratio),
     Check("cubic-range", ("ZIR",), _cubic_range),
     Check("cut-vertex", ("ZIR",), _cut_vertex),
     Check("join-range", ("ZIR",), _join_range),
@@ -585,15 +579,14 @@ BOUND_CHECKS = (
     Check("corona-alpha-lower", ("ZIR",), _corona_alpha_lower),
 )
 CHARACTERIZATION_CHECKS = (
-    Check("extreme-n", ("zir", "ZIR"), _extreme_n, "extreme-n"),
-    Check("extreme-n-minus-1", PARAM_NAMES[:4], _extreme_n_minus_1, "extreme-n-minus-1"),
-    Check("zir-n-minus-2-form", ("zir",), _zir_n_minus_2_form, "zir-n-minus-2-form"),
+    Check("extreme-n", ("zir", "ZIR"), _extreme_n),
+    Check("extreme-n-minus-1", PARAM_NAMES[:4], _extreme_n_minus_1),
+    Check("zir-n-minus-2-form", ("zir",), _zir_n_minus_2_form),
     Check("z-n-minus-2-form", ("Z",), _z_n_minus_2_form),
-    Check("zir1-characterization", ("zir",), _zir1, "zir1-characterization"),
-    Check("minimal-zfs-equivalence", (), _minimal_zfs_equivalence,
-          "minimal-zfs-equivalence"),
+    Check("zir1-characterization", ("zir",), _zir1),
+    Check("minimal-zfs-equivalence", (), _minimal_zfs_equivalence),
     Check("leaf-zir-set", ("ZIR",), _leaf_zir_set),
-    Check("abandonment-identity", ("Zbar", "ZIR"), _abandonment_identity, "abandonment"),
+    Check("abandonment", ("Zbar", "ZIR"), _abandonment),
 )
 CHECKS = BOUND_CHECKS + CHARACTERIZATION_CHECKS
 

@@ -28,16 +28,14 @@ power-dominates iff N[m] forces.  No solver is called and no theorem bound
 prunes anything, so the survey is an independent route from the pruned
 solver searches; the test suite cross-checks the two.
 ``_GraphData`` is the survey's ``profiles.Facts`` record, with its values
-from the subset tables: the theorems shared with ``compute --check-bounds``
-are evaluated by the predicates of ``profiles.CHECKS``, and only the
-survey's own theorems and scans live here.  Every check reads tables and
-adjacency rows, never a list of sets: ``zir-complement-dominating`` reads
-the tables of the sets that hold each N[v], which the record builds in its
-one pass over the neighbours, under the maximal ZIr-set table, and
-``twins`` reads ``graphs._twin_masks``.  The scans read nothing but
-``values``, so they run on either facts record.
-``THEOREM_CHECKS``, ``SCAN_CHECKS`` and ``ALL_CHECKS`` list the survey names
-of these registries.
+from the subset tables; it keeps only the tables a check reads.  This
+module alone decides what the survey runs (``ALL_CHECKS``): the registry
+theorems named in ``SHARED_CHECKS``, under the names ``compute`` uses, its
+own theorems and its scans.  Every check reads tables and adjacency rows,
+never a list of sets: ``zir-complement-dominating`` reads the sets that
+hold some N[v] under the maximal ZIr-set table, and ``twins`` the twin
+classes ``graphs.canonical_children`` yields with each class.  The scans
+read nothing but ``values``, so they run on either facts record.
 
 Each order is sharded over the classes of the order below; one loop folds
 the shard results in shard order, so the output is identical for any
@@ -52,10 +50,10 @@ from __future__ import annotations
 
 import concurrent.futures
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import combinations
 from math import factorial
-from operator import and_, or_
+from operator import or_
 
 from .errors import BudgetError, PreconditionError, check_deadline, deadline
 from .forcing import subset_tables
@@ -159,8 +157,9 @@ class _GraphData(Facts):
     Each table is a 2^n-bit int whose bit m answers for the set m, a few
     whole-int operations on the tables that ``Facts.read_closures`` builds
     and the tables X_v and L_k of ``forcing.subset_tables``: every subset
-    is decided, with no solver and no bound pruning.  ``holds`` is, for
-    each vertex v, the table of the sets that hold N[v].
+    is decided, with no solver and no bound pruning.  ``held`` is the table
+    of the sets that hold some N[v].  ``twins`` is ``graphs._twin_masks``,
+    which the survey shard sets from the class generator.
     """
 
     def __init__(self, g: Graph, connected: bool | None = None):
@@ -171,11 +170,11 @@ class _GraphData(Facts):
         # a ZIr-set m is maximal iff no m + y is one
         self.maximal_table = maximal = zir & ~reduce(
             or_, ((zir & x) >> (1 << y) for y, x in enumerate(xs)))
-        # one pass over the neighbours: v is dominated by m iff v ∈ m or a
-        # neighbour is, twice iff v ∈ m or two neighbours are (one- and
-        # two-bit counters); m is independent iff no member has a neighbour
-        # in m; m holds N[v] iff it holds v and each neighbour
-        once, twice, self.holds, clash = [], [], [], 0
+        # one pass over the neighbours: m dominates iff each v is in m or
+        # has a neighbour there, twice iff each v is in m or has two there
+        # (one- and two-bit counters); m is independent iff no member has a
+        # neighbour in m; m holds N[v] iff it holds v and each neighbour
+        dominating, dominating2, self.held, clash = -1, -1, 0, 0
         for x, row in zip(xs, adj):
             one = two = 0
             hold = x
@@ -184,15 +183,15 @@ class _GraphData(Facts):
                 two |= one & y
                 one |= y
                 hold &= y
-            once.append(x | one)
-            twice.append(x | two)
-            self.holds.append(hold)
+            dominating &= x | one
+            dominating2 &= x | two
+            self.held |= hold
             clash |= x & one
         self.values = values = {
             "zir": _smallest(maximal, layers), "ZIR": _largest(maximal, layers),
             "Z": _smallest(forcing, layers), "Zbar": _largest(minimal, layers),
-            "gamma": _smallest(reduce(and_, once), layers),
-            "gamma2": _smallest(reduce(and_, twice), layers),
+            "gamma": _smallest(dominating, layers),
+            "gamma2": _smallest(dominating2, layers),
             "alpha": _largest(((1 << (1 << n)) - 1) & ~clash, layers),
             "gammaP": _power_domination_number(forcing, adj),
         }
@@ -200,6 +199,10 @@ class _GraphData(Facts):
         # first minimal one of their size, by (size, lexicographic)
         self.z_witness = _least(minimal & layers[values["Z"]], xs)
         self.zbar_witness = _least(minimal & layers[values["Zbar"]], xs)
+
+    @cached_property
+    def twins(self) -> list[int]:
+        return _twin_masks(self.graph.adj)
 
 
 # -- survey-only checks; the shared theorems live in profiles.CHECKS ---------
@@ -209,16 +212,16 @@ def _complement_dominating(d):
     if not d.isolated_free:
         return ""
     # the complement of m misses v iff v and all its neighbours lie in m
-    bad = d.maximal_table & reduce(or_, d.holds)
+    bad = d.maximal_table & d.held
     if not bad:
         return True, ""
     m = (bad & -bad).bit_length() - 1
-    v = next(v for v, table in enumerate(d.holds) if table >> m & 1)
+    v = next(v for v, row in enumerate(d.graph.adj) if not (row | 1 << v) & ~m)
     return False, f"complement of maximal ZIr-set {bit_list(m)} misses {v}"
 
 
 def _twins(d):
-    classes = [m for m in dict.fromkeys(_twin_masks(d.graph.adj)) if m & (m - 1)]
+    classes = [m for m in dict.fromkeys(d.twins) if m & (m - 1)]
     if not classes:
         return ""
     for cls in classes:
@@ -244,18 +247,18 @@ def _gamma_vs_zir_upper(d):
     return v["gamma"] <= v["ZIR"], f"gamma={v['gamma']} > ZIR={v['ZIR']}"
 
 
-_SURVEY_THEOREMS = (
-    Check("zir-complement-dominating", (), _complement_dominating,
-          "zir-complement-dominating"),
-    Check("twins", (), _twins, "twins"),
-)
+# the theorems of profiles.CHECKS that the survey runs, in registry order
+SHARED_CHECKS = ("chain", "min-degree", "domination-sandwich", "max-degree-ratio", "extreme-n",
+                 "extreme-n-minus-1", "zir-n-minus-2-form", "zir1-characterization",
+                 "minimal-zfs-equivalence", "abandonment")
+_SURVEY_THEOREMS = (Check("zir-complement-dominating", (), _complement_dominating),
+                    Check("twins", (), _twins))
 # question scans: a counterexample is a finding, not a failure
-_SCANS = (
-    Check("gammaP-vs-zir", ("gammaP", "zir"), _gamma_p_vs_zir, "gammaP-vs-zir"),
-    Check("gamma-vs-ZIR", ("gamma", "ZIR"), _gamma_vs_zir_upper, "gamma-vs-ZIR"),
-)
-_CHECKS = {c.survey_name: c for c in CHECKS + _SURVEY_THEOREMS + _SCANS if c.survey_name}
-SCAN_CHECKS = tuple(c.survey_name for c in _SCANS)
+_SCANS = (Check("gammaP-vs-zir", ("gammaP", "zir"), _gamma_p_vs_zir),
+          Check("gamma-vs-ZIR", ("gamma", "ZIR"), _gamma_vs_zir_upper))
+_CHECKS = {c.name: c for c in CHECKS if c.name in SHARED_CHECKS}
+_CHECKS |= {c.name: c for c in _SURVEY_THEOREMS + _SCANS}
+SCAN_CHECKS = tuple(c.name for c in _SCANS)
 THEOREM_CHECKS = tuple(name for name in _CHECKS if name not in SCAN_CHECKS)
 ALL_CHECKS = tuple(_CHECKS)
 
@@ -288,7 +291,7 @@ def _survey_shard(args: tuple) -> tuple[dict, list, list]:
     labelings = factorial(n)
     for parent in parents:
         check_deadline(at, "survey")
-        for adj, automorphisms in canonical_children(parent):
+        for adj, automorphisms, twins in canonical_children(parent):
             check_deadline(at, "survey")
             if more:
                 children.append(adj)
@@ -297,6 +300,7 @@ def _survey_shard(args: tuple) -> tuple[dict, list, list]:
             if connected_only and not connected:
                 continue
             d = _GraphData(g, connected)
+            d.twins = twins
             weight = 1 if dedup else labelings // automorphisms
             for evaluate, tally in run:
                 outcome = evaluate(d)
@@ -456,10 +460,11 @@ def exact_params(g: Graph) -> dict[str, int]:
     """Definition-level parameter computation from tables over all subsets.
 
     Exposed so tests can cross-check the pruned solver searches against the
-    survey's independent route.  Each table takes 2^n bits: at order
-    ``EXACT_PARAMS_MAX_ORDER`` = 22, G(22, p) with p = 0.2-0.8 peaked at
-    95-96 MB resident (16-17 MB the interpreter's) in 0.4-0.9 s of process
-    time (x86_64, Python 3.11), each vertex more doubles both, and above it
+    survey's independent route.  Each table takes 2^n bits, and under 3n
+    are live at once.  At order ``EXACT_PARAMS_MAX_ORDER`` = 22, G(22, p)
+    with p = 0.2-0.8 peaked at 56-68 MB resident (17 MB the interpreter's,
+    23 MB the cached X_v and L_k) in 0.5-1.2 s of process time (x86_64,
+    Python 3.11); each vertex more doubles both, and above it
     ``BudgetError`` comes first.
     """
     if g.n > EXACT_PARAMS_MAX_ORDER:

@@ -13,7 +13,8 @@ from zirkit.graphs import (Graph, bit_list, canonical_children, enumerate_labele
 from zirkit.families import generate
 from zirkit.profiles import (CHARACTERIZATION_CHECKS, CHECKS, SUBSET_CHECK_MAX_ORDER,
                              parameter_profile)
-from zirkit.survey import _CHECKS, SCAN_CHECKS, THEOREM_CHECKS, _GraphData, _least
+from zirkit.survey import (_CHECKS, SCAN_CHECKS, SHARED_CHECKS, THEOREM_CHECKS, _GraphData,
+                           _least)
 
 from oracles import random_adj
 
@@ -22,7 +23,7 @@ GOLDEN_FAMILIES = (
     "corona(complete:1,empty:3)", "join(path:4,empty:2)", "join(cycle:5,complete:2)",
     "fig5", "cycle:12",
 )
-SHARED = [c for c in CHECKS if c.survey_name]
+SHARED = [c for c in CHECKS if c.name in SHARED_CHECKS]
 # the question scans read only values, so they run on either facts record
 SCANS = [_CHECKS[name] for name in SCAN_CHECKS]
 FLAGS = ("n", "min_degree", "max_degree", "has_edge", "connected", "isolated_free")
@@ -85,9 +86,9 @@ def test_small_order_witness_stream_is_pinned(tmp_path, capsys):
         row.pop("witnesses", None)
     bare = "\n".join(json.dumps(row, sort_keys=True) for row in rows) + "\n"
     assert hashlib.sha256(out.encode()).hexdigest() == \
-        "8b228fed7910d807ba1c912c5dd1e42732485cdf4dd8a25df96a8aeab7540bb4"
+        "815b2eaabcb645ab707e2bf4919011c421746b4812bc27773f7420f0de720266"
     assert hashlib.sha256(bare.encode()).hexdigest() == \
-        "d9a4255204b4c8535a151e42a17c29849a6e5efd3dc7a239ce33b1ba5c733135"
+        "96279d3691989953a033cda4cc96b3bd3644a67383b6265d7559b98e8831a189"
 
 
 def _stdout_digest(capsys, argv):
@@ -135,8 +136,8 @@ def test_table_stream_is_pinned(capsys):
 
 
 def test_shared_checks_are_the_survey_theorems():
-    assert len(SHARED) == 10
-    assert {c.survey_name for c in SHARED} <= set(THEOREM_CHECKS)
+    assert len(SHARED) == len(SHARED_CHECKS) == 10
+    assert set(SHARED_CHECKS) <= set(THEOREM_CHECKS)
 
 
 def _parity_graphs():
@@ -148,7 +149,7 @@ def _parity_graphs():
     # and one graph of every isomorphism class of order 6 and 7
     parents = [()]
     for n in range(1, 8):
-        parents = [adj for parent in parents for adj, _ in canonical_children(parent)]
+        parents = [adj for parent in parents for adj, _, _ in canonical_children(parent)]
         if n >= 6:
             yield from map(Graph.from_adj, parents)
 
@@ -194,5 +195,5 @@ def test_profile_checks_build_no_closure_table_above_the_subset_gate():
     profile.product = ("corona", generate("path:4"), generate("empty:2"))
     for check in CHARACTERIZATION_CHECKS:
         check.evaluate(profile)
-    assert not {"closures", "forcing_table", "minimal_table", "zir_table", "maximal_table"} \
+    assert not {"forcing_table", "minimal_table", "zir_table", "maximal_table"} \
         & set(vars(profile))

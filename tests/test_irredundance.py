@@ -280,7 +280,7 @@ def test_complement_of_maximal_zir_set_dominates(small_graphs, rng):
                 assert all((comp >> v) & 1 or g.adj[v] & comp for v in range(g.n))
 
 
-def test_certify_rejects_a_member_without_a_private_fort():
+def test_certify_rejects_a_member_without_a_private_fort(monkeypatch):
     # every printed witness re-verifies: on the path 0-1-2, {0, 1} leaves 1
     # no private fort, since 0 alone forces 1
     g = path_graph(3)
@@ -289,6 +289,11 @@ def test_certify_rejects_a_member_without_a_private_fort():
     with pytest.raises(AssertionError, match="lost a private fort"):
         _certify(g, s, ClosureCache(g))
     assert _certify(g, mask_of([0]), ClosureCache(g)) == mask_of([0])
+    # the solvers that read the largest-ZIr-set walk certify what it returns
+    monkeypatch.setattr(irredundance, "_largest_zir_set", lambda *args: s)
+    for solve in (upper_zir_number, upper_zero_forcing_number):
+        with pytest.raises(AssertionError, match="lost a private fort"):
+            solve(g)
 
 
 def test_abandons_fort_examples():

@@ -4,6 +4,7 @@ import importlib
 import json
 import random
 import time
+import tracemalloc
 from math import factorial
 
 import pytest
@@ -13,7 +14,9 @@ from zirkit.cli import main
 from zirkit.domination import power_domination_number
 from zirkit.errors import BudgetError, PreconditionError
 from zirkit.families import generate
-from zirkit.graphs import Graph, bit_list, bits, canonical_children, edge_slots, parse_graph6
+from zirkit.forcing import close_all_subsets, subset_tables
+from zirkit.graphs import (Graph, _twin_masks, bit_list, bits, canonical_children, edge_slots,
+                           parse_graph6)
 from zirkit.profiles import CHECKS, Check, parameter_profile
 from zirkit.survey import (_CHECKS, ALL_CHECKS, SCAN_CHECKS, _first_labelings, _GraphData,
                            exact_params, survey)
@@ -167,7 +170,7 @@ def plant(monkeypatch, name):
         return g.n, least_labelings(g.adj, 1)[0]
 
     keys = {key(parse_graph6(g6)) for g6 in PLANTED}
-    planted = Check(name, (), lambda d: (key(d.graph) not in keys, "planted"), name)
+    planted = Check(name, (), lambda d: (key(d.graph) not in keys, "planted"))
     monkeypatch.setitem(_CHECKS, name, planted)
 
 
@@ -209,7 +212,7 @@ def class_walk():
     walk, parents = [], [()]
     for _ in A000088:
         walk.append([(parent, list(canonical_children(parent))) for parent in parents])
-        parents = [adj for _, children in walk[-1] for adj, _ in children]
+        parents = [adj for _, children in walk[-1] for adj, _, _ in children]
     return walk
 
 
@@ -222,8 +225,8 @@ def test_class_walk_visits_every_class_once(class_walk):
         children = [child for _, kids in extended for child in kids]
         assert len(children) == classes
         if n <= 7:
-            assert len({least_labelings(adj, 1)[0] for adj, _ in children}) == classes
-        assert sum(factorial(n) // automorphisms for _, automorphisms in children) \
+            assert len({least_labelings(adj, 1)[0] for adj, _, _ in children}) == classes
+        assert sum(factorial(n) // automorphisms for _, automorphisms, _ in children) \
             == 2 ** (n * (n - 1) // 2)
 
 
@@ -238,7 +241,7 @@ def test_shared_search_finds_the_least_labelings_of_all_classes(class_walk):
     # reverse and in a shuffled order over every class through order 6
     rng = random.Random(25)
     for n, extended in enumerate(class_walk[:6], 1):
-        classes = [adj for _, children in extended for adj, _ in children]
+        classes = [adj for _, children in extended for adj, _, _ in children]
         shuffled = rng.sample(classes, len(classes))
         for cap in (1, 2, 3):
             for dedup in (False, True):
@@ -252,10 +255,12 @@ def test_shared_search_finds_the_least_labelings_of_all_classes(class_walk):
 def test_skipped_hoods_change_no_child(class_walk):
     # the degree and twin skips drop only neighbourhoods whose child the
     # full loop rejects or has already yielded, for every parent through
-    # order 7
+    # order 7; each child comes with its own twin classes
     for extended in class_walk:
         for parent, children in extended:
-            assert children == list(unpruned_canonical_children(parent))
+            assert [(adj, automorphisms) for adj, automorphisms, _ in children] == \
+                list(unpruned_canonical_children(parent))
+            assert all(twins == _twin_masks(adj) for adj, _, twins in children), parent
 
 
 def _against_references(f):
@@ -277,10 +282,13 @@ def _against_references(f):
 
 
 def test_table_checks_match_list_level_references(class_walk):
+    # with the twin classes the generator yields, as the survey shard sets them
     for extended in class_walk[:7]:  # every class through order 7
         for _, children in extended:
-            for adj, _ in children:
-                _against_references(_GraphData(Graph.from_adj(adj)))
+            for adj, _, twins in children:
+                d = _GraphData(Graph.from_adj(adj))
+                d.twins = twins
+                _against_references(d)
 
 
 def _doctored(g, **fields):
@@ -370,7 +378,7 @@ def test_survey_leaderboard_present():
 def test_exact_params_equal_solver_profile_on_every_order_8_class(class_walk):
     # the solver and table routes over the 12 346 classes of order 8
     for _, children in class_walk[7]:
-        for adj, _ in children:
+        for adj, _, _ in children:
             g = Graph.from_adj(adj)
             assert exact_params(g) == parameter_profile(g).values, adj
 
@@ -396,7 +404,7 @@ def assert_gamma_p_routes_agree(g):
 def test_gamma_p_off_the_forcing_table_on_every_class_through_order_7(class_walk):
     for extended in class_walk[:7]:
         for _, children in extended:
-            for adj, _ in children:
+            for adj, _, _ in children:
                 assert_gamma_p_routes_agree(Graph.from_adj(adj))
 
 
@@ -450,7 +458,7 @@ def test_graph_tables_match_definitions(small_graphs):
         d = _GraphData(g)
         adj = g.adj
         clo = [brute_closure(adj, m) for m in range(g.full + 1)]
-        for v, closed in enumerate(d.closures):
+        for v, closed in enumerate(close_all_subsets(adj, subset_tables(g.n)[0])):
             assert [closed >> m & 1 for m in range(g.full + 1)] == \
                 [c >> v & 1 for c in clo], (g.adj, v)
         zir = [all(not clo[m ^ 1 << x] >> x & 1 for x in bits(m)) for m in range(g.full + 1)]
@@ -470,12 +478,31 @@ def test_graph_tables_match_definitions(small_graphs):
 
 
 def test_exact_params_refuses_orders_past_its_memory_bound():
-    # the tables of order 23 would take about twice order 22's 96 MB and
-    # 0.9 s; the refusal comes first
+    # the tables of order 23 would take about twice order 22's 68 MB and
+    # 1.2 s; the refusal comes first
     start = time.monotonic()
     with pytest.raises(BudgetError, match="n <= 22"):
         exact_params(generate("path:23"))
     assert time.monotonic() - start < 1
+
+
+def test_exact_params_keeps_few_tables_live():
+    # each table takes 2^n bits; the record keeps only the tables its checks
+    # read, so the closures of all subsets and one forcer's AND prefixes
+    # are the most that are live at once: below 3n tables, against about 5n
+    # when it kept the closures and three tables per vertex
+    n = 20
+    subset_tables(n)  # cached, and not counted
+    rng = random.Random(20)
+    for p in (0.5, 0.8):
+        g = Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p])
+        tracemalloc.start()
+        try:
+            exact_params(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * n * (1 << n) // 8, (p, peak)
 
 
 @settings(deadline=None, max_examples=25)
