@@ -471,7 +471,9 @@ def canonical_children(parent: Sequence[int]) -> Iterator[tuple[tuple[int, ...],
     orbit and no earlier child has its canonical mask.  Extending one graph
     of every class of order n-1 so gives every class of order n exactly
     once (canonical augmentation, McKay 1998): the canonical orbit fixes
-    the class of G - (n-1), so only one parent generates G.
+    the class of G - (n-1), so only one parent generates G.  Each child
+    that refinement keeps gets its twin classes from ``_twin_masks`` once;
+    the search places its twins by them, and the child is yielded with them.
 
     The canonical orbit lies in the last cell, so refinement stops as soon
     as n-1 leaves it.  Two kinds of hood are skipped before any refinement,
@@ -499,7 +501,6 @@ def canonical_children(parent: Sequence[int]) -> Iterator[tuple[tuple[int, ...],
     for v, row in enumerate(parent):
         at_degree[row.bit_count()] |= 1 << v
     twins = _twin_masks(parent)
-    twins_of = _hood_twins(parent, twins)
     # each parent vertex with the next twin above it: t & -(2 << v) drops
     # the twins up to v
     pairs = [(1 << v, up & -up) for v, t in enumerate(twins) if (up := t & -(2 << v))]
@@ -515,7 +516,7 @@ def canonical_children(parent: Sequence[int]) -> Iterator[tuple[tuple[int, ...],
         cells = _equitable_cells(adj, n - 1)
         if cells is None:  # n-1 left the last cell, which holds the canonical orbit
             continue
-        child_twins = twins_of(hood)
+        child_twins = _twin_masks(adj)
         mask, automorphisms, orbit = _least_orders(adj, cells, 1, twins=child_twins)[0]
         if orbit & new and mask not in seen:
             seen.add(mask)
@@ -545,34 +546,3 @@ def _twin_masks(adj: Sequence[int]) -> list[int]:
         group = open_groups[row]
         out.append(group if group & (group - 1) else closed_groups[row | 1 << v])
     return out
-
-
-def _hood_twins(parent: Sequence[int], twins: list[int]) -> Callable[[int], list[int]]:
-    """The ``_twin_masks`` of each child of ``parent``, as a function of the
-    new vertex's neighbourhood (hood), given the parent's ``twins``.
-
-    A hood adds the new vertex to the neighbourhoods of its members only,
-    so two parent vertices are twins in the child iff they are twins in the
-    parent and the hood holds both or neither: each parent class splits
-    along the hood.  The new vertex's open twins are the parent vertices
-    whose open neighbourhood is the hood, and its adjacent twins those whose
-    closed one is.  At most one of these is nonempty (an open twin u of the
-    new vertex would be a neighbour of a closed twin w, so u would lie in
-    N[w], the hood, which an open twin avoids), and it is the whole piece of
-    each of its members' split classes, which the new vertex joins.
-    """
-    new = 1 << len(parent)
-    mates: dict[int, int] = {}  # the parent vertices of each open or closed neighbourhood
-    for v, row in enumerate(parent):
-        for nbhd in (row, row | 1 << v):
-            mates[nbhd] = mates.get(nbhd, 0) | 1 << v
-
-    def child(hood: int) -> list[int]:
-        out = [t & hood if hood >> v & 1 else t & ~hood for v, t in enumerate(twins)]
-        joined = mates.get(hood, 0)
-        for v in bits(joined):
-            out[v] |= new
-        out.append(joined | new)
-        return out
-
-    return child

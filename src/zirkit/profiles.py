@@ -28,7 +28,8 @@ from .domination import k_domination_number, independence_number, power_dominati
 from .errors import PreconditionError, check_deadline
 from .families import FamilySpec, generate
 from .forcing import ClosureCache, close_all_subsets, subset_tables, zero_forcing_number
-from .graphs import Graph, bit_list, bits, components, join as join_graph, to_graph6
+from .graphs import (MAX_GRAPH6_ORDER, Graph, bit_list, bits, components, join as join_graph,
+                     to_graph6)
 from .irredundance import (_largest_zir_set, lower_zir_number, maximal_zir_sets,
                            upper_zero_forcing_number, upper_zir_number)
 
@@ -132,7 +133,9 @@ class ParamProfile(Facts):
 
     def __init__(self, g: Graph, graph_id: str | None = None):
         super().__init__(g)
-        self.graph_id = to_graph6(g) if graph_id is None else graph_id
+        # graph6 encodes orders up to 62; a larger graph without an id has none
+        self.graph_id = to_graph6(g) if graph_id is None and g.n <= MAX_GRAPH6_ORDER \
+            else graph_id
         self.cache = ClosureCache(g)
         self.values: dict[str, int] = {}
         self.witnesses: dict[str, list[int]] = {}

@@ -40,7 +40,8 @@ read nothing but ``values``, so they run on either facts record.
 Each order is sharded over the classes of the order below; one loop folds
 the shard results in shard order, so the output is identical for any
 thread count.  A shard keeps integer counts and a list of violating
-classes per check.  The default budget is order ``SURVEY_DEFAULT_MAX_ORDER``
+classes per check.  Each order is finished, its examples found, before
+the next starts.  The default budget is order ``SURVEY_DEFAULT_MAX_ORDER``
 (6) and the override's ``SURVEY_HARD_MAX_ORDER`` (9).  The orders within
 the default budget run in process at any thread count; more than one
 thread starts a worker pool for the orders past it.
@@ -259,7 +260,6 @@ _SCANS = (Check("gammaP-vs-zir", ("gammaP", "zir"), _gamma_p_vs_zir),
 _CHECKS = {c.name: c for c in CHECKS if c.name in SHARED_CHECKS}
 _CHECKS |= {c.name: c for c in _SURVEY_THEOREMS + _SCANS}
 SCAN_CHECKS = tuple(c.name for c in _SCANS)
-THEOREM_CHECKS = tuple(name for name in _CHECKS if name not in SCAN_CHECKS)
 ALL_CHECKS = tuple(_CHECKS)
 
 
@@ -357,7 +357,8 @@ def survey(max_order: int,
     labeled graph in edge-mask order would.
 
     Each order is sharded over the classes of the order below.  One loop
-    folds the shard results in shard order; ``threads`` > 1 only runs the
+    folds the shard results in shard order and then finds the order's
+    examples, before the next order starts; ``threads`` > 1 only runs the
     shards of the orders past ``SURVEY_DEFAULT_MAX_ORDER`` in a pool of
     that many workers, or of one per shard when there are fewer shards.
     Each shard, in either case, reads ``time_limit`` (seconds) before each
@@ -384,50 +385,50 @@ def survey(max_order: int,
     if not checks:
         raise PreconditionError("no survey check selected")
 
-    orders = range(1, max_order + 1)
-    tallies = {n: {c: [0, 0, []] for c in checks} for n in orders}
-    leaders = {n: [None, []] for n in orders}
+    tallies, leaders = {}, {}
     parents: list[tuple[int, ...]] = [()]  # the one class of order 0
     pool = None
     try:
-        for n in orders:
+        for n in range(1, max_order + 1):
             chunk = -(-len(parents) // (threads * 4))
             shards = [(n, parents[lo:lo + chunk], checks, connected_only, dedup,
                        n < max_order, at) for lo in range(0, len(parents), chunk)]
-            # All orders within the default budget take about 35-45 ms in
-            # process on 2 cores.  A pool saved no time there even at
-            # 100-110 ms, took up to about 55 % more CPU time, and its forks,
-            # round trips and shared cores make the time of a call vary more.  A pool
-            # started by fork starts all its workers at once, so it gets no
-            # more of them than there are shards.
+            # All orders within the default budget run in process in about
+            # 28-30 ms of CPU time (the least of 40 calls; x86_64, Python
+            # 3.11).  A pool saved no time there even at 100-110 ms, took up
+            # to about 55 % more CPU time, and its forks, round trips and
+            # shared cores make the time of a call vary more.  A pool started
+            # by fork starts all its workers at once, so it gets no more of
+            # them than there are shards.
             if threads > 1 and pool is None and n > SURVEY_DEFAULT_MAX_ORDER:
                 pool = concurrent.futures.ProcessPoolExecutor(min(threads, len(shards)))
             results = pool.map(_survey_shard, shards) if pool else map(_survey_shard, shards)
+            folded = {c: [0, 0, []] for c in checks}
+            leader: list = [None, []]
             parents = []
             for shard_tallies, shard_leader, children in results:
-                for c, tally in tallies[n].items():
+                for c, tally in folded.items():
                     checked, violations, classes = shard_tallies[c]
                     tally[0] += checked
                     tally[1] += violations
                     tally[2] += classes
-                _keep_least(leaders[n], *shard_leader)
+                _keep_least(leader, *shard_leader)
                 parents.extend(children)
+            tallies[n] = {}
+            for check, (checked, violations, classes) in folded.items():
+                examples = []
+                for g in _first_labelings(n, classes, dedup, _EXAMPLE_CAP, at):
+                    ok, detail, *_ = _CHECKS[check].evaluate(_GraphData(g))
+                    if ok:
+                        raise AssertionError(f"check {check} passes a labeling of a failing class")
+                    examples.append({"graph6": to_graph6(g), "detail": detail})
+                tallies[n][check] = (checked, violations, examples)
+            value, classes = leader
+            leaders[n] = (value, [to_graph6(g) for g in
+                                  _first_labelings(n, classes, dedup, _EXAMPLE_CAP, at)])
     finally:
         if pool:
             pool.shutdown(cancel_futures=True)
-
-    for n in orders:
-        for check, (checked, violations, classes) in tallies[n].items():
-            examples = []
-            for g in _first_labelings(n, classes, dedup, _EXAMPLE_CAP, at):
-                ok, detail, *_ = _CHECKS[check].evaluate(_GraphData(g))
-                if ok:
-                    raise AssertionError(f"check {check} passes a labeling of a failing class")
-                examples.append({"graph6": to_graph6(g), "detail": detail})
-            tallies[n][check] = (checked, violations, examples)
-        value, classes = leaders[n]
-        leaders[n] = (value, [to_graph6(g) for g in
-                              _first_labelings(n, classes, dedup, _EXAMPLE_CAP, at)])
     return _report(SurveyReport(max_order=max_order, connected_only=connected_only,
                                 dedup=dedup, checks=checks), tallies, leaders)
 

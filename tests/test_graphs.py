@@ -9,7 +9,7 @@ from zirkit.families import (complete_bipartite_graph, complete_graph, cycle_gra
                              empty_graph, fig5_graph, necklace_graph, path_graph,
                              star_graph)
 from zirkit import graphs
-from zirkit.graphs import (Graph, _equitable_cells, _hood_twins, _least_orders, _twin_masks,
+from zirkit.graphs import (Graph, _equitable_cells, _least_orders, _twin_masks,
                            bit_list, canonical_children, complement, components, corona,
                            disjoint_union, edge_slots, enumerate_labeled_graphs, join,
                            mask_of)
@@ -213,16 +213,6 @@ def test_search_matches_reference_on_every_hood_through_order_6():
     assert len(hoods) == 1307
     for adj in hoods:
         assert_search_matches_reference(adj)
-
-
-def test_hood_twins_follow_from_the_parent_on_every_hood_through_order_6():
-    # each parent class split by the hood, the new vertex joined to the
-    # vertices whose open or closed neighbourhood is the hood
-    for order in range(6):
-        for parent in reference_classes(order):
-            twins_of = _hood_twins(parent, _twin_masks(parent))
-            for adj in every_hood(parent):
-                assert twins_of(adj[-1]) == _twin_masks(adj), adj
 
 
 @pytest.mark.slow

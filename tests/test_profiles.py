@@ -9,12 +9,12 @@ from zirkit.domination import (independence_number, k_domination_number,
 from zirkit.errors import PreconditionError
 from zirkit.families import generate, parse_family_expr
 from zirkit.forcing import closure, is_minimal_zfs, zero_forcing_number
-from zirkit.graphs import Graph, bit_list, disjoint_union, mask_of, parse_graph6
+from zirkit.graphs import Graph, bit_list, disjoint_union, mask_of, parse_graph6, to_graph6
 from zirkit.irredundance import (is_maximal_zir_set, lower_zir_number,
                                  maximal_zir_sets, upper_zero_forcing_number,
                                  upper_zir_number)
-from zirkit.profiles import (check_bounds, check_characterizations, parameter_profile,
-                             recognize_zn2_complement_form)
+from zirkit.profiles import (PARAM_NAMES, check_bounds, check_characterizations,
+                             parameter_profile, recognize_zn2_complement_form)
 from zirkit.survey import exact_params
 
 from oracles import (_is_k_dominating, is_clique_plus_isolated, is_path_graph,
@@ -111,6 +111,14 @@ def test_profile_budget_produces_omissions():
     p = parameter_profile(g, max_order=10)
     assert p.values == {} and set(p.omitted) == {"zir", "Z", "Zbar", "ZIR",
                                                  "gamma", "gamma2", "alpha", "gammaP"}
+
+
+def test_profile_past_graph6_has_no_id_and_omits_every_parameter():
+    # graph6 stops at order 62, and the profile budget well before it
+    for n in (63, 64):
+        p = parameter_profile(Graph(n))
+        assert p.omitted == list(PARAM_NAMES) and p.to_dict()["graph"] is None
+    assert parameter_profile(Graph(62)).graph_id == to_graph6(Graph(62))
 
 
 def test_profile_rejects_unknown_parameter():

@@ -194,6 +194,20 @@ def test_survey_reports_scan_counterexamples_as_findings(monkeypatch, capsys):
     assert err.splitlines()[-1] == "survey: 1 finding(s) -- counterexamples above"
 
 
+def test_survey_finds_the_examples_of_a_pool_order(monkeypatch):
+    # a check that fails exactly on stars, an isomorphism-invariant verdict;
+    # at two threads order 7's shards run in the worker pool, whose forked
+    # workers inherit the planted check, and its examples in process
+    star = Check("star", (), lambda d: (not d.size == d.n - 1 == d.max_degree, "star"))
+    monkeypatch.setitem(_CHECKS, "star", star)
+    one, two = (survey(7, checks=("star",), override_budget=True, threads=t) for t in (1, 2))
+    assert one.to_json_lines() == two.to_json_lines()
+    row = next(r for r in two.reports if (r.check, r.scope) == ("star", "order 7"))
+    assert row.status == "fail" and row.stats == {"checked": 2_097_152, "violations": 7}
+    examples = [parse_graph6(e["graph6"]) for e in row.counterexample["examples"]]
+    assert len(examples) == 3 and all(g.size() == g.max_degree() == 6 for g in examples)
+
+
 @pytest.mark.parametrize("connected_only,dedup",
                          [(False, False), (True, False), (False, True), (True, True)])
 def test_class_walk_matches_labeled_walk(connected_only, dedup):
