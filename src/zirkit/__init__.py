@@ -25,7 +25,8 @@ from .domination import (independence_number, k_domination_number,
 from .profiles import (CheckReport, ParamProfile, check_bounds,
                        check_characterizations, parameter_profile,
                        recognize_zn2_complement_form)
-from .survey import SurveyReport, exact_params, survey
+from .subsets import exact_params
+from .survey import SurveyReport, survey
 from .tables import TableRow, expected_values, family_table
 
 __version__ = "0.1.0"

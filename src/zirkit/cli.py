@@ -48,40 +48,50 @@ def _iter_source(args) -> list[tuple[str, Graph]]:
         spec = parse_family_expr(args.family)
         return [(str(spec), generate(spec))]
     out = []
-    with open(args.file, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
+    for lineno, line in _numbered_lines(args.file):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
             out.append((line, parse_graph6(line)))
+        except ZirkitError as exc:
+            raise type(exc)(f"{args.file}:{lineno}: {exc}") from None
     return out
+
+
+def _numbered_lines(path: str) -> list[tuple[int, str]]:
+    """The lines of a UTF-8 file, numbered from 1; a decode error names it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return list(enumerate(fh, 1))
+    except UnicodeDecodeError as exc:
+        raise GraphFormatError(f"{path}: {exc}") from None
 
 
 def _parse_edge_file(path: str) -> Graph:
     n = None
     edges = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            where = f"{path}:{lineno}"
-            parts = line.split()
-            if n is None:
-                if parts[0] != "n" or len(parts) != 2 or not parts[1].isdecimal() \
-                        or int(parts[1]) < 1:
-                    raise GraphFormatError(
-                        f"{where}: first line must be 'n <order>' with order >= 1")
-                n = int(parts[1])
-                continue
-            try:
-                u, v = map(int, parts)
-            except ValueError:
-                raise GraphFormatError(f"{where}: expected 'u v'") from None
-            if u == v or not (0 <= u < n and 0 <= v < n):
+    for lineno, raw in _numbered_lines(path):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        where = f"{path}:{lineno}"
+        parts = line.split()
+        if n is None:
+            if parts[0] != "n" or len(parts) != 2 or not parts[1].isdecimal() \
+                    or int(parts[1]) < 1:
                 raise GraphFormatError(
-                    f"{where}: edge ({u},{v}) is a loop or out of range for order {n}")
-            edges.append((u, v))
+                    f"{where}: first line must be 'n <order>' with order >= 1")
+            n = int(parts[1])
+            continue
+        try:
+            u, v = map(int, parts)
+        except ValueError:
+            raise GraphFormatError(f"{where}: expected 'u v'") from None
+        if u == v or not (0 <= u < n and 0 <= v < n):
+            raise GraphFormatError(
+                f"{where}: edge ({u},{v}) is a loop or out of range for order {n}")
+        edges.append((u, v))
     if n is None:
         raise GraphFormatError(f"{path}: empty edge-list file")
     return Graph(n, edges)

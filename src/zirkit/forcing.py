@@ -9,22 +9,18 @@ meets every fort, which is the duality the test suite exercises from both
 sides.  The upper zero forcing number Zbar is a ZIr-set search and lives
 in ``irredundance``.
 
-Two kernels close sets, one per route, so the routes the tests compare
-share no closure code.  The solvers' ``_close`` closes one set from a work
-list of the blue vertices that may force, memoized by ``ClosureCache``,
-whose ``add`` closes a closed set plus one vertex from that vertex.  The
-table route's ``close_all_subsets`` closes all 2^n sets at once, one
-2^n-bit int per vertex (Knuth, TAOCP 4A, §7.1.3).
+The solvers' kernel ``_close`` closes one set from a work list of the
+blue vertices that may force, memoized by ``ClosureCache``, whose ``add``
+closes a closed set plus one vertex from that vertex.  The table route
+closes sets with a kernel of its own (``subsets``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Sequence
 
 from .errors import BudgetError, PreconditionError
-from .graphs import Graph, _first_subset, _masks_of_size, bit_list, bits
+from .graphs import Graph, _first_subset, _masks_of_size, bits
 
 FORT_ENUM_MAX_ORDER = 20
 
@@ -89,57 +85,6 @@ class ClosureCache:
             got = self._memo[blue] = _close(
                 self.adj, blue, w | self.adj[w.bit_length() - 1] & closed)
         return got
-
-
-@lru_cache(maxsize=1)
-def subset_tables(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """2^n-bit ints over the sets m of n vertices: X_v for each vertex v,
-    whose bit m says v ∈ m, and L_k for k = 0..n, whose bit m says |m| = k."""
-    xs: list[int] = []
-    layers = [1]
-    for v in range(n):  # doubling: the sets without v, then those with it
-        w = 1 << v
-        xs = [x | x << w for x in xs] + [((1 << w) - 1) << w]
-        layers = [lo | hi << w for lo, hi in zip(layers + [0], [0] + layers)]
-    return tuple(xs), tuple(layers)
-
-
-def close_all_subsets(adj: tuple[int, ...], start: Sequence[int]) -> list[int]:
-    """Closures of 2^n sets at once: bit m of entry v says whether v lies in
-    the closure of {u : bit m of ``start[u]``}, which is m when start is X_v.
-
-    B_w |= B_u & ⋀_{y ∈ N(u) − w} B_y runs to a fixed point from a work
-    list of forcers swept in rounds.  A grown B_w puts w and its neighbours
-    other than u on it: where u forces w, u's other neighbours are blue.
-    The neighbour lists and those wake-up masks are built once per call.
-    """
-    rows = [bit_list(row) for row in adj]
-    wake = [row | 1 << w for w, row in enumerate(adj)]
-    blue, todo, u = list(start), (1 << len(adj)) - 1, -1
-    while todo:
-        # sweep round after round: the next forcer on the list after u
-        ahead = todo >> u + 1 << u + 1 or todo
-        low = ahead & -ahead
-        todo ^= low
-        u = low.bit_length() - 1
-        ys = rows[u]
-        # each w takes the AND over N(u) − w from a prefix and a suffix
-        first = blue[u]
-        before = [first]
-        for y in ys:
-            first &= blue[y]
-            before.append(first)
-        before.pop()
-        after = -1
-        for w in reversed(ys):
-            bw = blue[w]
-            grown = before.pop() & after & ~bw
-            if grown:
-                bw |= grown
-                blue[w] = bw
-                todo |= wake[w] & ~low
-            after &= bw
-    return blue
 
 
 def closure(g: Graph, blue: int) -> int:

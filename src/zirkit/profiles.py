@@ -1,37 +1,32 @@
-"""Parameter profiles, facts records, checks and the complement recognizer.
+"""Parameter profiles, the check registry and the complement recognizer.
 
-A profile gathers every exact parameter of one graph together with
-witnesses.  ``CHECKS`` is the one ordered registry of bounds and
-characterizations: each entry tests its hypothesis and its claim on a
-``Facts`` record, which holds the graph-level fields and reads the
-set-level facts as whole-int operations on 2^n-bit subset tables.  Two
-subclasses supply the values and the maximal ZIr-set table:
-``ParamProfile`` from the solvers (``check_bounds`` and
-``check_characterizations`` read the profile itself; the join and corona
-bounds also read the factor graphs), and the survey's ``_GraphData`` from
-its subset tables; so the two value routes stay independent while each
-theorem is written once.  The path, star and clique-plus-isolated shapes
-are read off the record's degrees and connectivity.  The complement
-decomposition behind the near-extreme zero forcing characterization walks
-the complement's adjacency rows without building the complement graph,
-once per record.
+``ParamProfile`` gathers every exact parameter of one graph, with
+witnesses, from the solvers along ``_SOLVERS``; it is the solver route's
+``subsets.Facts`` record.  ``CHECKS`` is the one ordered registry of bounds
+and characterizations, each testing its hypothesis and claim on either
+route's record; the join and corona bounds also read the factor graphs.
+The path, star and clique-plus-isolated shapes are read off the record's
+degrees and connectivity, and the complement decomposition behind the
+near-extreme zero forcing characterizations walks the complement's
+adjacency rows without building the complement graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from operator import and_, or_
+from operator import or_
 from typing import Any, Callable, Iterable
 
 from .domination import k_domination_number, independence_number, power_domination_number
 from .errors import PreconditionError, check_deadline
 from .families import FamilySpec, generate
-from .forcing import ClosureCache, close_all_subsets, subset_tables, zero_forcing_number
+from .forcing import ClosureCache, zero_forcing_number
 from .graphs import (MAX_GRAPH6_ORDER, Graph, bit_list, bits, components, join as join_graph,
                      to_graph6)
 from .irredundance import (_largest_zir_set, lower_zir_number, maximal_zir_sets,
                            upper_zero_forcing_number, upper_zir_number)
+from .subsets import Facts
 
 PARAM_NAMES = ("zir", "Z", "Zbar", "ZIR", "gamma", "gamma2", "alpha", "gammaP")
 # parameter -> solver(g, cache, values so far) -> (value, witness mask), in
@@ -49,73 +44,6 @@ _SOLVERS: dict[str, Callable[[Graph, ClosureCache, dict[str, int]], tuple[int, i
 DEFAULT_PROFILE_MAX_ORDER = 15
 FACTOR_MAX_ORDER = 13  # the join and corona bounds solve factors up to this order
 SUBSET_CHECK_MAX_ORDER = 10
-
-
-def _read_on_demand(name: str) -> cached_property:
-    """A ``Facts`` table that its first read builds by ``read_closures``."""
-    def read(facts: Facts):
-        facts.read_closures()
-        return vars(facts)[name]
-    return cached_property(read)
-
-
-class Facts:
-    """The facts record of one graph that every check reads.
-
-    It holds ``graph`` and the graph-level fields (``n``, ``min_degree``,
-    ``max_degree``, ``size`` (edges), ``isolated`` (isolated vertices),
-    ``has_edge``, ``connected``, ``isolated_free``); a caller that has
-    already tested connectivity passes it in.  It also holds
-    the subset tables the checks compare: 2^n-bit ints whose bit m answers
-    for the set m.  ``read_closures`` closes all subsets with
-    ``forcing.close_all_subsets``, reads three tables off the closures in
-    one pass over the vertices and drops them: ``forcing_table`` (m forces),
-    ``minimal_table`` (m is a minimal zero forcing set) and ``zir_table``
-    (m is a ZIr-set); the first read of any of the three runs it.
-    ``abandons`` reads the forcing table.  A subclass supplies ``values``
-    and ``maximal_table`` (m is a maximal ZIr-set).  ``zn2_form`` is the
-    graph's ``recognize_zn2_complement_form``, found once for both checks
-    that read it.
-    """
-
-    def __init__(self, g: Graph, connected: bool | None = None):
-        degs = g.degrees()
-        self.graph, self.n = g, g.n
-        self.min_degree, self.max_degree = min(degs), max(degs)
-        self.size, self.isolated = sum(degs) // 2, degs.count(0)
-        self.has_edge = self.max_degree > 0
-        self.connected = g.is_connected() if connected is None else connected
-        self.isolated_free = not self.isolated
-
-    def read_closures(self) -> None:
-        """Set ``forcing_table``, ``minimal_table`` and ``zir_table``."""
-        xs = subset_tables(self.n)[0]
-        closures = close_all_subsets(self.graph.adj, xs)
-        self.forcing_table = forcing = reduce(and_, closures)
-        grown = shrunk = 0
-        for v, (closed, x) in enumerate(zip(closures, xs)):
-            w = 1 << v
-            grown |= (forcing & ~x) << w  # the forcing sets s plus v
-            shrunk |= (closed & ~x) << w  # the sets s plus v with v ∈ cl(s)
-        # m is minimal iff it forces and is no forcing set s plus a vertex;
-        # m is a ZIr-set iff no member v lies in the closure of m - v
-        self.minimal_table = forcing & ~grown
-        self.zir_table = ((1 << (1 << self.n)) - 1) & ~shrunk
-
-    forcing_table = _read_on_demand("forcing_table")
-    minimal_table = _read_on_demand("minimal_table")
-    zir_table = _read_on_demand("zir_table")
-
-    @cached_property
-    def abandons(self) -> bool:
-        # graph_abandons_fort: every ZIr-set of size ZIR is maximal, so the
-        # graph abandons a fort iff a maximal one of that size does not force
-        return bool(self.maximal_table & subset_tables(self.n)[1][self.values["ZIR"]]
-                    & ~self.forcing_table)
-
-    @cached_property
-    def zn2_form(self) -> tuple[bool, ComplementDecomposition | None, bool]:
-        return recognize_zn2_complement_form(self.graph)
 
 
 class ParamProfile(Facts):
@@ -423,7 +351,7 @@ def _extreme_n_minus_1(f):
 def _zir_n_minus_2_form(f):
     if f.n < 3:
         return ""
-    _, decomp, lower_form = f.zn2_form
+    _, decomp, lower_form = recognize_zn2_complement_form(f.graph)
     zir_lower = f.values["zir"]
     ok = (zir_lower == f.n - 2) == lower_form
     detail = f"zir={zir_lower} n-2={f.n - 2} recognizer={lower_form}"
@@ -435,7 +363,7 @@ def _zir_n_minus_2_form(f):
 def _z_n_minus_2_form(f):
     if f.n < 3:
         return ""
-    matches = f.zn2_form[0]
+    matches = recognize_zn2_complement_form(f.graph)[0]
     z = f.values["Z"]
     return (z >= f.n - 2) == matches, f"Z={z} n-2={f.n - 2} recognizer={matches}"
 

@@ -12,23 +12,13 @@ extends each class of order n-1 by a vertex and yields every class of
 order n once, with its automorphism count.  Each class stands for its
 n!/|Aut G| labelings in the counts (for itself alone under dedup), so a
 check's verdict and skip must not depend on the labels.  The examples are
-the least labeled edge masks of the violating or leading classes, so the
-report reads as a walk over every labeled graph in edge-mask order would;
-one least-labeling search runs over the classes of a report row (one
-check, or the leaderboard, at one order) in turn, bounded by the masks it
-has already found.  Each class is built from the generator's
+the least labeled edge masks of the violating or leading classes
+(``_first_labelings``), so the report reads as a walk over every labeled
+graph in edge-mask order would.  Each class is built from the generator's
 rows unchecked, and its connectivity is tested once.
 
-Every parameter here is recomputed from per-graph tables over all subsets
-by its definition (for example ZIR is the literal maximum over maximal
-ZIr-sets): ``forcing.close_all_subsets`` closes every subset at once, once
-per graph, and each table (forcing, ZIr, dominating, independent) is a few
-operations on 2^n-bit ints.  gamma_P is read off the forcing table, since m
-power-dominates iff N[m] forces.  No solver is called and no theorem bound
-prunes anything, so the survey is an independent route from the pruned
-solver searches; the test suite cross-checks the two.
-``_GraphData`` is the survey's ``profiles.Facts`` record, with its values
-from the subset tables; it keeps only the tables a check reads.  This
+Each class is evaluated on the table route alone, as a ``subsets.TableFacts``
+record: no solver is called and no theorem bound prunes anything.  This
 module alone decides what the survey runs (``ALL_CHECKS``): the registry
 theorems named in ``SHARED_CHECKS``, under the names ``compute`` uses, its
 own theorems and its scans.  Every check reads tables and adjacency rows,
@@ -37,34 +27,27 @@ hold some N[v] under the maximal ZIr-set table, and ``twins`` the twin
 classes ``graphs.canonical_children`` yields with each class.  The scans
 read nothing but ``values``, so they run on either facts record.
 
-Each order is sharded over the classes of the order below; one loop folds
-the shard results in shard order, so the output is identical for any
-thread count.  A shard keeps integer counts and a list of violating
-classes per check.  Each order is finished, its examples found, before
-the next starts.  The default budget is order ``SURVEY_DEFAULT_MAX_ORDER``
-(6) and the override's ``SURVEY_HARD_MAX_ORDER`` (9).  The orders within
-the default budget run in process at any thread count; more than one
-thread starts a worker pool for the orders past it.
+Each order is sharded over the classes of the order below, and a shard
+keeps integer counts and a list of violating classes per check;
+``survey.survey`` says how the shards run and fold.  The default budget is
+order ``SURVEY_DEFAULT_MAX_ORDER`` (6) and the override's
+``SURVEY_HARD_MAX_ORDER`` (9).
 """
 
 from __future__ import annotations
 
 import concurrent.futures
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
-from itertools import combinations
 from math import factorial
-from operator import or_
 
 from .errors import BudgetError, PreconditionError, check_deadline, deadline
-from .forcing import subset_tables
-from .graphs import (Graph, _least_orders, _twin_masks, adj_from_edge_mask, bit_list,
-                     canonical_children, edge_slots, to_graph6)
-from .profiles import CHECKS, Check, CheckReport, Facts
+from .graphs import (Graph, _least_orders, adj_from_edge_mask, bit_list, canonical_children,
+                     edge_slots, to_graph6)
+from .profiles import CHECKS, Check, CheckReport
+from .subsets import TableFacts
 
 SURVEY_DEFAULT_MAX_ORDER = 6
 SURVEY_HARD_MAX_ORDER = 9
-EXACT_PARAMS_MAX_ORDER = 22
 _EXAMPLE_CAP = 3  # the examples of one report row
 
 
@@ -86,124 +69,6 @@ class SurveyReport:
     def to_json_lines(self) -> list[str]:
         import json
         return [json.dumps(r.to_dict(), sort_keys=True) for r in self.reports]
-
-
-# -- per-graph computation -------------------------------------------------
-
-
-def _least(table: int, members: tuple[int, ...]) -> int:
-    """The lexicographically least of the equal-size sets in ``table``: it
-    holds each vertex, in ascending order, that a set still left holds."""
-    for x in members:
-        if table & x:
-            table &= x
-    return table.bit_length() - 1
-
-
-def _smallest(table: int, layers: tuple[int, ...]) -> int:
-    """The least size k of a set in ``table``, by a scan up the layers L_k."""
-    k = 0
-    while not table & layers[k]:
-        k += 1
-    return k
-
-
-def _largest(table: int, layers: tuple[int, ...]) -> int:
-    """The largest size k of a set in ``table``, by a scan down the layers."""
-    k = len(layers) - 1
-    while not table & layers[k]:
-        k -= 1
-    return k
-
-
-def _power_domination_number(forcing_table: int, adj: tuple[int, ...]) -> int:
-    """gamma_P read off the forcing table: m power-dominates iff N[m]
-    forces, so it is the least k such that some k-set m has bit N[m] set.
-
-    Two facts of the colour change rule bound the scan.  An isolated
-    vertex is in N[m] only if it is in m, and no rule colours it, so it
-    lies in every power dominating set.  If N[u] ⊆ N[w], swapping u for w
-    grows N[m], and a superset of a forcing set forces, so only vertices
-    whose closed neighbourhood lies in no other (the least of equal ones)
-    are tried.  Bits are read from the table's bytes, O(1) each.
-    """
-    n = len(adj)
-    forces = forcing_table.to_bytes(((1 << n) + 7) >> 3, "little")
-    closed = [row | 1 << v for v, row in enumerate(adj)]
-    must, hoods = 0, []
-    for v, hood in enumerate(closed):
-        # N[v] ⊆ N[w] puts w in N[v], so only neighbours can contain it
-        for w in bit_list(adj[v]):
-            other = closed[w]
-            if not hood & ~other and (hood != other or w < v):
-                break
-        else:
-            if adj[v]:
-                hoods.append(hood)
-            else:
-                must |= hood
-    for k in range(len(hoods) + 1):
-        for picks in combinations(hoods, k):
-            m = must
-            for hood in picks:
-                m |= hood
-            if forces[m >> 3] >> (m & 7) & 1:
-                return must.bit_count() + k
-    raise AssertionError("no set power-dominates, not even the whole vertex set")
-
-
-class _GraphData(Facts):
-    """The facts record of one graph, answered by tables over all subsets.
-
-    Each table is a 2^n-bit int whose bit m answers for the set m, a few
-    whole-int operations on the tables that ``Facts.read_closures`` builds
-    and the tables X_v and L_k of ``forcing.subset_tables``: every subset
-    is decided, with no solver and no bound pruning.  ``held`` is the table
-    of the sets that hold some N[v].  ``twins`` is ``graphs._twin_masks``,
-    which the survey shard sets from the class generator.
-    """
-
-    def __init__(self, g: Graph, connected: bool | None = None):
-        super().__init__(g, connected)
-        n, adj, (xs, layers) = g.n, g.adj, subset_tables(g.n)
-        self.read_closures()
-        zir, forcing, minimal = self.zir_table, self.forcing_table, self.minimal_table
-        # a ZIr-set m is maximal iff no m + y is one
-        self.maximal_table = maximal = zir & ~reduce(
-            or_, ((zir & x) >> (1 << y) for y, x in enumerate(xs)))
-        # one pass over the neighbours: m dominates iff each v is in m or
-        # has a neighbour there, twice iff each v is in m or has two there
-        # (one- and two-bit counters); m is independent iff no member has a
-        # neighbour in m; m holds N[v] iff it holds v and each neighbour
-        dominating, dominating2, self.held, clash = -1, -1, 0, 0
-        for x, row in zip(xs, adj):
-            one = two = 0
-            hold = x
-            for u in bit_list(row):
-                y = xs[u]
-                two |= one & y
-                one |= y
-                hold &= y
-            dominating &= x | one
-            dominating2 &= x | two
-            self.held |= hold
-            clash |= x & one
-        self.values = values = {
-            "zir": _smallest(maximal, layers), "ZIR": _largest(maximal, layers),
-            "Z": _smallest(forcing, layers), "Zbar": _largest(minimal, layers),
-            "gamma": _smallest(dominating, layers),
-            "gamma2": _smallest(dominating2, layers),
-            "alpha": _largest(((1 << (1 << n)) - 1) & ~clash, layers),
-            "gammaP": _power_domination_number(forcing, adj),
-        }
-        # every minimum zero forcing set is minimal, so both witnesses are the
-        # first minimal one of their size, by (size, lexicographic)
-        self.z_witness = _least(minimal & layers[values["Z"]], xs)
-        self.zbar_witness = _least(minimal & layers[values["Zbar"]], xs)
-
-    @cached_property
-    def twins(self) -> list[int]:
-        return _twin_masks(self.graph.adj)
 
 
 # -- survey-only checks; the shared theorems live in profiles.CHECKS ---------
@@ -299,7 +164,7 @@ def _survey_shard(args: tuple) -> tuple[dict, list, list]:
             connected = g.is_connected()
             if connected_only and not connected:
                 continue
-            d = _GraphData(g, connected)
+            d = TableFacts(g, connected)
             d.twins = twins
             weight = 1 if dedup else labelings // automorphisms
             for evaluate, tally in run:
@@ -347,14 +212,10 @@ def survey(max_order: int,
            time_limit: float | None = None) -> SurveyReport:
     """Run the selected checks over every labeled graph of order <= max_order.
 
-    The walk visits one graph per isomorphism class and weighs it by its
-    number of labelings, so a check's verdict and skip must be
-    isomorphism-invariant; its detail may depend on labels.  Every check
-    here meets that: ``twins`` reads witnesses, but every zero forcing set
-    holds all but one vertex of each twin class.  Examples are the least
-    labeled graphs of the violating or leading classes, and each detail is
-    re-evaluated on its example, so the report reads as a walk over every
-    labeled graph in edge-mask order would.
+    Every check's verdict and skip are isomorphism-invariant, as the class
+    walk needs (``twins`` reads witnesses, but every zero forcing set holds
+    all but one vertex of each twin class); its detail may depend on
+    labels, so each example's detail is re-evaluated on that example.
 
     Each order is sharded over the classes of the order below.  One loop
     folds the shard results in shard order and then finds the order's
@@ -418,7 +279,7 @@ def survey(max_order: int,
             for check, (checked, violations, classes) in folded.items():
                 examples = []
                 for g in _first_labelings(n, classes, dedup, _EXAMPLE_CAP, at):
-                    ok, detail, *_ = _CHECKS[check].evaluate(_GraphData(g))
+                    ok, detail, *_ = _CHECKS[check].evaluate(TableFacts(g))
                     if ok:
                         raise AssertionError(f"check {check} passes a labeling of a failing class")
                     examples.append({"graph6": to_graph6(g), "detail": detail})
@@ -456,18 +317,3 @@ def _report(report: SurveyReport, tallies: dict, leaders: dict) -> SurveyReport:
     report.reports.sort(key=lambda r: (r.check, r.scope))
     return report
 
-
-def exact_params(g: Graph) -> dict[str, int]:
-    """Definition-level parameter computation from tables over all subsets.
-
-    Exposed so tests can cross-check the pruned solver searches against the
-    survey's independent route.  Each table takes 2^n bits, and under 3n
-    are live at once.  At order ``EXACT_PARAMS_MAX_ORDER`` = 22, G(22, p)
-    with p = 0.2-0.8 peaked at 56-68 MB resident (17 MB the interpreter's,
-    23 MB the cached X_v and L_k) in 0.5-1.2 s of process time (x86_64,
-    Python 3.11); each vertex more doubles both, and above it
-    ``BudgetError`` comes first.
-    """
-    if g.n > EXACT_PARAMS_MAX_ORDER:
-        raise BudgetError(f"exact_params supports n <= {EXACT_PARAMS_MAX_ORDER}, got {g.n}")
-    return dict(_GraphData(g).values)

@@ -213,14 +213,14 @@ def two_kernel_power_domination(adj: tuple[int, ...]) -> int:
     """gamma_P by a second run of the package's all-subsets kernel: started
     at the tables of the sets m that dominate each vertex, it closes every
     N[m] at once, and m power-dominates iff that closure is everything."""
-    from zirkit.forcing import close_all_subsets, subset_tables
+    from zirkit.subsets import close_all_subsets, subset_tables
     xs, layers = subset_tables(len(adj))
     once = list(xs)
     for v, row in enumerate(adj):
         for u in bits_of(row):
             once[v] |= xs[u]
     power = (1 << (1 << len(adj))) - 1
-    for table in close_all_subsets(adj, once):
+    for table in close_all_subsets(adj, [bits_of(row) for row in adj], once):
         power &= table
     return next(k for k, layer in enumerate(layers) if power & layer)
 
@@ -392,7 +392,8 @@ def labeled_survey(max_order: int, checks: tuple[str, ...],
     graphs met, each with the detail its check gave there.
     """
     from zirkit.graphs import enumerate_labeled_graphs, to_graph6
-    from zirkit.survey import _CHECKS, SurveyReport, _GraphData, _report
+    from zirkit.subsets import TableFacts
+    from zirkit.survey import _CHECKS, SurveyReport, _report
 
     tallies, leaders = {}, {}
     for n in range(1, max_order + 1):
@@ -403,7 +404,7 @@ def labeled_survey(max_order: int, checks: tuple[str, ...],
                 continue
             if connected_only and not g.is_connected():
                 continue
-            d = _GraphData(g)
+            d = TableFacts(g)
             g6 = to_graph6(g)
             for name in checks:
                 outcome = _CHECKS[name].evaluate(d)

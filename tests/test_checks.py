@@ -7,13 +7,14 @@ import random
 from pathlib import Path
 
 from zirkit.cli import main
-from zirkit.forcing import is_minimal_zfs, subset_tables
+from zirkit.forcing import is_minimal_zfs
 from zirkit.graphs import (Graph, bit_list, canonical_children, enumerate_labeled_graphs,
                            mask_of, to_graph6)
 from zirkit.families import generate
 from zirkit.profiles import (CHARACTERIZATION_CHECKS, CHECKS, SUBSET_CHECK_MAX_ORDER,
                              parameter_profile)
-from zirkit.survey import _CHECKS, ALL_CHECKS, SCAN_CHECKS, SHARED_CHECKS, _GraphData, _least
+from zirkit.subsets import TableFacts, _least, subset_tables
+from zirkit.survey import _CHECKS, ALL_CHECKS, SCAN_CHECKS, SHARED_CHECKS
 
 from oracles import random_adj
 
@@ -157,7 +158,7 @@ def test_facts_records_agree():
     # the shared predicates make the two facts records the only place the
     # survey and compute --check-bounds can diverge
     for g in _parity_graphs():
-        table = _GraphData(g)
+        table = TableFacts(g)
         solved = parameter_profile(g)
         where = g.adj
         xs, layers = subset_tables(g.n)

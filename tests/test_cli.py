@@ -361,7 +361,7 @@ def test_convert_edge_list_past_graph6_order(capsys, tmp_path):
     assert code == 2 and not out and "62" in err
 
 
-@pytest.mark.parametrize("argv, edges", [
+@pytest.mark.parametrize("argv, text", [
     (["survey", "--order", "3", "--checks", "bogus"], None),
     (["survey", "--order", "3", "--threads", "0"], None),
     (["survey", "--order", "3", "--threads", "-1"], None),
@@ -381,14 +381,19 @@ def test_convert_edge_list_past_graph6_order(capsys, tmp_path):
     (["convert", "--to", "graph6", "--edges", "{file}"], ""),
     (["compute", "--family", "join"], None),
     (["forts", "--family", "path:21"], None),  # past fort enumeration's budget
+    (["compute", "--file", "{file}"], "A_\nA_\n# three\nxyz\n"),  # names line 4
+    (["convert", "--to", "graph6", "--edges", "{file}"], b"n 3\n0 1 \xff\n"),  # not UTF-8
 ])
-def test_bad_input_exit_two_without_traceback(capsys, tmp_path, argv, edges):
+def test_bad_input_exit_two_without_traceback(capsys, tmp_path, argv, text):
+    # a bad file's error names the file, and the line where there is one
     path = tmp_path / "graph.edges"
-    if edges is not None:
-        path.write_text(edges, encoding="utf-8")
+    if text is not None:
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
     argv = [a.format(file=path, dir=tmp_path) for a in argv]
-    code, _, err = run_cli(capsys, *argv)
-    assert code == 2
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and not out
     assert len(err.splitlines()) == 1 and "Traceback" not in err
-    if edges is not None:
-        assert f"{path}:" in err
+    if text is not None:
+        assert err.startswith(f"zirkit {argv[0]}: {path}:"), err
+    if argv[:2] == ["compute", "--file"]:
+        assert err.startswith(f"zirkit compute: {path}:4: truncated graph6 data"), err

@@ -4,14 +4,14 @@ from hypothesis import given, settings
 from zirkit.errors import BudgetError
 from zirkit.families import (complete_graph, cycle_graph, friendship_graph,
                              generate, h_rs_graph, path_graph, star_graph)
-from zirkit.forcing import (ClosureCache, _close, close_all_subsets, closure,
-                            closure_with_chronicle,
+from zirkit.forcing import (ClosureCache, _close, closure, closure_with_chronicle,
                             enumerate_forts, enumerate_minimal_forts, is_fort,
                             is_minimal_zfs, is_z_irrelevant,
                             is_zero_forcing_set, max_fort_avoiding,
-                            subset_tables, zero_forcing_number)
-from zirkit.graphs import Graph, bits, mask_of
+                            zero_forcing_number)
+from zirkit.graphs import Graph, bit_list, bits, mask_of
 from zirkit.irredundance import upper_zero_forcing_number
+from zirkit.subsets import close_all_subsets, subset_tables
 
 from oracles import brute_closure, brute_forcing_params, brute_forts, brute_minimal_forts
 from strategies import graphs
@@ -291,6 +291,6 @@ def test_all_subsets_kernel_matches_closure(g):
              for m in range(g.full + 1)]
     hood_start = [mask_of(m for m, h in enumerate(hoods) if h >> v & 1) for v in range(g.n)]
     for start, sets in ((members, range(g.full + 1)), (hood_start, hoods)):
-        closed = close_all_subsets(g.adj, start)
+        closed = close_all_subsets(g.adj, [bit_list(row) for row in g.adj], start)
         for m, s in enumerate(sets):
             assert _set_at(closed, m) == brute_closure(g.adj, s), (g.adj, m)

@@ -20,7 +20,7 @@ from zirkit.irredundance import (_cannot_stay_maximal, _certify, _grow, abandons
                                  minimal_private_fort, upper_zero_forcing_number,
                                  upper_zir_number)
 from zirkit.profiles import _SOLVERS, parameter_profile
-from zirkit.survey import _GraphData, exact_params
+from zirkit.subsets import TableFacts, exact_params
 
 from oracles import (brute_closure, brute_forts, brute_zir_params, private_fort_exists,
                      random_adj)
@@ -340,7 +340,7 @@ def test_graph_abandons_fort_is_the_first_non_forcing_top_set(small_graphs):
         first = min((s for s in zir_sets if s.bit_count() == top
                      and brute_closure(g.adj, s) != g.full), key=bit_list, default=None)
         got = graph_abandons_fort(g)
-        assert (got is not None) == (first is not None) == _GraphData(g).abandons, g.adj
+        assert (got is not None) == (first is not None) == TableFacts(g).abandons, g.adj
         if got is not None:
             assert got == (first, g.full & ~brute_closure(g.adj, first)), g.adj
 

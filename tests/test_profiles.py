@@ -15,7 +15,7 @@ from zirkit.irredundance import (is_maximal_zir_set, lower_zir_number,
                                  upper_zir_number)
 from zirkit.profiles import (PARAM_NAMES, check_bounds, check_characterizations,
                              parameter_profile, recognize_zn2_complement_form)
-from zirkit.survey import exact_params
+from zirkit.subsets import exact_params
 
 from oracles import (_is_k_dominating, is_clique_plus_isolated, is_path_graph,
                      is_star_graph, random_adj)

@@ -1,5 +1,6 @@
 """The README's Library example runs and shows the values its comments
-state, and its check table names each check under the commands that run it."""
+state, its check table names each check under the commands that run it, and
+its Layout names every module."""
 
 import ast
 import re
@@ -47,3 +48,11 @@ def test_readme_check_table_names_each_check_where_it_runs():
             named.append(name)
     assert len(named) == len(set(named))
     assert compute | surveyed <= set(named)
+
+
+def test_readme_layout_names_every_module():
+    text = README.read_text(encoding="utf-8")
+    layout = text.split("## Layout\n", 1)[1]
+    package = README.parent / "src" / "zirkit"
+    modules = {p.stem for p in package.glob("*.py")} - {"__init__", "__main__"}
+    assert set(re.findall(r"^- `zirkit/(\w+)\.py`", layout, re.M)) == modules

@@ -14,12 +14,11 @@ from zirkit.cli import main
 from zirkit.domination import power_domination_number
 from zirkit.errors import BudgetError, PreconditionError
 from zirkit.families import generate
-from zirkit.forcing import close_all_subsets, subset_tables
 from zirkit.graphs import (Graph, _twin_masks, bit_list, bits, canonical_children, edge_slots,
                            parse_graph6)
-from zirkit.profiles import CHECKS, Check, parameter_profile
-from zirkit.survey import (_CHECKS, ALL_CHECKS, SCAN_CHECKS, _first_labelings, _GraphData,
-                           exact_params, survey)
+from zirkit.profiles import CHECKS, Check, parameter_profile, recognize_zn2_complement_form
+from zirkit.subsets import TableFacts, close_all_subsets, exact_params, subset_tables
+from zirkit.survey import _CHECKS, ALL_CHECKS, SCAN_CHECKS, _first_labelings, survey
 
 from oracles import (brute_closure, brute_domination, brute_independence,
                      brute_power_domination, labeled_survey, least_labelings, random_adj,
@@ -283,12 +282,12 @@ def _against_references(f):
     # shape checks that read degrees, edges and connectivity off the record
     # agree with the recognizers they replaced, whose verdict the detail names
     g = f.graph
-    assert f.zn2_form == reference_zn2_complement_form(g), g.adj
+    assert recognize_zn2_complement_form(g) == reference_zn2_complement_form(g), g.adj
     assert f.abandons == reference_abandons(f), g.adj
     pairs = [("minimal-zfs-equivalence", reference_minimal_zfs_equivalence),
              ("zir1-characterization", reference_zir1),
              ("extreme-n-minus-1", reference_extreme_n_minus_1)]
-    if isinstance(f, _GraphData):
+    if isinstance(f, TableFacts):
         pairs += [("zir-complement-dominating", reference_complement_dominating),
                   ("twins", reference_twins)]
     for name, reference in pairs:
@@ -300,7 +299,7 @@ def test_table_checks_match_list_level_references(class_walk):
     for extended in class_walk[:7]:  # every class through order 7
         for _, children in extended:
             for adj, _, twins in children:
-                d = _GraphData(Graph.from_adj(adj))
+                d = TableFacts(Graph.from_adj(adj))
                 d.twins = twins
                 _against_references(d)
 
@@ -308,7 +307,7 @@ def test_table_checks_match_list_level_references(class_walk):
 def _doctored(g, **fields):
     """Both facts records of g with ``fields`` replaced before any check
     reads them: each value is a function of the record."""
-    records = [_GraphData(g), parameter_profile(g)]
+    records = [TableFacts(g), parameter_profile(g)]
     for f in records:
         for name, value in fields.items():
             setattr(f, name, value(f))
@@ -326,18 +325,18 @@ def test_doctored_facts_reach_every_failure_branch_as_the_references_do():
         assert equivalence.evaluate(f) == (
             False, "set [1, 2, 3] minimal-zfs=False maximal-zir-and-zfs=True",
             {"set": [1, 2, 3]})
-        if isinstance(f, _GraphData):
+        if isinstance(f, TableFacts):
             assert _CHECKS["zir-complement-dominating"].evaluate(f) == (
                 False, "complement of maximal ZIr-set [1, 2, 3] misses 2")
     # a missing one: a minimal zero forcing set that is no longer maximal
-    z = _GraphData(c5).z_witness
+    z = TableFacts(c5).z_witness
     for f in _doctored(c5, maximal_table=lambda f: f.maximal_table & ~(1 << z)):
         _against_references(f)
         assert equivalence.evaluate(f)[:2] == (
             False, f"set {bit_list(z)} minimal-zfs=True maximal-zir-and-zfs=False")
     # abandonment, both ways: a non-forcing set of size ZIR added where no
     # fort is abandoned, and every such set taken away where one is
-    fig5 = _GraphData(generate("fig5"))
+    fig5 = TableFacts(generate("fig5"))
     assert not fig5.abandons
     stray = next(m for m in range(fig5.graph.full + 1)
                  if m.bit_count() == fig5.values["ZIR"] and not fig5.forcing_table >> m & 1)
@@ -345,7 +344,7 @@ def test_doctored_facts_reach_every_failure_branch_as_the_references_do():
         _against_references(f)
         assert f.abandons
     c6 = generate("cycle:6")
-    assert _GraphData(c6).abandons
+    assert TableFacts(c6).abandons
     for f in _doctored(c6, maximal_table=lambda f: f.maximal_table & f.forcing_table):
         _against_references(f)
         assert not f.abandons
@@ -362,7 +361,7 @@ def test_doctored_facts_reach_every_failure_branch_as_the_references_do():
         g = generate(expr)
         matches, decomp, lower = reference_zn2_complement_form(g)
         # a pass carries no decomposition
-        assert _CHECKS["zir-n-minus-2-form"].evaluate(_GraphData(g)) == (
+        assert _CHECKS["zir-n-minus-2-form"].evaluate(TableFacts(g)) == (
             True, f"zir={exact_params(g)['zir']} n-2={g.n - 2} recognizer={lower}")
         for f in _doctored(g, values=lambda f: {**f.values, "zir": g.n - 2 - lower,
                                                 "Z": g.n - 2 - matches}):
@@ -411,7 +410,7 @@ def test_exact_params_agree_with_solvers(rng):
 
 def assert_gamma_p_routes_agree(g):
     # read off the forcing table, by the solver, and by the second kernel run
-    value = _GraphData(g).values["gammaP"]
+    value = TableFacts(g).values["gammaP"]
     assert value == power_domination_number(g)[0] == two_kernel_power_domination(g.adj), g.adj
 
 
@@ -469,10 +468,10 @@ def test_graph_tables_match_definitions(small_graphs):
     rng = random.Random(20261018)
     larger = [Graph.from_adj(random_adj(rng.randint(7, 9), rng)) for _ in range(30)]
     for g in small_graphs + larger:
-        d = _GraphData(g)
+        d = TableFacts(g)
         adj = g.adj
         clo = [brute_closure(adj, m) for m in range(g.full + 1)]
-        for v, closed in enumerate(close_all_subsets(adj, subset_tables(g.n)[0])):
+        for v, closed in enumerate(close_all_subsets(adj, d.rows, subset_tables(g.n)[0])):
             assert [closed >> m & 1 for m in range(g.full + 1)] == \
                 [c >> v & 1 for c in clo], (g.adj, v)
         zir = [all(not clo[m ^ 1 << x] >> x & 1 for x in bits(m)) for m in range(g.full + 1)]
