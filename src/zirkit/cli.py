@@ -17,7 +17,7 @@ from .families import generate, parse_family_expr
 from .forcing import enumerate_forts, enumerate_minimal_forts
 from .graphs import Graph, bit_list, parse_graph6, to_graph6
 from .profiles import (DEFAULT_PROFILE_MAX_ORDER, PARAM_NAMES, check_bounds,
-                       check_characterizations, parameter_profile, requested_params)
+                       check_characterizations, parameter_profile, select)
 from .survey import ALL_CHECKS, SURVEY_HARD_MAX_ORDER, survey
 from .tables import family_table
 
@@ -68,6 +68,11 @@ def _numbered_lines(path: str) -> list[tuple[int, str]]:
         raise GraphFormatError(f"{path}: {exc}") from None
 
 
+def _split(items: str, sep: str) -> tuple[str, ...]:
+    """The items of an option's ``sep``-separated list, stripped, blanks dropped."""
+    return tuple(item.strip() for item in items.split(sep) if item.strip())
+
+
 def _parse_edge_file(path: str) -> Graph:
     n = None
     edges = []
@@ -98,7 +103,7 @@ def _parse_edge_file(path: str) -> Graph:
 
 
 def _cmd_compute(args) -> int:
-    params = requested_params(p.strip() for p in args.params.split(",") if p.strip())
+    params = select(_split(args.params, ","), PARAM_NAMES, "parameter")
     if args.check_bounds:
         params = PARAM_NAMES  # every bound needs the full profile
     spec = parse_family_expr(args.family) if args.family else None
@@ -143,8 +148,7 @@ def _cmd_forts(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    specs = tuple(s.strip() for s in args.specs.split(";") if s.strip()) \
-        if args.specs else None
+    specs = _split(args.specs, ";") if args.specs else None
     rows = family_table(specs, max_order=args.max_order, time_limit=args.time_limit)
     failures = [r for r in rows if not r.ok]
     if args.format == "jsonl":
@@ -162,9 +166,7 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_survey(args) -> int:
-    checks = None
-    if args.checks != "all":
-        checks = tuple(c.strip() for c in args.checks.split(",") if c.strip())
+    checks = None if args.checks == "all" else _split(args.checks, ",")
     report = survey(args.order, checks=checks, connected_only=args.connected_only,
                     dedup=args.dedup, threads=args.threads,
                     override_budget=args.override_budget,
@@ -265,7 +267,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ZirkitError, OSError, UnicodeDecodeError) as exc:
+    except (ZirkitError, OSError) as exc:
         print(f"zirkit {args.command}: {exc}", file=sys.stderr)
         return 2
 

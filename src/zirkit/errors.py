@@ -29,7 +29,7 @@ class BudgetError(ZirkitError):
     """An exact search was requested beyond its enumeration or time budget."""
 
 
-class PreconditionError(ZirkitError):
+class PreconditionError(ZirkitError, ValueError):
     """An operation was called with arguments violating its contract."""
 
 

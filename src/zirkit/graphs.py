@@ -15,7 +15,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .errors import BudgetError, GraphFormatError, SizeCapError
+from .errors import BudgetError, GraphFormatError, PreconditionError, SizeCapError
 
 MAX_ORDER = 64
 MAX_GRAPH6_ORDER = 62
@@ -69,7 +69,7 @@ def _first_subset(n: int, pred: Callable[[int], bool], start: int = 0) -> int:
 def _check_order(n: int) -> None:
     """Reject an order outside 1..MAX_ORDER before anything of that size is built."""
     if n < 1:
-        raise ValueError("graph order must be at least 1")
+        raise PreconditionError("graph order must be at least 1")
     if n > MAX_ORDER:
         raise SizeCapError(f"graph order {n} exceeds the {MAX_ORDER}-vertex cap")
 
@@ -100,9 +100,9 @@ class Graph:
         adj = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) out of range for order {n}")
+                raise PreconditionError(f"edge ({u},{v}) out of range for order {n}")
             if u == v:
-                raise ValueError(f"loop at vertex {u} not allowed")
+                raise PreconditionError(f"loop at vertex {u} not allowed")
             adj[u] |= 1 << v
             adj[v] |= 1 << u
         self._init(adj)
@@ -115,18 +115,18 @@ class Graph:
         full = (1 << n) - 1
         for v, row in enumerate(adj):
             if row & ~full:
-                raise ValueError(f"adjacency row {v} has bits beyond order {n}")
+                raise PreconditionError(f"adjacency row {v} has bits beyond order {n}")
             if (row >> v) & 1:
-                raise ValueError(f"loop at vertex {v} not allowed")
+                raise PreconditionError(f"loop at vertex {v} not allowed")
             for u in bits(row):
                 if not (adj[u] >> v) & 1:
-                    raise ValueError(f"asymmetric adjacency between {u} and {v}")
+                    raise PreconditionError(f"asymmetric adjacency between {u} and {v}")
         return cls._of_rows(adj)
 
     @classmethod
     def _of_rows(cls, adj: Sequence[int]) -> "Graph":
-        """Build from adjacency rows already known to be symmetric and
-        loop-free, such as those of a generator, without checking them."""
+        """Build from adjacency rows already known to be symmetric and loop-free,
+        as a generator's or a product's are, without checking them."""
         g = cls.__new__(cls)
         g._init(adj)
         return g
@@ -272,37 +272,27 @@ def to_graph6(g: Graph) -> str:
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:
     """Disjoint union; h's vertices are shifted up by g.n."""
-    n = g.n + h.n
-    if n > MAX_ORDER:
-        raise SizeCapError(f"union order {n} exceeds the {MAX_ORDER}-vertex cap")
-    return Graph.from_adj(g.adj + tuple(row << g.n for row in h.adj))
+    _check_order(g.n + h.n)
+    return Graph._of_rows(g.adj + tuple(row << g.n for row in h.adj))
 
 
 def join(g: Graph, h: Graph) -> Graph:
     """Disjoint union plus every edge between the two sides."""
-    u = disjoint_union(g, h)
-    gmask = (1 << g.n) - 1
-    hmask = u.full & ~gmask
-    adj = [row | hmask for row in u.adj[:g.n]] + [row | gmask for row in u.adj[g.n:]]
-    return Graph.from_adj(tuple(adj))
+    _check_order(g.n + h.n)
+    hmask = h.full << g.n
+    return Graph._of_rows([row | hmask for row in g.adj] + [row << g.n | g.full for row in h.adj])
 
 
 def corona(g: Graph, h: Graph) -> Graph:
     """Attach a private copy of h, fully joined, to each vertex of g."""
-    n = g.n * (1 + h.n)
-    if n > MAX_ORDER:
-        raise SizeCapError(f"corona order {n} exceeds the {MAX_ORDER}-vertex cap")
-    edges = list(g.edges())
-    for i in range(g.n):
-        base = g.n + i * h.n
-        edges.extend((base + a, base + b) for a, b in h.edges())
-        edges.extend((i, base + a) for a in range(h.n))
-    return Graph(n, edges)
+    _check_order(g.n * (1 + h.n))
+    adj = [row | h.full << g.n + i * h.n for i, row in enumerate(g.adj)]
+    adj += [row << g.n + i * h.n | 1 << i for i in range(g.n) for row in h.adj]
+    return Graph._of_rows(adj)
 
 
 def complement(g: Graph) -> Graph:
-    adj = tuple((g.full & ~g.adj[v]) & ~(1 << v) for v in range(g.n))
-    return Graph.from_adj(adj)
+    return Graph._of_rows([(g.full & ~row) & ~(1 << v) for v, row in enumerate(g.adj)])
 
 
 # -- labeled enumeration ------------------------------------------------
@@ -331,7 +321,7 @@ def enumerate_labeled_graphs(n: int, connected_only: bool = False) -> Iterator[G
             f"labeled enumeration supports 1 <= n <= {ENUM_MAX_ORDER}, got {n}")
     slots = edge_slots(n)
     for mask in range(1 << len(slots)):
-        g = Graph.from_adj(adj_from_edge_mask(n, mask, slots))
+        g = Graph._of_rows(adj_from_edge_mask(n, mask, slots))
         if connected_only and not g.is_connected():
             continue
         yield g

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import or_
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Collection, Iterable
 
 from .domination import k_domination_number, independence_number, power_domination_number
 from .errors import PreconditionError, check_deadline
@@ -125,16 +125,16 @@ class CheckReport:
         return out
 
 
-def requested_params(params: Iterable[str]) -> tuple[str, ...]:
-    """``params`` as a tuple in first-seen order, repeats dropped; an unknown
-    name or an empty selection raises ``PreconditionError``."""
-    wanted = tuple(dict.fromkeys(params))
-    for p in wanted:
-        if p not in PARAM_NAMES:
-            raise PreconditionError(
-                f"unknown parameter {p!r}; known: {', '.join(PARAM_NAMES)}")
+def select(names: Iterable[str], known: Collection[str], noun: str) -> tuple[str, ...]:
+    """``names`` as a tuple in first-seen order, repeats dropped: the one rule
+    for the parameters and the checks a user names.  A name not in ``known``
+    or an empty selection raises ``PreconditionError``."""
+    wanted = tuple(dict.fromkeys(names))
+    for name in wanted:
+        if name not in known:
+            raise PreconditionError(f"unknown {noun} {name!r}; known: {', '.join(known)}")
     if not wanted:
-        raise PreconditionError("no parameter selected")
+        raise PreconditionError(f"no {noun} selected")
     return wanted
 
 
@@ -162,7 +162,7 @@ def parameter_profile(g: Graph, params: tuple[str, ...] | None = None,
     """
     if max_order < 1:
         raise PreconditionError(f"max order must be at least 1, got {max_order}")
-    wanted = PARAM_NAMES if params is None else requested_params(params)
+    wanted = PARAM_NAMES if params is None else select(params, PARAM_NAMES, "parameter")
     profile = ParamProfile(g, graph_id)
     if g.n > max_order:
         profile.omitted = list(wanted)
@@ -524,6 +524,8 @@ CHECKS = BOUND_CHECKS + CHARACTERIZATION_CHECKS
 
 def _run_checks(checks: tuple[Check, ...], profile: ParamProfile,
                 spec: FamilySpec | None) -> list[CheckReport]:
+    if spec is not None and generate(spec) != profile.graph:
+        raise PreconditionError(f"spec {spec} does not describe the profiled graph")
     if profile.omitted:
         return []  # past the solver budget, and every check reads a solver fact
     profile.product = None
@@ -548,7 +550,8 @@ def check_bounds(profile: ParamProfile, spec: FamilySpec | None = None) -> list[
     """Evaluate every applicable bound on one profile.
 
     Join and corona bounds only apply when ``spec`` describes the graph as a
-    product, since they compare against parameters of the factors.
+    product, since they compare against parameters of the factors; a
+    ``spec`` that does not generate the graph is a ``PreconditionError``.
     """
     return _run_checks(BOUND_CHECKS, profile, spec)
 

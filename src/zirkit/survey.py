@@ -37,13 +37,14 @@ order ``SURVEY_DEFAULT_MAX_ORDER`` (6) and the override's
 from __future__ import annotations
 
 import concurrent.futures
+import json
 from dataclasses import dataclass, field
 from math import factorial
 
 from .errors import BudgetError, PreconditionError, check_deadline, deadline
 from .graphs import (Graph, _least_orders, adj_from_edge_mask, bit_list, canonical_children,
                      edge_slots, to_graph6)
-from .profiles import CHECKS, Check, CheckReport
+from .profiles import CHECKS, Check, CheckReport, select
 from .subsets import TableFacts
 
 SURVEY_DEFAULT_MAX_ORDER = 6
@@ -67,7 +68,6 @@ class SurveyReport:
         return [r for r in self.reports if r.status == "finding"]
 
     def to_json_lines(self) -> list[str]:
-        import json
         return [json.dumps(r.to_dict(), sort_keys=True) for r in self.reports]
 
 
@@ -237,14 +237,7 @@ def survey(max_order: int,
                else f" (pass the override to allow {SURVEY_HARD_MAX_ORDER})"))
     if threads < 1:
         raise PreconditionError(f"survey threads must be at least 1, got {threads}")
-    if checks is None:
-        checks = ALL_CHECKS
-    for c in checks:
-        if c not in _CHECKS:
-            raise PreconditionError(f"unknown check {c!r}; known: {', '.join(ALL_CHECKS)}")
-    checks = tuple(dict.fromkeys(checks))  # keep order, drop duplicates
-    if not checks:
-        raise PreconditionError("no survey check selected")
+    checks = select(ALL_CHECKS if checks is None else checks, _CHECKS, "check")
 
     tallies, leaders = {}, {}
     parents: list[tuple[int, ...]] = [()]  # the one class of order 0

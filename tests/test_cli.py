@@ -133,7 +133,8 @@ def test_table_default_passes(capsys):
 
 
 def test_table_custom_specs(capsys):
-    code, out, _ = run_cli(capsys, "table", "--specs", "cycle:6;path:7",
+    # wheel:4 has no closed form, so it adds no row
+    code, out, _ = run_cli(capsys, "table", "--specs", "cycle:6;path:7;wheel:4",
                            "--format", "jsonl")
     assert code == 0
     rows = [json.loads(line) for line in out.strip().splitlines()]
@@ -347,6 +348,12 @@ def test_compute_prints_finished_graphs_before_the_time_limit(capsys, tmp_path):
                              "--time-limit", "0.1")
     assert code == 2 and out == first
     assert len(err.splitlines()) == 1 and "time limit" in err
+
+
+def test_usage_error_exits_two_without_traceback(capsys):
+    code, out, err = run_cli(capsys, "compute", "--format", "xml")
+    assert code == 2 and not out and "Traceback" not in err
+    assert err.splitlines()[-1].startswith("zirkit compute: error: argument --format")
 
 
 def test_convert_edge_list_past_graph6_order(capsys, tmp_path):

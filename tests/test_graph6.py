@@ -79,6 +79,12 @@ def test_non_ascii_rejected_with_offset():
     assert err.value.offset == 1
 
 
+def test_invalid_data_byte_rejected_with_offset():
+    with pytest.raises(GraphFormatError, match="invalid data byte") as err:
+        parse_graph6("A!")  # '!' is below the data range 63..126
+    assert err.value.offset == 1
+
+
 def test_long_form_rejected():
     with pytest.raises(SizeCapError):
         parse_graph6("~??~?????")

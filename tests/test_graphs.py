@@ -4,7 +4,7 @@ from math import factorial
 import pytest
 from hypothesis import given, settings
 
-from zirkit.errors import BudgetError, SizeCapError
+from zirkit.errors import BudgetError, SizeCapError, ZirkitError
 from zirkit.families import (complete_bipartite_graph, complete_graph, cycle_graph,
                              empty_graph, fig5_graph, necklace_graph, path_graph,
                              star_graph)
@@ -32,6 +32,23 @@ def test_graph_rejects_loops_and_bad_edges():
 def test_from_adj_validates_symmetry():
     with pytest.raises(ValueError):
         Graph.from_adj((0b010, 0b000, 0b000))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Graph(0),
+    lambda: Graph(3, [(1, 1)]),
+    lambda: Graph(3, [(0, 3)]),
+    lambda: Graph.from_adj(()),
+    lambda: Graph.from_adj((0b010, 0b000, 0b000)),
+    lambda: Graph.from_adj((0b1000, 0b000, 0b000)),
+    lambda: Graph.from_adj((0b010, 0b011, 0b000)),
+], ids=["order-0", "loop", "edge-out-of-range", "adj-order-0", "asymmetric",
+        "bits-beyond-order", "adj-loop"])
+def test_bad_graph_input_is_a_zirkit_error(build):
+    # a ValueError too, as callers of the constructors have caught it
+    with pytest.raises(ZirkitError) as err:
+        build()
+    assert isinstance(err.value, ValueError)
 
 
 def test_union_counts():
@@ -74,10 +91,30 @@ def test_corona_layout():
 
 
 def test_size_caps_on_products():
-    with pytest.raises(SizeCapError):
+    with pytest.raises(SizeCapError, match="^graph order 80 exceeds the 64-vertex cap$"):
         disjoint_union(empty_graph(40), empty_graph(40))
-    with pytest.raises(SizeCapError):
+    with pytest.raises(SizeCapError, match="^graph order 80 exceeds the 64-vertex cap$"):
+        join(empty_graph(40), empty_graph(40))
+    with pytest.raises(SizeCapError, match="^graph order 110 exceeds the 64-vertex cap$"):
         corona(empty_graph(10), empty_graph(10))
+
+
+@settings(max_examples=60, deadline=None)
+@given(drawn_graphs(6), drawn_graphs(6))
+def test_products_match_their_definitions(g, h):
+    # the products build rows unchecked: each is the graph of its defining
+    # edge list, and from_adj accepts its rows
+    shifted = [(g.n + a, g.n + b) for a, b in h.edges()]
+    cross = [(u, g.n + v) for u in range(g.n) for v in range(h.n)]
+    attached = [(i, g.n + i * h.n + a) for i in range(g.n) for a in range(h.n)]
+    copies = [(g.n + i * h.n + a, g.n + i * h.n + b)
+              for i in range(g.n) for a, b in h.edges()]
+    non_edges = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if not g.has_edge(u, v)]
+    for built, n, edges in [(disjoint_union(g, h), g.n + h.n, [*g.edges(), *shifted]),
+                            (join(g, h), g.n + h.n, [*g.edges(), *shifted, *cross]),
+                            (corona(g, h), g.n * (1 + h.n), [*g.edges(), *copies, *attached]),
+                            (complement(g), g.n, non_edges)]:
+        assert built == Graph(n, edges) == Graph.from_adj(built.adj)
 
 
 def test_complement_involution_and_complete():

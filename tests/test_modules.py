@@ -30,8 +30,8 @@ def _defined(module: str) -> set[str]:
 
 
 def _package_imports(module: str) -> tuple[set[str], set[str]]:
-    """The package modules ``module`` imports at its top level, and those it
-    imports inside a function or class."""
+    """The package modules ``module`` imports at its top level, and every
+    module, the standard library's too, it imports inside a function or class."""
     tree = _tree(module)
     top, nested = set(), set()
     for node in ast.walk(tree):
@@ -41,7 +41,10 @@ def _package_imports(module: str) -> tuple[set[str], set[str]]:
             names = {a.name.removeprefix("zirkit.") for a in node.names}
         else:
             continue
-        (top if node in tree.body else nested).update(names & MODULES)
+        if node in tree.body:
+            top.update(names & MODULES)
+        else:
+            nested.update(names)
     return top, nested
 
 

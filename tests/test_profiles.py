@@ -223,6 +223,17 @@ def test_join_and_corona_bounds():
             assert "corona-upper" in names and "corona-alpha-lower" in names
 
 
+def test_a_spec_must_describe_the_profiled_graph():
+    # the product checks read the factors off the spec, so the spec of
+    # another graph would test C_5's values against a corona's bounds
+    g = generate("cycle:5")
+    spec = parse_family_expr("corona(cycle:4,empty:2)")
+    for profile in (parameter_profile(g), parameter_profile(g, max_order=4)):
+        for run in (check_bounds, check_characterizations):
+            with pytest.raises(PreconditionError, match="does not describe the profiled graph"):
+                run(profile, spec)
+
+
 LEAF_SKIP = "needs corona(H, empty:t) with connected H of order >= 3 and t >= 2"
 
 

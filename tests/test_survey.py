@@ -67,6 +67,11 @@ def test_survey_empty_check_selection_rejected():
         survey(3, checks=())
 
 
+def test_survey_takes_checks_from_an_iterator():
+    # the names are read once, so an iterator selects what a tuple does
+    assert survey(3, checks=iter(["chain"])).reports == survey(3, checks=("chain",)).reports
+
+
 def test_survey_duplicate_checks_collapse():
     report = survey(3, checks=("chain", "chain"))
     by_scope = {r.scope: r for r in report.reports if r.check == "chain"}

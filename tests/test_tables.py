@@ -15,16 +15,19 @@ def test_expected_values_base_families():
     assert expected_values("path:2") == {"zir": 1, "Z": 1, "Zbar": 1, "ZIR": 1}
     assert expected_values("complete_bipartite:2,3") == \
         {"zir": 2, "Z": 3, "Zbar": 3, "ZIR": 3}
+    assert expected_values("complete_bipartite:1,1") == {"zir": 1, "Z": 1, "Zbar": 1, "ZIR": 1}
     assert expected_values("star:5") == {"zir": 1, "Z": 4, "Zbar": 4, "ZIR": 4}
     assert expected_values("friendship:3") == {"zir": 4, "Z": 4, "Zbar": 4, "ZIR": 4}
     assert expected_values("h_rs:3,5") == {"zir": 2, "Z": 3, "Zbar": 4, "ZIR": 5}
     assert expected_values("h_rs:2,3") == {"zir": 2, "Z": 2, "Zbar": 2, "ZIR": 3}
     assert expected_values("necklace:3") == {"Z": 5, "Zbar": 5, "ZIR": 6}
     assert expected_values("h_chain:3") == {"Z": 5, "ZIR": 6, "gamma2": 9}
+    assert expected_values("wheel:3") == {"zir": 3, "Z": 3, "Zbar": 3, "ZIR": 3}
     assert expected_values("wheel:5") == {"zir": 3, "Z": 3, "Zbar": 3, "ZIR": 3}
     assert expected_values("wheel:7")["ZIR"] == 4
     assert expected_values("wheel:4") == {}  # closed form does not cover r=4
     assert expected_values("pentasun") == {"zir": 3}
+    assert expected_values("g6:A_") == {}  # a literal graph has no closed form
 
 
 def test_expected_values_products():
