@@ -36,34 +36,35 @@ def _add_source_options(p: argparse.ArgumentParser, with_edges: bool = False) ->
 
 def _iter_source(args) -> list[tuple[str, Graph]]:
     picked = [name for name in ("graph6", "file", "family", "edges")
-              if getattr(args, name, None)]
+              if getattr(args, name, None) is not None]
     if len(picked) != 1:
         raise ZirkitError("choose exactly one of --graph6, --file, --family"
                           + (", --edges" if hasattr(args, "edges") else ""))
-    if args.graph6:
-        return [(args.graph6, parse_graph6(args.graph6))]
-    if getattr(args, "edges", None):
-        return [(args.edges, _parse_edge_file(args.edges))]
-    if args.family:
-        spec = parse_family_expr(args.family)
+    source = picked[0]
+    value = getattr(args, source)
+    if source == "graph6":
+        return [(value, parse_graph6(value))]
+    if source == "edges":
+        return [(value, _parse_edge_file(value))]
+    if source == "family":
+        spec = parse_family_expr(value)
         return [(str(spec), generate(spec))]
     out = []
-    for lineno, line in _numbered_lines(args.file):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in _numbered_lines(value):
         try:
             out.append((line, parse_graph6(line)))
         except ZirkitError as exc:
-            raise type(exc)(f"{args.file}:{lineno}: {exc}") from None
+            raise type(exc)(f"{value}:{lineno}: {exc}") from None
     return out
 
 
 def _numbered_lines(path: str) -> list[tuple[int, str]]:
-    """The lines of a UTF-8 file, numbered from 1; a decode error names it."""
+    """The lines of a UTF-8 file that hold more than a comment, numbered from
+    1, each cut at its first ``#`` and stripped; a decode error names the file."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return list(enumerate(fh, 1))
+            return [(lineno, line) for lineno, raw in enumerate(fh, 1)
+                    if (line := raw.split("#", 1)[0].strip())]
     except UnicodeDecodeError as exc:
         raise GraphFormatError(f"{path}: {exc}") from None
 
@@ -76,10 +77,7 @@ def _split(items: str, sep: str) -> tuple[str, ...]:
 def _parse_edge_file(path: str) -> Graph:
     n = None
     edges = []
-    for lineno, raw in _numbered_lines(path):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _numbered_lines(path):
         where = f"{path}:{lineno}"
         parts = line.split()
         if n is None:
@@ -106,7 +104,7 @@ def _cmd_compute(args) -> int:
     params = select(_split(args.params, ","), PARAM_NAMES, "parameter")
     if args.check_bounds:
         params = PARAM_NAMES  # every bound needs the full profile
-    spec = parse_family_expr(args.family) if args.family else None
+    spec = parse_family_expr(args.family) if args.family is not None else None
     at = deadline(args.time_limit)
     graphs = _iter_source(args)
     if args.format == "csv":
@@ -148,7 +146,7 @@ def _cmd_forts(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    specs = _split(args.specs, ";") if args.specs else None
+    specs = _split(args.specs, ";") if args.specs is not None else None
     rows = family_table(specs, max_order=args.max_order, time_limit=args.time_limit)
     failures = [r for r in rows if not r.ok]
     if args.format == "jsonl":

@@ -3,7 +3,11 @@ mini-language used by the CLI.
 
 Expressions are either ``name:p1,p2``, a product ``join(a,b)`` /
 ``corona(a,b)`` / ``union(a,b)``, or a literal ``g6:<graph6>``.  Example:
-``corona(cycle:5,empty:1)`` is the pentasun.
+``corona(cycle:5,empty:1)`` is the pentasun.  The parser reads tokens, and
+whitespace between tokens is ignored.  A token is a ``g6:`` literal (its
+bytes run to the next ``,`` or ``)``), a name (word characters, not starting
+with an ASCII digit), an ASCII integer, any other single character, or the
+end of the text.
 
 Vertex numbering is fixed per family so witnesses are stable across runs:
 
@@ -24,6 +28,7 @@ Vertex numbering is fixed per family so witnesses are stable across runs:
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from .errors import InvalidSpecError
@@ -70,83 +75,65 @@ class FamilySpec:
         return self.kind
 
 
+# the end of the text is a token too, so trailing whitespace is read once,
+# not retried from each space; after trailing whitespace it comes twice
+_TOKEN = re.compile(r"\s*(?:(?P<g6>g6:[^,)]*)|(?P<name>(?![0-9])\w+)|(?P<int>[0-9]+)"
+                    r"|(?P<end>\Z)|(?P<char>.))", re.S)
+
+
 def parse_family_expr(text: str) -> FamilySpec:
-    """Parse the mini-language into a FamilySpec; whitespace is ignored."""
-    spec, pos = _parse_expr(text, _skip_ws(text, 0))
-    pos = _skip_ws(text, pos)
-    if pos != len(text):
+    """Parse the mini-language into a FamilySpec; whitespace between tokens is ignored."""
+    tokens = [(m.lastgroup, m[m.lastgroup], m.start(m.lastgroup)) for m in _TOKEN.finditer(text)]
+    spec, i = _parse_expr(text, tokens, 0)
+    kind, _, pos = tokens[i]
+    if kind != "end":
         raise InvalidSpecError(f"unexpected trailing text at position {pos}: {text[pos:]!r}")
     return spec
 
 
-def _skip_ws(text: str, pos: int) -> int:
-    while pos < len(text) and text[pos].isspace():
-        pos += 1
-    return pos
-
-
-def _parse_expr(text: str, pos: int, depth: int = 0) -> tuple[FamilySpec, int]:
-    start = pos
-    while pos < len(text) and (text[pos].isalnum() or text[pos] == "_"):
-        pos += 1
-    name = text[start:pos]
-    if not name:
+def _parse_expr(text: str, tokens: list, i: int, depth: int = 0) -> tuple[FamilySpec, int]:
+    """The expression from ``tokens[i]`` on, and the index of the token after it."""
+    kind, name, start = tokens[i]
+    i += 1
+    if kind == "g6":
+        return FamilySpec.literal(name[3:]), i
+    if kind != "name":
         raise InvalidSpecError(f"expected a family name at position {start} in {text!r}")
     if name in PRODUCT_OPS:
         # each product has more vertices than its factors, so a deeper
         # nesting could never build a graph within the order cap
         if depth >= MAX_ORDER:
             raise InvalidSpecError(f"products nested deeper than {MAX_ORDER} levels")
-        pos = _skip_ws(text, pos)
-        if pos >= len(text) or text[pos] != "(":
+        if tokens[i][1] != "(":
             raise InvalidSpecError(f"{name} requires arguments: {name}(a,b)")
-        left, pos = _parse_expr(text, _skip_ws(text, pos + 1), depth + 1)
-        pos = _skip_ws(text, pos)
-        if pos >= len(text) or text[pos] != ",":
+        left, i = _parse_expr(text, tokens, i + 1, depth + 1)
+        if tokens[i][1] != ",":
             raise InvalidSpecError(f"{name} requires two comma-separated arguments")
-        right, pos = _parse_expr(text, _skip_ws(text, pos + 1), depth + 1)
-        pos = _skip_ws(text, pos)
-        if pos >= len(text) or text[pos] != ")":
+        right, i = _parse_expr(text, tokens, i + 1, depth + 1)
+        if tokens[i][1] != ")":
             raise InvalidSpecError(f"missing closing parenthesis in {name}(...)")
-        return FamilySpec.product(name, left, right), pos + 1
+        return FamilySpec.product(name, left, right), i + 1
     if name == "g6":
-        if pos >= len(text) or text[pos] != ":":
-            raise InvalidSpecError("g6 literal must be written g6:<graph6>")
-        pos += 1
-        start = pos
-        # graph6 bytes are all >= '?' (63), so ',' and ')' safely terminate
-        while pos < len(text) and text[pos] not in ",)":
-            pos += 1
-        return FamilySpec.literal(text[start:pos]), pos
+        raise InvalidSpecError("g6 literal must be written g6:<graph6>")
     if name not in FAMILY_ARITY:
         known = ", ".join(sorted(FAMILY_ARITY))
         raise InvalidSpecError(f"unknown family {name!r}; known families: {known}")
+    arity = FAMILY_ARITY[name]
     params: list[int] = []
-    if _skip_ws(text, pos) < len(text) and text[_skip_ws(text, pos)] == ":":
-        pos = _skip_ws(text, pos) + 1
-        while True:
-            pos = _skip_ws(text, pos)
-            start = pos
-            while pos < len(text) and text[pos] in "0123456789":
-                pos += 1
-            if start == pos:
-                raise InvalidSpecError(f"expected an integer parameter at position {start}")
-            try:
-                params.append(int(text[start:pos]))
-            except ValueError:  # more digits than sys.get_int_max_str_digits()
-                raise InvalidSpecError(
-                    f"integer parameter at position {start} is too long") from None
-            pos = _skip_ws(text, pos)
-            if pos < len(text) and text[pos] == ",":
-                # a further integer only belongs to us if the arity allows it
-                if len(params) < FAMILY_ARITY[name]:
-                    pos += 1
-                    continue
-            break
-    if len(params) != FAMILY_ARITY[name]:
-        raise InvalidSpecError(
-            f"{name} takes {FAMILY_ARITY[name]} parameter(s), got {len(params)}")
-    return FamilySpec.family(name, *params), pos
+    # ':' opens the parameters, and a ',' takes a further one only while the
+    # arity allows it: join(complete_bipartite:2,3,path:4) splits after the 3
+    while tokens[i][1] == ("," if params else ":") and (not params or len(params) < arity):
+        kind, digits, pos = tokens[i + 1]
+        if kind != "int":
+            raise InvalidSpecError(f"expected an integer parameter at position {pos}")
+        try:
+            params.append(int(digits))
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            raise InvalidSpecError(f"integer parameter at position {pos} is too long") from None
+        i += 2
+    if len(params) != arity:
+        raise InvalidSpecError(f"{name} takes {arity} parameter(s), got {len(params)}")
+    return FamilySpec.family(name, *params), i
 
 
 # -- generators ----------------------------------------------------------

@@ -189,12 +189,15 @@ class Graph:
         return mask_of(v for v in range(self.n) if not self.adj[v])
 
     def induced(self, subset: int) -> "Graph":
-        """Induced subgraph on the vertices of ``subset``, reindexed densely."""
+        """Induced subgraph on the vertices of ``subset``, reindexed densely; an
+        empty subset or one with bits beyond the order is a ``PreconditionError``."""
+        if subset & ~self.full:
+            raise PreconditionError(f"subset {subset:#b} has bits beyond order {self.n}")
         verts = bit_list(subset)
-        index = {v: i for i, v in enumerate(verts)}
-        edges = [(index[u], index[v]) for u, v in self.edges()
-                 if (subset >> u) & 1 and (subset >> v) & 1]
-        return Graph(len(verts), edges)
+        _check_order(len(verts))
+        new_bit = {v: 1 << i for i, v in enumerate(verts)}
+        return Graph._of_rows([sum(map(new_bit.__getitem__, bit_list(self.adj[v] & subset)))
+                               for v in verts])
 
 
 # -- graph6 codec -------------------------------------------------------
@@ -225,24 +228,24 @@ def parse_graph6(text: str) -> Graph:
             offset=len(data))
     if len(data) - 1 > nbytes:
         raise GraphFormatError("trailing bytes after graph6 data", offset=1 + nbytes)
-    edges = []
-    k = 0
-    # bit order: column-major upper triangle (0,1), (0,2), (1,2), (0,3), ...
-    pairs = [(i, j) for j in range(1, n) for i in range(j)]
-    for pos in range(1, len(data)):
-        byte = data[pos]
+    value = 0
+    for offset, byte in enumerate(data[1:], 1):
         if not 63 <= byte <= 126:
-            raise GraphFormatError(f"invalid data byte {chr(byte)!r}", offset=pos)
-        group = byte - 63
-        for shift in range(5, -1, -1):
-            bit = (group >> shift) & 1
-            if k < nbits:
-                if bit:
-                    edges.append(pairs[k])
-                k += 1
-            elif bit:
-                raise GraphFormatError("nonzero padding bits", offset=pos)
-    return Graph(n, edges)
+            raise GraphFormatError(f"invalid data byte {chr(byte)!r}", offset=offset)
+        value = value << 6 | byte - 63
+    # the pair bits, most significant first, in column-major upper-triangle
+    # order (0,1), (0,2), (1,2), (0,3), ...; then padding in the last byte
+    if value & ((1 << (6 * nbytes - nbits)) - 1):
+        raise GraphFormatError("nonzero padding bits", offset=nbytes)
+    adj = [0] * n
+    k = 6 * nbytes
+    for j in range(1, n):
+        for i in range(j):
+            k -= 1
+            if value >> k & 1:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    return Graph._of_rows(adj)
 
 
 def to_graph6(g: Graph) -> str:

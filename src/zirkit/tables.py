@@ -210,12 +210,15 @@ def family_table(specs: tuple[str, ...] | None = None,
                  time_limit: float | None = None) -> list[TableRow]:
     """Instantiate each spec, solve the parameters with closed forms, diff;
     a spec above ``max_order`` is a ``BudgetError``, not a mismatch, and
-    ``max_order`` below 1 a ``PreconditionError``."""
+    ``max_order`` below 1 or an empty ``specs`` a ``PreconditionError``."""
     at = deadline(time_limit)
     if max_order < 1:
         raise PreconditionError(f"max order must be at least 1, got {max_order}")
+    specs = DEFAULT_TABLE_SPECS if specs is None else tuple(specs)
+    if not specs:
+        raise PreconditionError("no spec selected")
     rows: list[TableRow] = []
-    for text in (specs if specs is not None else DEFAULT_TABLE_SPECS):
+    for text in specs:
         check_deadline(at, "family table")
         spec = parse_family_expr(text) if isinstance(text, str) else text
         expected = expected_values(spec)

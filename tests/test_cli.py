@@ -53,6 +53,32 @@ def test_compute_file_input(capsys, tmp_path):
     assert [r["graph"] for r in rows] == ["A_", "D?{"]
 
 
+def test_graph6_list_and_edge_list_share_one_comment_rule(capsys, tmp_path):
+    # text after '#' is a comment and blank lines are skipped in both files;
+    # '#' is no graph6 byte, so the rule cannot cut a graph6 string
+    path = tmp_path / "graphs.g6"
+    path.write_text("A_  # K2\n\n  \n# header\nD?{#five\n", encoding="utf-8")
+    code, out, _ = run_cli(capsys, "compute", "--file", str(path), "--params", "Z")
+    assert code == 0
+    assert [json.loads(line)["graph"] for line in out.splitlines()] == ["A_", "D?{"]
+    path = tmp_path / "k2.edges"
+    path.write_text("# K2\nn 2  # order\n\n0 1#edge\n", encoding="utf-8")
+    code, out, _ = run_cli(capsys, "convert", "--edges", str(path), "--to", "graph6")
+    assert (code, out) == (0, "A_\n")
+
+
+@pytest.mark.parametrize("option, message", [
+    ("--graph6", "empty graph6 string"),
+    ("--family", "expected a family name"),
+    ("--file", "No such file"),
+])
+def test_an_empty_source_is_still_the_chosen_source(capsys, option, message):
+    code, out, err = run_cli(capsys, "compute", option, "")
+    assert code == 2 and not out and err.startswith("zirkit compute: ") and message in err, err
+    code, out, err = run_cli(capsys, "convert", "--to", "graph6", option, "", "--edges", "")
+    assert code == 2 and not out and "choose exactly one" in err, err
+
+
 def test_compute_check_bounds_flag(capsys):
     code, out, _ = run_cli(capsys, "compute", "--family", "necklace:2",
                            "--check-bounds")
@@ -390,6 +416,8 @@ def test_convert_edge_list_past_graph6_order(capsys, tmp_path):
     (["forts", "--family", "path:21"], None),  # past fort enumeration's budget
     (["compute", "--file", "{file}"], "A_\nA_\n# three\nxyz\n"),  # names line 4
     (["convert", "--to", "graph6", "--edges", "{file}"], b"n 3\n0 1 \xff\n"),  # not UTF-8
+    (["table", "--specs", ";"], None),
+    (["table", "--specs", ""], None),
 ])
 def test_bad_input_exit_two_without_traceback(capsys, tmp_path, argv, text):
     # a bad file's error names the file, and the line where there is one

@@ -4,7 +4,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zirkit.errors import InvalidSpecError, SizeCapError
+from zirkit.errors import GraphFormatError, InvalidSpecError, SizeCapError
 from zirkit.families import (FAMILY_ARITY, FamilySpec, complete_graph, corona,
                              cycle_graph, empty_graph, fig7_graph, friendship_graph,
                              generate, h_chain_graph, h_rs_graph,
@@ -44,6 +44,8 @@ def test_g6_literal_in_expressions():
     assert generate(spec).n == 5
     prod = parse_family_expr("union(g6:A_,g6:A_)")
     assert generate(prod).size() == 2
+    with pytest.raises(GraphFormatError, match="empty graph6 string"):
+        generate("g6:")  # an empty literal parses; decoding it fails
 
 
 @pytest.mark.parametrize("expr,message", [
@@ -172,6 +174,39 @@ def test_expression_parser_rejects_unbuildable_input():
         parse_family_expr("path:" + "9" * 5000)  # past int()'s digit limit
     with pytest.raises(InvalidSpecError, match="nested"):
         parse_family_expr("union(" * 2000 + "path:1")
+
+
+@pytest.mark.parametrize("text, spec, error", [
+    # the comma after 3 is the join's: complete_bipartite takes two parameters
+    ("join(complete_bipartite:2,3,path:4)", "join(complete_bipartite:2,3,path:4)", None),
+    ("h_rs: 3 , 5", "h_rs:3,5", None),
+    ("g6:", "g6:", None),
+    ("g6 :D?{", None, "g6 literal must be written g6:<graph6>"),
+    ("fig3:5", None, r"fig3 takes 0 parameter\(s\), got 1"),
+    ("3path", None, "expected a family name at position 0"),
+    # a g6 token is placed where its 'g6:' starts, not where its bytes do
+    ("path:g6:A_", None, "expected an integer parameter at position 5"),
+    ("h_rs:3,g6:A_", None, "expected an integer parameter at position 7"),
+    ("cycle:3 g6:A_", None, "unexpected trailing text at position 8: 'g6:A_'"),
+])
+def test_expression_corner_cases(text, spec, error):
+    if error is None:
+        assert str(parse_family_expr(text)) == spec
+    else:
+        with pytest.raises(InvalidSpecError, match=error):
+            parse_family_expr(text)
+
+
+def test_whitespace_is_read_in_linear_time():
+    # a pattern that retried trailing whitespace from each space took
+    # seconds on 16 000 of them
+    gap = " " * 12_500
+    text = gap + gap.join(["corona(", "cycle", ":", "5", ",", "empty:1", ")"]) + gap
+    t0 = time.perf_counter()
+    spec = parse_family_expr(text)
+    elapsed = time.perf_counter() - t0
+    assert text.count(" ") == 100_000 and str(spec) == "corona(cycle:5,empty:1)"
+    assert elapsed < 0.1, elapsed
 
 
 @pytest.mark.parametrize("expr", [

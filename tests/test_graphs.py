@@ -42,8 +42,10 @@ def test_from_adj_validates_symmetry():
     lambda: Graph.from_adj((0b010, 0b000, 0b000)),
     lambda: Graph.from_adj((0b1000, 0b000, 0b000)),
     lambda: Graph.from_adj((0b010, 0b011, 0b000)),
+    lambda: path_graph(3).induced(0b11011),
+    lambda: path_graph(3).induced(0),
 ], ids=["order-0", "loop", "edge-out-of-range", "adj-order-0", "asymmetric",
-        "bits-beyond-order", "adj-loop"])
+        "bits-beyond-order", "adj-loop", "induced-bits-beyond-order", "induced-empty"])
 def test_bad_graph_input_is_a_zirkit_error(build):
     # a ValueError too, as callers of the constructors have caught it
     with pytest.raises(ZirkitError) as err:

@@ -9,6 +9,7 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).parent.parent / "src" / "zirkit"
 README = PACKAGE.parent.parent / "README.md"
+TRACING = PACKAGE.parent.parent / "perfbench" / "tracing.py"
 MODULES = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__", "__main__"}
 
 
@@ -98,3 +99,14 @@ def test_docs_name_only_names_that_exist():
             if target is None:
                 stale.append(f"{path.name}: {found}")
     assert checked and not stale
+
+
+def test_cli_names_the_tracer_patches_exist():
+    # `perfbench --trace` swaps these attributes of zirkit.cli by name, and
+    # no tier-1 test runs it; read the table without importing perfbench
+    callees = next(ast.literal_eval(node.value)
+                   for node in ast.parse(TRACING.read_text(encoding="utf-8")).body
+                   if isinstance(node, ast.Assign)
+                   and [getattr(t, "id", None) for t in node.targets] == ["CLI_CALLEES"])
+    cli = importlib.import_module("zirkit.cli")
+    assert callees and [name for name in callees if not hasattr(cli, name)] == []

@@ -1,6 +1,6 @@
 import pytest
 
-from zirkit.errors import BudgetError
+from zirkit.errors import BudgetError, PreconditionError
 from zirkit.families import parse_family_expr
 from zirkit.tables import DEFAULT_TABLE_SPECS, expected_values, family_table
 
@@ -90,3 +90,8 @@ def test_family_table_time_limit():
 def test_family_table_above_solver_budget_is_budget_error():
     with pytest.raises(BudgetError, match="cycle:7 has order 7 > max_order 5"):
         family_table(("cycle:7",), max_order=5)
+
+
+def test_family_table_needs_a_spec():
+    with pytest.raises(PreconditionError, match="no spec selected"):
+        family_table(specs=())
